@@ -107,17 +107,6 @@ def cmd_run_abort(args) -> int:
         params, args.t_c, args.n_c_chunks, args.p_c, derive_seed(args.seed, "abort")
     )
     bound = abort.chernoff_success_bound(p_a, args.p_c, args.t_c)
-    # basis bias over combined runs (function layer)
-    rng = np.random.default_rng(derive_seed(args.seed, "abort-bias"))
-    ones = 0
-    trials = 400
-    for _ in range(trials):
-        b1 = 0
-        for _ in range(args.t_c):
-            a_bit = int(rng.random() < p_a)
-            d0 = int(rng.integers(0, 2))
-            b1 ^= a_bit & d0
-        ones += b1
     _emit(
         {
             "t_c": args.t_c,
@@ -126,7 +115,6 @@ def cmd_run_abort(args) -> int:
             "p_c": args.p_c,
             "accept_rate": rate,
             "empirical_bound": bound,
-            "B1_bias": abs(ones / trials - 0.5),
         },
         args.out,
     )

@@ -39,9 +39,6 @@ class DomainElement:
     d: int
     c: int | None = None
 
-    def with_c(self, c: int) -> "DomainElement":
-        return DomainElement(self.s, self.e, self.d, c)
-
     def drop_c(self) -> "DomainElement":
         return DomainElement(self.s, self.e, self.d, None)
 
@@ -109,12 +106,6 @@ def _centered(params: ParamSet, vec: np.ndarray) -> np.ndarray:
     return np.where(v >= q // 2, v - q, v)
 
 
-def shift_vector(params: ParamSet) -> np.ndarray:
-    v = np.zeros(params.m, dtype=params.int_dtype)
-    v[0] = params.q // 2
-    return v
-
-
 # ---------------------------------------------------------------------------
 # the function family
 
@@ -155,12 +146,6 @@ def add_z(params: ParamSet, a: DomainElement, b: DomainElement) -> DomainElement
     s = tuple((x + y) % params.q for x, y in zip(a.s, b.s))
     e = tuple(x + y for x, y in zip(a.e, b.e))
     return DomainElement(s, e, a.d ^ b.d, None)
-
-
-def neg_z(params: ParamSet, a: DomainElement) -> DomainElement:
-    return DomainElement(
-        tuple((-x) % params.q for x in a.s), tuple(-x for x in a.e), a.d, None
-    )
 
 
 def is_valid(params: ParamSet, elem: DomainElement) -> bool:
@@ -219,9 +204,13 @@ def encode_int(params: ParamSet, elem: DomainElement) -> int:
     return sum(b << j for j, b in enumerate(encode(params, elem)))
 
 
+def unpack_bits(params: ParamSet, value: int) -> tuple[int, ...]:
+    """The register bit-string of a packed pattern (bit j = qubit j)."""
+    return tuple((value >> j) & 1 for j in range(params.total_bits))
+
+
 def decode_int(params: ParamSet, value: int) -> DomainElement | None:
-    bits = tuple((value >> j) & 1 for j in range(params.total_bits))
-    return decode(params, bits)
+    return decode(params, unpack_bits(params, value))
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,20 @@ against it exhaustively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import lwe
 from .params import ParamSet
-from .seeds import derive_seed
+from .seeds import derive_seed, run_seed
 from .sim import (
     COMPUTATIONAL as MEAS_COMPUTATIONAL,
     QubitDescription,
     StateVector,
     analytic_stage2,
+    record_parity,
     sample_b,
     xy_plane,
 )
@@ -148,17 +149,15 @@ def _server_two_branch(key_msg: KeyMessage, seed: int) -> StrategyReply:
     packed_y = int(table[lwe.encode_int(params, x)])
     branches = _preimage_bits(pk, packed_y, table)
     theta = meas_theta(key_msg.variant)
-    nbits = params.total_bits
-    to_bits = lambda v: tuple((v >> j) & 1 for j in range(nbits))
     if len(branches) == 2:
-        xb, xpb = to_bits(branches[0]), to_bits(branches[1])
+        xb, xpb = (lwe.unpack_bits(params, v) for v in branches)
         if xb[-1] == 1:
             xb, xpb = xpb, xb
         b = sample_b(xb, xpb, theta, rng)
         held = analytic_stage2(xb, xpb, b, theta)
     else:
-        xb = to_bits(branches[0])
-        b = tuple(int(v) for v in rng.integers(0, 2, size=nbits))
+        xb = lwe.unpack_bits(params, branches[0])
+        b = tuple(int(v) for v in rng.integers(0, 2, size=params.total_bits))
         held = QubitDescription.computational(xb[-2])
     return StrategyReply(y=_unpack_y(params, packed_y), b=b, held=held)
 
@@ -208,13 +207,6 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
     return StrategyReply(y=_unpack_y(params, packed_y), b=b, held=held)
 
 
-def honest_strategy(backend: str, seed: int) -> ServerStrategy:
-    def strategy(key_msg: KeyMessage, rng: np.random.Generator) -> StrategyReply:
-        return server_honest(key_msg, backend, int(rng.integers(0, 2**63)))
-
-    return strategy
-
-
 def fixed_reply_strategy(y, b) -> ServerStrategy:
     """An adversary that ignores the key and parrots a fixed message."""
 
@@ -228,47 +220,24 @@ def fixed_reply_strategy(y, b) -> ServerStrategy:
 # client finalization
 
 
-def _sorted_pair(params: ParamSet, preimages):
+def _sorted_pair(preimages):
     by_c = {el.c: el for el in preimages}
     return by_c[0], by_c[1]
 
 
-def _record_parity(b, diff_bits) -> int:
-    return sum(bi & di for bi, di in zip(b, diff_bits)) & 1
+def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputIndex4:
+    """Client-side output index of one run from the image y and the record b.
 
+    None: abort, or a fresh uniform pair in always-output mode.  One
+    preimage: a computational qubit holding the hardcore bit.  Two preimages
+    with equal hardcore bits: the computational state |h>, in both variants.
 
-def client_finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputIndex4:
-    """Plain-variant output index.
-
-    Two preimages: the basis bit is the hardcore-bit XOR and the value bit is
-    <b, x xor x'> inside the basis branch.  One preimage: a computational
-    qubit holding the hardcore bit.  None: abort, or a fresh uniform pair in
-    always-output mode.
-    """
-    params = client.params
-    b = _check_b(params, b)
-    preimages = lwe.invert(client.trapdoor, client.pk, y)
-    if len(preimages) == 0:
-        return _no_preimage_output(client, y, b, always_output)
-    if len(preimages) == 1:
-        return OutputIndex4(0, lwe.h(preimages[0]), SINGLE_PREIMAGE, COMPUTATIONAL)
-    z, zp = _sorted_pair(params, preimages)
-    xb = lwe.encode(params, z)
-    xpb = lwe.encode(params, zp)
-    b1 = lwe.h(z) ^ lwe.h(zp)
-    beta = _record_parity(b, tuple(a ^ c for a, c in zip(xb, xpb)))
-    b2 = (beta & b1) ^ (lwe.h(z) & (1 ^ b1))
-    family = PAULI_X if b1 else COMPUTATIONAL
-    return OutputIndex4(b1, b2, TWO_PREIMAGES, family)
-
-
-def client_finalize_rotated(client: ClientState4, y, b, always_output: bool = False) -> OutputIndex4:
-    """Rotated-variant output index, frozen from the theta = pi/2 oracle.
-
-    With opposite hardcore bits the state is |+_{k pi/2}> where
+    Two preimages with opposite hardcore bits give an equatorial state.  In
+    the plain variant the basis bit is 1 and the value bit is <b, x xor x'>.
+    The rotated variant is frozen from the theta = pi/2 oracle: the state is
+    |+_{k pi/2}> where
     k = (2 h(z) - 1) * (wt(x') - wt(x)) + 2 <b, x xor x'>  (mod 4);
     B1' = k mod 2 selects the X or Y equatorial pair and B2' the sign.
-    Runs without branch interference give the computational state |h>.
     """
     params = client.params
     b = _check_b(params, b)
@@ -277,31 +246,29 @@ def client_finalize_rotated(client: ClientState4, y, b, always_output: bool = Fa
         return _no_preimage_output(client, y, b, always_output)
     if len(preimages) == 1:
         return OutputIndex4(0, lwe.h(preimages[0]), SINGLE_PREIMAGE, COMPUTATIONAL)
-    z, zp = _sorted_pair(params, preimages)
+    z, zp = _sorted_pair(preimages)
     if lwe.h(z) == lwe.h(zp):
         return OutputIndex4(0, lwe.h(z), TWO_PREIMAGES, COMPUTATIONAL)
     xb = lwe.encode(params, z)
     xpb = lwe.encode(params, zp)
-    delta = sum(xpb) - sum(xb)
-    beta = _record_parity(b, tuple(a ^ c for a, c in zip(xb, xpb)))
-    k = ((2 * lwe.h(z) - 1) * delta + 2 * beta) % 4
-    b1 = k & 1
-    b2 = ((k - b1) // 2) & 1
-    family = PAULI_Y if b1 else PAULI_X
-    return OutputIndex4(b1, b2, TWO_PREIMAGES, family)
-
-
-def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputIndex4:
+    beta = record_parity(b, tuple(a ^ c for a, c in zip(xb, xpb)))
     if client.variant == ROTATED:
-        return client_finalize_rotated(client, y, b, always_output)
-    return client_finalize(client, y, b, always_output)
+        delta = sum(xpb) - sum(xb)
+        k = ((2 * lwe.h(z) - 1) * delta + 2 * beta) % 4
+        b1 = k & 1
+        b2 = ((k - b1) // 2) & 1
+        family = PAULI_Y if b1 else PAULI_X
+        return OutputIndex4(b1, b2, TWO_PREIMAGES, family)
+    return OutputIndex4(1, beta, TWO_PREIMAGES, PAULI_X)
 
 
 def _check_b(params: ParamSet, b) -> tuple[int, ...]:
-    b = tuple(int(v) & 1 for v in b)
+    b = tuple(b)
     if len(b) != params.total_bits:
         raise ValueError("measurement record has the wrong length")
-    return b
+    if any(v not in (0, 1) for v in b):
+        raise ValueError("measurement record entries must be 0 or 1")
+    return tuple(int(v) for v in b)
 
 
 def _no_preimage_output(client: ClientState4, y, b, always_output: bool) -> OutputIndex4:
@@ -327,22 +294,50 @@ class Protocol4Result:
     client: ClientState4
 
 
+def run_client(
+    params: ParamSet,
+    master_seed: int,
+    run_id: int,
+    variant: str,
+    exchange: Callable[[KeyMessage], StrategyReply],
+) -> Protocol4Result:
+    """The client engine of one run: client_init, then exchange, then finalize.
+
+    `exchange` delivers the key message to the server and returns its reply:
+    over a wire channel, or to a strategy answering in-process.
+    """
+    client, key_msg = client_init(
+        params, variant, run_seed(master_seed, run_id, variant, "client")
+    )
+    reply = exchange(key_msg)
+    out = finalize(client, reply.y, reply.b)
+    transcript = Transcript4(
+        y=tuple(int(v) for v in reply.y), b=tuple(int(v) for v in reply.b), variant=variant
+    )
+    return Protocol4Result(out=out, transcript=transcript, held=reply.held, client=client)
+
+
 def run_protocol4(
     params: ParamSet,
     seed: int,
     strategy: ServerStrategy | None = None,
     backend: str = "two_branch",
     variant: str = PLAIN,
-    always_output: bool = False,
 ) -> Protocol4Result:
-    client, key_msg = client_init(params, variant, derive_seed(seed, "client"))
-    if strategy is None:
-        strategy = honest_strategy(backend, seed)
-    rng = np.random.default_rng(derive_seed(seed, "strategy"))
-    reply = strategy(key_msg, rng)
-    out = finalize(client, reply.y, reply.b, always_output=always_output)
-    transcript = Transcript4(y=tuple(int(v) for v in reply.y), b=reply.b, variant=variant)
-    return Protocol4Result(out=out, transcript=transcript, held=reply.held, client=client)
+    """Run 0 of a local session with master seed `seed`.
+
+    The honest server answers through the wire session, and its simulated
+    held qubit is read back from it.  A custom `strategy` answers the typed
+    key message instead, drawing from the server's seed of that run.
+    """
+    if strategy is not None:
+        rng = np.random.default_rng(run_seed(seed, 0, variant))
+        return run_client(params, seed, 0, variant, lambda key_msg: strategy(key_msg, rng))
+    from . import wire  # wire builds on this module
+
+    chan = wire.local_session(seed, backend)
+    res = wire.run4_over_channel(chan, params, seed, 0, variant)
+    return replace(res, held=chan.session.held[(0, variant)])
 
 
 # ---------------------------------------------------------------------------

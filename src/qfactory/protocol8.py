@@ -24,13 +24,12 @@ half-turn digit; dropping it breaks 16 of the 64 (index, outcome) cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import protocol4 as p4
 from .params import ParamSet
-from .seeds import derive_seed
 from .sim import QubitDescription, StateVector, xy_plane
 
 
@@ -45,10 +44,6 @@ class EightIndex:
     @property
     def bits(self) -> tuple[int, int, int]:
         return ((self.L >> 2) & 1, (self.L >> 1) & 1, self.L & 1)
-
-    @property
-    def basis_bits(self) -> tuple[int, int]:
-        return self.bits[1], self.bits[2]
 
     def qubit(self) -> QubitDescription:
         return QubitDescription.eight(self.L)
@@ -120,36 +115,23 @@ class Protocol8Result:
     held: QubitDescription | None
 
 
-def run_protocol8(
-    params: ParamSet,
-    seed: int,
-    backend: str = "two_branch",
-    adversarial_flips: tuple[int, int] = (0, 0),
-) -> Protocol8Result:
-    """Two 4-states runs (plain + rotated) followed by the merge gadget.
+def run_protocol8(params: ParamSet, seed: int, backend: str = "two_branch") -> Protocol8Result:
+    """Run 0 of a local session with master seed `seed`: two 4-states runs
+    (plain + rotated) and the merge gadget.
 
-    A run is usable when the rotated input landed in an equatorial pair;
-    otherwise the merged state cannot be an eighth-turn state and the client
-    records the run as unusable (the classification never leaves the client).
+    The simulated held qubits, both inputs and the merged output, are read
+    back from the honest server session.
     """
-    run1 = p4.run_protocol4(params, derive_seed(seed, "p8", 1), backend=backend, variant=p4.PLAIN)
-    run2 = p4.run_protocol4(params, derive_seed(seed, "p8", 2), backend=backend, variant=p4.ROTATED)
-    usable = run2.out.family in (p4.PAULI_X, p4.PAULI_Y) and run1.out.accepted != p4.NO_PREIMAGE
-    rng = np.random.default_rng(derive_seed(seed, "p8", "merge"))
-    held = None
-    if run1.held is not None and run2.held is not None:
-        merged = merge_gadget(run1.held, run2.held, rng)
-        s1, s2 = merged.s1, merged.s2
-        held = merged.out
-    else:
-        s1, s2 = (int(v) for v in rng.integers(0, 2, size=2))
-    s1 ^= adversarial_flips[0]
-    s2 ^= adversarial_flips[1]
-    index = None
-    if usable:
-        index = compute_L(run1.out.B1, run1.out.B2, run2.out.B1, run2.out.B2, s1, s2)
-    return Protocol8Result(
-        index=index, usable=usable, run1=run1, run2=run2, s1=s1, s2=s2, held=held
+    from . import wire  # wire builds on this module
+
+    chan = wire.local_session(seed, backend)
+    res = wire.run8_over_channel(chan, params, seed, 0)
+    held = chan.session.held
+    return replace(
+        res,
+        run1=replace(res.run1, held=held[(0, p4.PLAIN)]),
+        run2=replace(res.run2, held=held[(0, p4.ROTATED)]),
+        held=held[(0, "merged")],
     )
 
 

@@ -68,10 +68,6 @@ class StatsTable:
         cell[0] += 1
         cell[1] += int(outcome_plus)
 
-    def p_hat(self, L: int, M: int) -> float:
-        count, plus = self.cells[(L, M)]
-        return plus / count
-
     def total(self) -> int:
         return sum(c for c, _ in self.cells.values())
 
@@ -84,6 +80,14 @@ class StatsTable:
             agg[0] += count
             agg[1] += plus
         return {k: (c, p) for k, (c, p) in out.items()}
+
+    def accepts(self, eps2: float, min_count: int) -> bool:
+        """Accept unless a difference class with at least min_count samples
+        strays eps2 or more from ideal."""
+        return all(
+            count < min_count or abs(plus / count - ideal_prob(k, 0)) < eps2
+            for k, (count, plus) in self.pooled().items()
+        )
 
 
 def collect_and_check(
@@ -99,13 +103,7 @@ def collect_and_check(
         if idx not in outcomes:
             raise ValueError(f"missing outcome for test index {idx}")
         table.add(int(L_indices[idx]), plan.measurements[idx], bool(outcomes[idx]))
-    accept = True
-    for k, (count, plus) in table.pooled().items():
-        if count < min_count:
-            continue
-        if abs(plus / count - ideal_prob(k, 0)) >= eps2:
-            accept = False
-    return accept, table
+    return table.accepts(eps2, min_count), table
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +341,7 @@ def selftest_iid(
     for cell in range(64):
         if counts[cell]:
             table.cells[(cell // 8, cell % 8)] = [int(counts[cell]), int(pluses[cell])]
-    accept = True
-    for k, (count, plus) in table.pooled().items():
-        if count >= min_count and abs(plus / count - ideal_prob(k, 0)) >= eps2:
-            accept = False
+    accept = table.accepts(eps2, min_count)
     iso = isometry_result(strategy) if accept else None
     return SelfTestResult(accept=accept, table=table, isometry=iso)
 

@@ -59,19 +59,6 @@ class StateVector:
         self.amps = np.zeros(1 << num_qubits, dtype=complex)
         self.amps[0] = 1.0
 
-    @classmethod
-    def from_amplitudes(cls, amps, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
-        amps = np.asarray(amps, dtype=complex)
-        n = int(round(math.log2(len(amps))))
-        if 1 << n != len(amps):
-            raise ValueError("amplitude count must be a power of two")
-        sv = cls(n, cap=cap)
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError("state not normalized")
-        sv.amps = amps / norm
-        return sv
-
     def _check(self, *qubits: int):
         for qb in qubits:
             if not 0 <= qb < self.n:
@@ -210,10 +197,6 @@ class StateVector:
             raise ValueError("qubit is entangled with the rest of the register")
         return vec
 
-    def dump_debug(self) -> list[list[float]]:
-        """JSON-ready amplitude dump, index order little-endian qubit 0 fastest."""
-        return [[float(a.real), float(a.imag)] for a in self.amps]
-
 
 # ---------------------------------------------------------------------------
 # single-qubit descriptions
@@ -295,7 +278,8 @@ class TwoBranchState:
             raise ValueError("branches must differ in the last bit")
 
 
-def _branch_parity(b: tuple[int, ...], diff: tuple[int, ...]) -> int:
+def record_parity(b: tuple[int, ...], diff: tuple[int, ...]) -> int:
+    """<b, diff> mod 2: the record's parity over the positions where two branches differ."""
     return sum(bi & di for bi, di in zip(b, diff)) & 1
 
 
@@ -303,7 +287,7 @@ def stage2_phase_exponent(x, x_prime, b, theta: float) -> complex:
     """Relative amplitude of the x' branch after XY-plane measurements at theta."""
     delta = sum(x_prime) - sum(x)
     diff = tuple(a ^ bb for a, bb in zip(x, x_prime))
-    beta = _branch_parity(tuple(b), diff)
+    beta = record_parity(tuple(b), diff)
     return cmath.exp(-1j * theta * delta) * (-1) ** beta
 
 
@@ -359,7 +343,7 @@ def sample_b(x, x_prime, theta: float, rng: np.random.Generator) -> tuple[int, .
     n = len(x)
     b = [int(v) for v in rng.integers(0, 2, size=n)]
     diff, parity = stage2_b_support(x, x_prime, theta)
-    if diff is not None and _branch_parity(tuple(b), diff) != parity:
+    if diff is not None and record_parity(tuple(b), diff) != parity:
         flip = next(i for i, dv in enumerate(diff) if dv)
         b[flip] ^= 1
     return tuple(b)

@@ -17,10 +17,6 @@ def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float,
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def proportion_sigma(p: float, trials: int) -> float:
-    return math.sqrt(max(p * (1 - p), 0.0) / trials) if trials > 0 else float("inf")
-
-
 def tv_distance(a: Counter, b: Counter) -> float:
     """Total-variation distance between two empirical distributions."""
     na, nb = sum(a.values()), sum(b.values())
@@ -28,9 +24,3 @@ def tv_distance(a: Counter, b: Counter) -> float:
         raise ValueError("empty sample")
     keys = set(a) | set(b)
     return 0.5 * sum(abs(a[k] / na - b[k] / nb) for k in keys)
-
-
-def tv_distance_exact(a: dict, b: dict) -> float:
-    """Total-variation distance between two exact probability tables."""
-    keys = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)

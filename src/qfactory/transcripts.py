@@ -140,9 +140,12 @@ def replay(path) -> ReplayReport:
             variant=body["variant"],
             seed=int(body["seeds"]["run"]),
         )
-        y = [int(v) for v in body["y"]]
-        b = tuple(int(ch) for ch in body["b"])
-        out = p4.finalize(client, y, b)
+        try:
+            y = [int(v) for v in body["y"]]
+            b = tuple(int(ch) for ch in body["b"])
+            out = p4.finalize(client, y, b)
+        except ValueError as exc:
+            raise TranscriptError(f"record {seq}: {exc}") from exc
         got = {"accepted": out.accepted, "B1": out.B1, "B2": out.B2}
         want = {"accepted": body["accepted"], "B1": body["B1"], "B2": body["B2"]}
         if got != want:

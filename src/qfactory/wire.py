@@ -5,9 +5,10 @@ carries {version, kind, run_id, payload} and is schema-checked on both sides:
 no client-private field (accept bits, output indices, plants, trapdoors) may
 ever cross the wire.
 
-The server session logic is transport-independent: in-process runs and socket
-runs execute the same handler with the same derived seeds, which makes
-loopback transcripts bit-identical to local ones.
+One client engine and one honest server session serve every transport:
+`run_protocol4` / `run_protocol8` are run 0 of a `LocalChannel` session, and
+socket runs execute the same handler with the same derived seeds, which makes
+loopback transcripts bit-identical to in-process ones.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import protocol4 as p4, protocol8 as p8, serde
 from .params import ParamSet
-from .seeds import derive_seed
+from .seeds import derive_seed, run_seed
 from .sim import QubitDescription
 
 WIRE_VERSION = 1
@@ -167,12 +168,14 @@ class ServerSession:
     def handle(self, msg: WireMessage) -> list[WireMessage]:
         validate_message(msg)
         if msg.kind == "key":
+            variant = msg.payload.get("variant")
+            if variant not in (p4.PLAIN, p4.ROTATED):
+                raise WireError(f"unknown variant {variant!r}")
             pk = serde.key_from_obj(msg.payload["key"])
-            key_msg = p4.KeyMessage(pk=pk, variant=msg.payload["variant"])
-            seed = derive_seed(self.master_seed, "run", msg.run_id, msg.payload["variant"])
+            key_msg = p4.KeyMessage(pk=pk, variant=variant)
+            seed = run_seed(self.master_seed, msg.run_id, variant)
             reply = p4.server_honest(key_msg, self.backend, seed)
-            if reply.held is not None:
-                self.held[(msg.run_id, msg.payload["variant"])] = reply.held
+            self.held[(msg.run_id, variant)] = reply.held
             return [
                 WireMessage("image", msg.run_id, {"y": [str(int(v)) for v in reply.y]}),
                 WireMessage("meas", msg.run_id, {"b": "".join(str(v) for v in reply.b)}),
@@ -182,7 +185,7 @@ class ServerSession:
             in2 = self.held.get((msg.run_id, p4.ROTATED))
             if in1 is None or in2 is None:
                 raise WireError("merge requested before both runs completed")
-            rng = np.random.default_rng(derive_seed(self.master_seed, "run", msg.run_id, "merge"))
+            rng = np.random.default_rng(run_seed(self.master_seed, msg.run_id, "merge"))
             res = p8.merge_gadget(in1, in2, rng)
             self.held[(msg.run_id, "merged")] = res.out
             return [WireMessage("merge", msg.run_id, {"s1": res.s1, "s2": res.s2})]
@@ -241,35 +244,52 @@ class SocketChannel:
 # client engines (transport-independent)
 
 
+def _decode_reply(params: ParamSet, image: WireMessage, meas: WireMessage) -> p4.StrategyReply:
+    """The server's image y and record b, accepted only in canonical form."""
+    if image.kind != "image" or meas.kind != "meas":
+        raise WireError("unexpected reply sequence")
+    y, b = image.payload.get("y"), meas.payload.get("b")
+    if not isinstance(y, list) or len(y) != params.m:
+        raise WireError(f"image must hold exactly {params.m} entries")
+    digits = len(str(params.q - 1))
+    for v in y:
+        ok = isinstance(v, str) and v.isascii() and v.isdigit() and len(v) <= digits
+        if not ok or int(v) >= params.q:
+            raise WireError(f"image entry {v!r} is not a decimal in [0, q)")
+    if not isinstance(b, str) or len(b) != params.total_bits or not set(b) <= {"0", "1"}:
+        raise WireError(f"record must be exactly {params.total_bits} characters from {{0, 1}}")
+    return p4.StrategyReply(y=tuple(int(v) for v in y), b=tuple(int(ch) for ch in b), held=None)
+
+
 def run4_over_channel(
     chan, params: ParamSet, master_seed: int, run_id: int, variant: str = p4.PLAIN
 ) -> p4.Protocol4Result:
-    client, key_msg = p4.client_init(
-        params, variant, derive_seed(master_seed, "run", run_id, variant, "client")
-    )
-    chan.send(
-        WireMessage(
-            "key",
-            run_id,
-            {
-                "key": serde.key_to_obj(client.pk),
-                "variant": variant,
-                "hardcore_tag": key_msg.hardcore_tag,
-            },
+    def exchange(key_msg: p4.KeyMessage) -> p4.StrategyReply:
+        chan.send(
+            WireMessage(
+                "key",
+                run_id,
+                {
+                    "key": serde.key_to_obj(key_msg.pk),
+                    "variant": key_msg.variant,
+                    "hardcore_tag": key_msg.hardcore_tag,
+                },
+            )
         )
-    )
-    image = chan.recv()
-    meas = chan.recv()
-    if image.kind != "image" or meas.kind != "meas":
-        raise WireError("unexpected reply sequence")
-    y = [int(v) for v in image.payload["y"]]
-    b = tuple(int(ch) for ch in meas.payload["b"])
-    out = p4.finalize(client, y, b)
-    transcript = p4.Transcript4(y=tuple(y), b=b, variant=variant)
-    return p4.Protocol4Result(out=out, transcript=transcript, held=None, client=client)
+        image = chan.recv()
+        meas = chan.recv()
+        return _decode_reply(params, image, meas)
+
+    return p4.run_client(params, master_seed, run_id, variant, exchange)
 
 
 def run8_over_channel(chan, params: ParamSet, master_seed: int, run_id: int):
+    """Two 4-states runs (plain + rotated) followed by the merge gadget.
+
+    A run is usable when the rotated input landed in an equatorial pair;
+    otherwise the merged state cannot be an eighth-turn state and the client
+    records the run as unusable (the classification never leaves the client).
+    """
     r1 = run4_over_channel(chan, params, master_seed, run_id, p4.PLAIN)
     r2 = run4_over_channel(chan, params, master_seed, run_id, p4.ROTATED)
     chan.send(WireMessage("merge", run_id, {}))

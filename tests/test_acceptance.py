@@ -91,7 +91,7 @@ def test_criterion_02_basis_fixed_by_client():
             pairs += 1
             y = tuple(int(v) for v in lwe.unpack_image(TOY_MICRO, int(packed_y)))
             for b in ((0,) * nbits, tuple(int(v) for v in rng.integers(0, 2, size=nbits))):
-                out = p4.client_finalize(client, y, b)
+                out = p4.finalize(client, y, b)
                 if out.B1 != d0:
                     exceptions += 1
     _verdict(2, exceptions == 0, f"{keys} keys, {pairs} images, {exceptions} exceptions")
@@ -302,6 +302,20 @@ def test_criterion_10_wire_fidelity_and_privacy():
             local = wire.run4_over_channel(wire.local_session(master), TOY_MICRO, master, run_id)
             identical = identical and remote.transcript == local.transcript and remote.out == local.out
         chan.close()
+        # run_protocol8 is run 0 of a local session under the same seed scheme
+        chan = wire.SocketChannel(host, port)
+        remote8 = wire.run8_over_channel(chan, TOY_MICRO, master, 0)
+        chan.close()
+        local8 = p8.run_protocol8(TOY_MICRO, master)
+        identical = (
+            identical
+            and all(
+                getattr(remote8, r).transcript == getattr(local8, r).transcript
+                and getattr(remote8, r).out == getattr(local8, r).out
+                for r in ("run1", "run2")
+            )
+            and (remote8.s1, remote8.s2, remote8.index) == (local8.s1, local8.s2, local8.index)
+        )
     finally:
         server.shutdown()
         server.server_close()

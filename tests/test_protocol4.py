@@ -67,7 +67,7 @@ def _key_with_d0(params, want, start=0):
 def test_finalize_opposite_hardcore_allzero_record():
     client = _key_with_d0(TOY_MICRO, 1)
     y = _find_y(client.pk, client.trapdoor, 1)
-    out = p4.client_finalize(client, y, (0,) * TOY_MICRO.total_bits)
+    out = p4.finalize(client, y, (0,) * TOY_MICRO.total_bits)
     assert (out.B1, out.B2) == (1, 0)
     assert out.accepted == p4.TWO_PREIMAGES
 
@@ -77,7 +77,7 @@ def test_finalize_equal_hardcore_reads_value():
     table = lwe.exhaustive_image_map(client.pk)
     for y, pre in table.items():
         if len(pre) == 2 and lwe.h(pre[0]) == 1:
-            out = p4.client_finalize(client, y, (1, 0) * 3 + (1,))
+            out = p4.finalize(client, y, (1, 0) * 3 + (1,))
             assert (out.B1, out.B2) == (0, 1)
             return
     raise AssertionError("no suitable image found")
@@ -86,7 +86,13 @@ def test_finalize_equal_hardcore_reads_value():
 def test_finalize_rejects_bad_record_length():
     client, _ = p4.client_init(TOY_MICRO, p4.PLAIN, seed=2)
     with pytest.raises(ValueError):
-        p4.client_finalize(client, client.pk.y0, (0, 1))
+        p4.finalize(client, client.pk.y0, (0, 1))
+
+
+def test_finalize_rejects_non_binary_record():
+    client, _ = p4.client_init(TOY_MICRO, p4.PLAIN, seed=2)
+    with pytest.raises(ValueError):
+        p4.finalize(client, client.pk.y0, (0,) * (TOY_MICRO.total_bits - 1) + (2,))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +170,7 @@ def test_basis_fixed_by_client_exhaustively():
         for y, pre in table.items():
             if len(pre) != 2:
                 continue
-            out = p4.client_finalize(client, y, b0)
+            out = p4.finalize(client, y, b0)
             assert out.B1 == client.trapdoor.d0
 
 
@@ -225,11 +231,11 @@ def test_always_output_mode_deterministic_fallback():
     packed = next(v for v in range(1 << (params.m * params.ell_q)) if v not in images)
     y = tuple(int(v) for v in lwe.unpack_image(params, packed))
     b = (0,) * params.total_bits
-    out1 = p4.client_finalize(client, y, b, always_output=True)
-    out2 = p4.client_finalize(client, y, b, always_output=True)
+    out1 = p4.finalize(client, y, b, always_output=True)
+    out2 = p4.finalize(client, y, b, always_output=True)
     assert out1 == out2
     assert out1.accepted == p4.NO_PREIMAGE
-    plain = p4.client_finalize(client, y, b)
+    plain = p4.finalize(client, y, b)
     assert plain.accepted == p4.NO_PREIMAGE and (plain.B1, plain.B2) == (0, 0)
 
 

@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from qfactory import protocol4 as p4, transcripts, wire
+from qfactory import protocol4 as p4, serde, transcripts, wire
 from qfactory.params import TOY_MICRO
 from qfactory.seeds import derive_seed
 
@@ -110,8 +110,6 @@ def test_server_session_never_emits_private_fields():
     params = TOY_MICRO
     session = wire.ServerSession(master_seed=1)
     client, key_msg = p4.client_init(params, p4.PLAIN, seed=derive_seed(1, "c"))
-    from qfactory import serde
-
     replies = session.handle(
         wire.WireMessage(
             "key",
@@ -121,6 +119,73 @@ def test_server_session_never_emits_private_fields():
     )
     for reply in replies:
         wire.validate_message(reply)  # includes the private-field scan
+
+
+def test_server_session_rejects_unknown_variant():
+    session = wire.ServerSession(master_seed=1)
+    client, _ = p4.client_init(TOY_MICRO, p4.PLAIN, seed=derive_seed(1, "c"))
+    key = {"key": serde.key_to_obj(client.pk), "variant": "diagonal", "hardcore_tag": "x"}
+    with pytest.raises(wire.WireError):
+        session.handle(wire.WireMessage("key", 0, key))
+    assert session.held == {}
+
+
+class _TamperingChannel(wire.LocalChannel):
+    """An honest local session whose replies are rewritten on the way back."""
+
+    def __init__(self, master, tamper):
+        super().__init__(wire.ServerSession(master_seed=master))
+        self.tamper = tamper
+
+    def recv(self):
+        msg = super().recv()
+        return wire.WireMessage(msg.kind, msg.run_id, self.tamper(msg.kind, dict(msg.payload)))
+
+
+def _y_above_q(kind, payload):
+    if kind == "image":
+        payload["y"] = [str(int(payload["y"][0]) + TOY_MICRO.q)] + payload["y"][1:]
+    return payload
+
+
+def _y_non_digit(kind, payload):
+    if kind == "image":
+        payload["y"] = ["x"] + payload["y"][1:]
+    return payload
+
+
+def _y_short(kind, payload):
+    if kind == "image":
+        payload["y"] = payload["y"][1:]
+    return payload
+
+
+def _b_non_binary(kind, payload):
+    if kind == "meas":  # 2 and 3 agree with 0 and 1 in the low bit
+        payload["b"] = payload["b"][:-1] + str(int(payload["b"][-1]) + 2)
+    return payload
+
+
+def _b_non_digit(kind, payload):
+    if kind == "meas":
+        payload["b"] = payload["b"][:-1] + "x"
+    return payload
+
+
+def _b_long(kind, payload):
+    if kind == "meas":
+        payload["b"] += "0"
+    return payload
+
+
+@pytest.mark.parametrize(
+    "tamper", [_y_above_q, _y_non_digit, _y_short, _b_non_binary, _b_non_digit, _b_long]
+)
+def test_client_rejects_noncanonical_reply(tamper):
+    untouched = _TamperingChannel(41, lambda kind, payload: payload)
+    wire.run4_over_channel(untouched, TOY_MICRO, 41, 0)
+    with pytest.raises(wire.WireError):
+        wire.run4_over_channel(_TamperingChannel(41, tamper), TOY_MICRO, 41, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +241,17 @@ def test_transcript_tamper_without_rehash_breaks_chain(tmp_path):
     rec["body"]["B1"] ^= 1
     lines[0] = json.dumps(rec, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(transcripts.TranscriptError):
+        transcripts.replay(path)
+
+
+def test_transcript_non_binary_record_structured_error(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    res = p4.run_protocol4(TOY_MICRO, 36)
+    body = transcripts.run4_record(res, 0, 36)
+    body["b"] = body["b"][:-1] + "2"
+    with transcripts.TranscriptWriter(path) as w:
+        w.append(body)
     with pytest.raises(transcripts.TranscriptError):
         transcripts.replay(path)
 
