@@ -240,6 +240,7 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
     B1' = k mod 2 selects the X or Y equatorial pair and B2' the sign.
     """
     params = client.params
+    y = _check_y(params, y)
     b = _check_b(params, b)
     preimages = lwe.invert(client.trapdoor, client.pk, y)
     if len(preimages) == 0:
@@ -260,6 +261,16 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
         family = PAULI_Y if b1 else PAULI_X
         return OutputIndex4(b1, b2, TWO_PREIMAGES, family)
     return OutputIndex4(1, beta, TWO_PREIMAGES, PAULI_X)
+
+
+def _check_y(params: ParamSet, y) -> tuple[int, ...]:
+    y = tuple(y)
+    if len(y) != params.m:
+        raise ValueError("image has the wrong length")
+    for v in y:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < params.q:
+            raise ValueError(f"image entry {v!r} is not an integer in [0, q)")
+    return tuple(int(v) for v in y)
 
 
 def _check_b(params: ParamSet, b) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ transcripts reproducible.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,14 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def _r(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, cmath.exp(1j * theta)]], dtype=complex)
+
+
+@functools.lru_cache(maxsize=None)
+def _index(n: int) -> np.ndarray:
+    """The read-only amplitude indices 0 .. 2^n - 1, shared per width."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    idx.flags.writeable = False
+    return idx
 
 
 @dataclass(frozen=True)
@@ -71,11 +80,15 @@ class StateVector:
         return self.n - 1 - qubit
 
     def _apply_1q(self, mat: np.ndarray, qubit: int):
-        t = self.amps.reshape((2,) * self.n)
-        ax = self._axis(qubit)
-        t = np.moveaxis(t, ax, -1)
-        t[...] = t @ mat.T
-        self.amps = np.moveaxis(t, -1, ax).reshape(-1)
+        # the middle axis of a (2^(n-1-q), 2, 2^q) view is the qubit; row 0's
+        # new values go to a temporary first, as row 1's update reads the old
+        v = self.amps.reshape(-1, 2, 1 << qubit)
+        (m00, m01), (m10, m11) = mat.tolist()
+        row0, row1 = v[:, 0], v[:, 1]
+        new0 = m00 * row0 + m01 * row1
+        row1 *= m11
+        row1 += m10 * row0
+        row0[...] = new0
 
     def h(self, qubit: int) -> "StateVector":
         self._check(qubit)
@@ -99,9 +112,8 @@ class StateVector:
 
     def cz(self, a: int, b: int) -> "StateVector":
         self._check(a, b)
-        idx = np.arange(len(self.amps))
-        mask = ((idx >> a) & 1) & ((idx >> b) & 1)
-        self.amps[mask == 1] *= -1
+        both = (1 << a) | (1 << b)
+        self.amps[(_index(self.n) & both) == both] *= -1
         return self
 
     def apply_function_unitary(self, table, controls, targets) -> "StateVector":
@@ -113,7 +125,7 @@ class StateVector:
             raise ValueError("table size must be 2^len(controls)")
         if np.any(table >> len(targets)):
             raise ValueError("table values exceed target width")
-        idx = np.arange(len(self.amps), dtype=np.int64)
+        idx = _index(self.n)
         cidx = np.zeros_like(idx)
         for j, qb in enumerate(controls):
             cidx |= ((idx >> qb) & 1) << j
@@ -122,7 +134,7 @@ class StateVector:
         for j, qb in enumerate(targets):
             new_idx ^= ((fv >> j) & 1) << qb
         out = np.empty_like(self.amps)
-        out[new_idx] = self.amps[idx]
+        out[new_idx] = self.amps
         self.amps = out
         return self
 
@@ -142,17 +154,18 @@ class StateVector:
     def measure(self, qubits, basis: MeasBasis, rng: np.random.Generator):
         """Measure the listed qubits; returns (bits, probability).
 
-        XY-plane measurement is realized as R(-theta) then H per qubit, then a
-        computational readout; measured qubits are left collapsed in that
-        rotated frame.  The outcome is drawn by inverse CDF over outcomes in
-        lexicographic order, first listed qubit most significant.
+        XY-plane measurement is realized as one fused H R(-theta) gate per
+        qubit, then a computational readout; measured qubits are left
+        collapsed in that rotated frame.  The outcome is drawn by inverse CDF
+        over outcomes in lexicographic order, first listed qubit most
+        significant.
         """
         qubits = list(qubits)
         self._check(*qubits)
         if basis.kind == "xy_plane":
+            readout = _H @ _r(-basis.theta)
             for qb in qubits:
-                self.r(-basis.theta, qb)
-                self.h(qb)
+                self._apply_1q(readout, qb)
         probs = self.probabilities(qubits).reshape(-1)
         cdf = np.cumsum(probs)
         u = rng.random()
@@ -167,13 +180,13 @@ class StateVector:
         """Project onto the given computational outcome; returns its probability."""
         qubits = list(qubits)
         self._check(*qubits)
-        idx = np.arange(len(self.amps))
-        mask = np.ones(len(self.amps), dtype=bool)
-        for qb, b in zip(qubits, bits):
-            mask &= ((idx >> qb) & 1) == b
-        prob = float(np.sum(np.abs(self.amps[~mask]) ** 2))
-        prob = 1.0 - prob
-        self.amps[~mask] = 0.0
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError("outcome bits must be 0 or 1")
+        sel = sum(1 << qb for qb in qubits)
+        want = sum(int(b) << qb for qb, b in zip(qubits, bits))
+        drop = (_index(self.n) & sel) != want
+        prob = 1.0 - float(np.sum(np.abs(self.amps[drop]) ** 2))
+        self.amps[drop] = 0.0
         if prob <= 0.0:
             raise ValueError("postselected on a zero-probability branch")
         self.amps /= math.sqrt(prob)
@@ -186,14 +199,16 @@ class StateVector:
         ax = self._axis(qubit)
         t = np.moveaxis(t, ax, 0).reshape(2, -1)
         # pick the largest column to fix the cofactor
-        col = int(np.argmax(np.abs(t[0]) ** 2 + np.abs(t[1]) ** 2))
+        weights = np.abs(t[0]) ** 2 + np.abs(t[1]) ** 2
+        col = int(np.argmax(weights))
         vec = t[:, col].copy()
         nrm = np.linalg.norm(vec)
         if nrm < 1e-12:
             raise ValueError("qubit amplitude vanished")
         vec /= nrm
-        resid = t - np.outer(vec, vec.conj() @ t)
-        if np.linalg.norm(resid) > 1e-6:
+        # squared norm of t minus its projection onto vec, by Pythagoras
+        proj = vec.conj() @ t
+        if weights.sum() - np.vdot(proj, proj).real > 1e-12:
             raise ValueError("qubit is entangled with the rest of the register")
         return vec
 

@@ -296,7 +296,9 @@ def run8_over_channel(chan, params: ParamSet, master_seed: int, run_id: int):
     merged = chan.recv()
     if merged.kind != "merge":
         raise WireError("expected merge outcomes")
-    s1, s2 = int(merged.payload["s1"]), int(merged.payload["s2"])
+    s1, s2 = merged.payload.get("s1"), merged.payload.get("s2")
+    if any(type(v) is not int or v not in (0, 1) for v in (s1, s2)):
+        raise WireError("merge outcomes must be the integers 0 or 1")
     usable = r2.out.family in (p4.PAULI_X, p4.PAULI_Y) and r1.out.accepted != p4.NO_PREIMAGE
     index = None
     if usable:

@@ -95,6 +95,15 @@ def test_finalize_rejects_non_binary_record():
         p4.finalize(client, client.pk.y0, (0,) * (TOY_MICRO.total_bits - 1) + (2,))
 
 
+def test_strategy_image_outside_range_is_rejected():
+    honest = p4.run_protocol4(TOY_MICRO, 3)
+    y, b = honest.transcript.y, honest.transcript.b
+    p4.run_protocol4(TOY_MICRO, 3, strategy=p4.fixed_reply_strategy(y, b))
+    for bad_y in ((y[0] + TOY_MICRO.q,) + y[1:], (-1,) + y[1:], y[:-1], y + (0,)):
+        with pytest.raises(ValueError):
+            p4.run_protocol4(TOY_MICRO, 3, strategy=p4.fixed_reply_strategy(bad_y, b))
+
+
 # ---------------------------------------------------------------------------
 # exhaustive oracle cross-checks
 

@@ -74,6 +74,56 @@ def test_gate_index_out_of_range():
         StateVector(2).h(2)
 
 
+def _random_state(n, rng):
+    sv = StateVector(n)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    sv.amps = amps / np.linalg.norm(amps)
+    return sv
+
+
+def _reference_1q(amps, mat, qubit, n):
+    """The plain moveaxis-and-matmul form of a 1-qubit gate."""
+    t = np.moveaxis(amps.reshape((2,) * n), n - 1 - qubit, -1)
+    return np.moveaxis(t @ mat.T, -1, n - 1 - qubit).reshape(-1)
+
+
+GATES = {
+    "h": (lambda sv, qb: sv.h(qb), np.array([[1, 1], [1, -1]]) * SQ2),
+    "x": (lambda sv, qb: sv.x(qb), np.array([[0, 1], [1, 0]])),
+    "z": (lambda sv, qb: sv.z(qb), np.array([[1, 0], [0, -1]])),
+    "r": (lambda sv, qb: sv.r(0.7, qb), np.array([[1, 0], [0, np.exp(0.7j)]])),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 14])
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_1q_gate_matches_reference_in_place(n, gate):
+    apply, mat = GATES[gate]
+    rng = np.random.default_rng(n)
+    sv = _random_state(n, rng)
+    amps = sv.amps
+    for qb in range(n):
+        expect = _reference_1q(amps.copy(), mat, qb, n)
+        apply(sv, qb)
+        assert sv.amps is amps
+        assert np.max(np.abs(sv.amps - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, 1.3])
+def test_xy_readout_matches_r_then_h(theta):
+    n, measured = 6, [4, 0, 2, 5]
+    fused = _random_state(n, np.random.default_rng(9))
+    split = StateVector(n)
+    split.amps = fused.amps.copy()
+    for qb in measured:
+        split.r(-theta, qb).h(qb)
+    bits, prob = fused.measure(measured, xy_plane(theta), np.random.default_rng(10))
+    split_bits, split_prob = split.measure(measured, COMPUTATIONAL, np.random.default_rng(10))
+    assert bits == split_bits
+    assert prob == pytest.approx(split_prob, abs=1e-12)
+    assert np.max(np.abs(fused.amps - split.amps)) <= 1e-12
+
+
 def test_function_unitary_identity_is_cnot():
     sv = StateVector(2).h(0)
     sv.apply_function_unitary([0, 1], controls=[0], targets=[1])
@@ -259,3 +309,11 @@ def test_stage2_b_support_zero_probability_records():
     bidx = 1  # packed bad_b
     col = sv.amps.reshape(-1)[[bidx, bidx + (1 << 4)]]
     assert np.linalg.norm(col) < 1e-12
+
+
+def test_qubit_state_rejects_entangled_qubit():
+    sv = StateVector(3).h(0)
+    sv.apply_function_unitary([0, 1], controls=[0], targets=[2])
+    assert fidelity(sv.qubit_state(1), [1, 0]) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="entangled"):
+        sv.qubit_state(2)

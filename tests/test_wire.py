@@ -188,6 +188,21 @@ def test_client_rejects_noncanonical_reply(tamper):
         wire.run4_over_channel(_TamperingChannel(41, tamper), TOY_MICRO, 41, 0)
 
 
+@pytest.mark.parametrize("s1", [2, -1, True, "1", 1.0, None])
+def test_client_rejects_non_binary_merge_outcome(s1):
+    def tamper(kind, payload):
+        if kind == "merge":
+            payload["s1"] = s1
+            if s1 is None:
+                del payload["s1"]
+        return payload
+
+    untouched = _TamperingChannel(1, lambda kind, payload: payload)
+    wire.run8_over_channel(untouched, TOY_MICRO, 1, 0)
+    with pytest.raises(wire.WireError):
+        wire.run8_over_channel(_TamperingChannel(1, tamper), TOY_MICRO, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # transcripts and replay
 
