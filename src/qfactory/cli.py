@@ -173,7 +173,11 @@ def cmd_oracle_check(args) -> int:
     params = params_by_name(args.params)
     rep = oracle.oracle_check(params, trials=args.trials, seed=args.seed)
     _emit(rep.as_dict(), args.out)
-    ok = rep.invert_mismatches == 0 and rep.formula_failures == 0
+    ok = (
+        rep.invert_mismatches == 0
+        and rep.register_preimage_mismatches == 0
+        and rep.formula_failures == 0
+    )
     return 0 if ok else 1
 
 

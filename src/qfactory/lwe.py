@@ -17,6 +17,7 @@ falls back to scanning Z_q^n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -28,6 +29,9 @@ from .stats import wilson_interval
 
 # Largest register (in s/e bits) the enumeration fallback will scan.
 _ENUM_CAP_BITS = 22
+
+# Widest register (in qubits) a server will simulate or tabulate.
+MAX_REGISTER_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -161,20 +165,25 @@ def is_valid(params: ParamSet, elem: DomainElement) -> bool:
 
 def encode(params: ParamSet, elem: DomainElement) -> tuple[int, ...]:
     """Canonical bit image: s coords little-endian, e offset-binary, then d, c."""
+    return unpack_bits(params, encode_int(params, elem))
+
+
+def encode_int(params: ParamSet, elem: DomainElement) -> int:
+    """The encoded bit-string as an integer (bit j = qubit j)."""
     if elem.c is None:
         raise ValueError("encode needs the c component")
     box = params.noise_box
-    bits: list[int] = []
+    value = pos = 0
     for x in elem.s:
-        bits.extend((int(x) >> k) & 1 for k in range(params.ell_q))
+        value |= (int(x) & (params.q - 1)) << pos
+        pos += params.ell_q
     for x in elem.e:
         stored = int(x) + box
         if not (0 <= stored < 2 * box):
             raise ValueError("e outside the representable box")
-        bits.extend((stored >> k) & 1 for k in range(params.ell_e))
-    bits.append(elem.d & 1)
-    bits.append(elem.c & 1)
-    return tuple(bits)
+        value |= stored << pos
+        pos += params.ell_e
+    return value | (elem.d & 1) << pos | (elem.c & 1) << (pos + 1)
 
 
 def decode(params: ParamSet, bits) -> DomainElement | None:
@@ -200,13 +209,15 @@ def decode(params: ParamSet, bits) -> DomainElement | None:
     return elem
 
 
-def encode_int(params: ParamSet, elem: DomainElement) -> int:
-    return sum(b << j for j, b in enumerate(encode(params, elem)))
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def unpack_bits(params: ParamSet, value: int) -> tuple[int, ...]:
     """The register bit-string of a packed pattern (bit j = qubit j)."""
-    return tuple((value >> j) & 1 for j in range(params.total_bits))
+    n = params.total_bits
+    # one pass over the binary digits; shifting a paper-size int per bit is quadratic
+    digits = format(value & ((1 << n) - 1), f"0{n}b")[::-1]
+    return tuple(digits.encode().translate(_BIT_BYTES))
 
 
 def decode_int(params: ParamSet, value: int) -> DomainElement | None:
@@ -248,8 +259,7 @@ def _wide_injective(params: ParamSet, K: np.ndarray) -> bool:
     D = 2 * (params.noise_box + params.mu_prime) - 1
     if D >= q // 2:
         return False
-    grids = np.meshgrid(*([np.arange(q, dtype=np.int64)] * params.n), indexing="ij")
-    ds = np.stack([gr.reshape(-1) for gr in grids], axis=0)[:, 1:]  # drop ds = 0
+    ds = _s_grid(q, params.n)[:, 1:]  # drop ds = 0
     t = (K.astype(np.int64) @ ds) % q  # (m, q^n - 1)
     for delta in (0, 1):
         tt = t.copy()
@@ -358,20 +368,36 @@ def _bar_invert_gadget(td: Trapdoor, pk: PublicKey, target: np.ndarray) -> list[
     return [tuple(s)]
 
 
-def _bar_invert_enum(pk: PublicKey, target: np.ndarray) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def _s_grid(q: int, n: int) -> np.ndarray:
+    """Every s in Z_q^n as a column of an (n, q^n) array, in product order."""
+    grid = np.indices((q,) * n).reshape(n, -1)
+    grid.flags.writeable = False
+    return grid
+
+
+def _bar_invert_enum(
+    pk: PublicKey, targets: np.ndarray, lo: int, hi: int
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Scan s over Z_q^n for each row of `targets`: every (row, s, e) whose
+    noise e = target - K s (centred) lies in [lo, hi] on every coordinate."""
     params = pk.params
-    lo, hi = e_range(params)
-    if params.n == 1:
-        svals = np.arange(params.q, dtype=np.int64)
-        e = _centered(params, target[:, None] - pk.K.astype(np.int64) @ svals[None, :])
-        ok = np.flatnonzero(np.all((e >= lo) & (e <= hi), axis=0))
-        return [(int(s),) for s in ok]
-    found = []
-    for s in itertools.product(range(params.q), repeat=params.n):
-        e = _centered(params, target - pk.K @ _as_vec(params, s))
-        if np.all(e >= lo) and np.all(e <= hi):
-            found.append(tuple(int(x) for x in s))
-    return found
+    grid = _s_grid(params.q, params.n)
+    # [lo, hi] sits inside [-q/2, q/2), so e is in it iff (e - lo) mod q <= hi - lo
+    u = (targets[:, :, None] - lo - pk.K.astype(np.int64) @ grid) % params.q
+    rows, cols = np.nonzero(u.max(axis=1) <= hi - lo)
+    return [
+        (k, tuple(grid[:, j].tolist()), tuple((u[k, :, j] + lo).tolist()))
+        for k, j in zip(rows.tolist(), cols.tolist())
+    ]
+
+
+def _sector_targets(pk: PublicKey, y: np.ndarray) -> np.ndarray:
+    """(4, m) array whose row 2c + d is y - c y0 - d v mod q."""
+    q = pk.params.q
+    targets = np.array([y, y, y - pk.y0, y - pk.y0])
+    targets[1::2, 0] -= q // 2
+    return targets % q
 
 
 def invert(td: Trapdoor, pk: PublicKey, y) -> tuple[DomainElement, ...]:
@@ -386,30 +412,42 @@ def invert(td: Trapdoor, pk: PublicKey, y) -> tuple[DomainElement, ...]:
     if y.shape != (params.m,):
         raise ValueError("image length mismatch")
     q = params.q
-    v0 = q // 2
     lo, hi = e_range(params)
+    targets = _sector_targets(pk, y)
+    if td.gadget is not None:
+        cands = [(k, s) for k in range(4) for s in _bar_invert_gadget(td, pk, targets[k])]
+    else:
+        cands = [(k, s) for k, s, _ in _bar_invert_enum(pk, targets, lo, hi)]
     found = []
-    for c in (0, 1):
-        for d in (0, 1):
-            target = y.copy()
-            if c:
-                target = (target - pk.y0) % q
-            if d:
-                target[0] = (target[0] - v0) % q
-            target = target % q
-            if td.gadget is not None:
-                cands = _bar_invert_gadget(td, pk, target)
-            else:
-                cands = _bar_invert_enum(pk, target)
-            for s in cands:
-                e = _centered(params, target - pk.K @ _as_vec(params, s))
-                if not (np.all(e >= lo) and np.all(e <= hi)):
-                    continue
-                elem = DomainElement(s, tuple(int(x) for x in e), d, c)
-                if np.array_equal(f(pk, elem) % q, y % q):
-                    found.append(elem)
+    for k, s in cands:
+        e = _centered(params, targets[k] - pk.K @ _as_vec(params, s))
+        if not (np.all(e >= lo) and np.all(e <= hi)):
+            continue
+        elem = DomainElement(s, tuple(int(x) for x in e), k & 1, k >> 1)
+        if np.array_equal(f(pk, elem) % q, y % q):
+            found.append(elem)
     found.sort(key=lambda el: encode(params, el))
     return tuple(found)
+
+
+def register_preimages(pk: PublicKey, packed_y: int) -> list[int]:
+    """Every register pattern p with ``f_bit_table(pk)[p] == packed_y``, ascending.
+
+    The closed form of the truth-table lookup, without the table.  In sector
+    (c, d) a pattern's stored noise is fixed by s: ``stored = target - K s + B
+    mod q``, and it counts only if it is below 2B = 2^ell_e on every
+    coordinate.  Since 2B <= q/2 there is at most one such value per s, so
+    the s-scan of the enumeration inverter over the whole box [-B, B-1] (not
+    only |e| <= mu, as the register holds every box pattern) finds them all.
+    """
+    params = pk.params
+    check_register(params)
+    if not 0 <= packed_y < 1 << (params.m * params.ell_q):
+        return []
+    box = params.noise_box
+    targets = _sector_targets(pk, unpack_image(params, packed_y))
+    hits = _bar_invert_enum(pk, targets, -box, box - 1)
+    return sorted(encode_int(params, DomainElement(s, e, k & 1, k >> 1)) for k, s, e in hits)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +499,15 @@ def exhaustive_image_map(pk: PublicKey) -> dict[tuple[int, ...], list[DomainElem
     return table
 
 
+def check_register(params: ParamSet):
+    """The simulation envelope: a register of at most MAX_REGISTER_BITS qubits."""
+    if params.total_bits > MAX_REGISTER_BITS:
+        raise ValueError(
+            f"register of {params.total_bits} qubits is outside the "
+            f"{MAX_REGISTER_BITS}-qubit simulation envelope"
+        )
+
+
 def f_bit_table(pk: PublicKey) -> np.ndarray:
     """Truth table of f over every register pattern, as packed image bits.
 
@@ -470,9 +517,8 @@ def f_bit_table(pk: PublicKey) -> np.ndarray:
     matches a register prepared over the whole noise box.
     """
     params = pk.params
+    check_register(params)
     nbits = params.total_bits
-    if nbits > 20:
-        raise ValueError("truth table too large")
     box = params.noise_box
     idx = np.arange(1 << nbits, dtype=np.int64)
 
@@ -542,33 +588,37 @@ class Estimate:
     successes: int
 
 
-def regularity_estimate(params: ParamSet, trials: int, seed: int) -> Estimate:
-    """Fraction of sampled inputs whose image has exactly two preimages."""
+def _two_preimage_estimate(
+    trials: int, draw: Callable[[int], tuple[PublicKey, Trapdoor, np.random.Generator]]
+) -> Estimate:
+    """Fraction of trials whose sampled input's image has exactly two
+    preimages; draw(t) gives trial t's key, trapdoor and input generator."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    from .seeds import derive_seed
-
     hits = 0
     for t in range(trials):
-        pk, td = gen(params, derive_seed(seed, "regularity", t))
-        rng = np.random.default_rng(derive_seed(seed, "regularity-x", t))
-        x = sample_domain_element(params, rng)
-        if len(invert(td, pk, f(pk, x))) == 2:
-            hits += 1
-    return Estimate(hits / trials, wilson_interval(hits, trials), trials, hits)
-
-
-def two_preimage_fraction(pk: PublicKey, td: Trapdoor, trials: int, seed: int) -> Estimate:
-    """Same statistic for one fixed key."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(trials):
+        pk, td, rng = draw(t)
         x = sample_domain_element(pk.params, rng)
         if len(invert(td, pk, f(pk, x))) == 2:
             hits += 1
     return Estimate(hits / trials, wilson_interval(hits, trials), trials, hits)
+
+
+def regularity_estimate(params: ParamSet, trials: int, seed: int) -> Estimate:
+    """Fraction of sampled inputs whose image has exactly two preimages."""
+    from .seeds import derive_seed
+
+    def draw(t: int):
+        pk, td = gen(params, derive_seed(seed, "regularity", t))
+        return pk, td, np.random.default_rng(derive_seed(seed, "regularity-x", t))
+
+    return _two_preimage_estimate(trials, draw)
+
+
+def two_preimage_fraction(pk: PublicKey, td: Trapdoor, trials: int, seed: int) -> Estimate:
+    """Same statistic for one fixed key."""
+    rng = np.random.default_rng(seed)
+    return _two_preimage_estimate(trials, lambda t: (pk, td, rng))
 
 
 def homomorphy_estimate(params: ParamSet, trials: int, seed: int) -> Estimate:

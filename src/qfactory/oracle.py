@@ -22,6 +22,8 @@ from .stats import tv_distance
 class OracleReport:
     invert_mismatches: int
     invert_images_checked: int
+    register_preimage_mismatches: int
+    register_images_checked: int
     formula_failures: int
     formula_cases: int
     tv_y_marginal: float
@@ -50,6 +52,16 @@ def _invert_vs_enumeration(pk, td) -> tuple[int, int]:
         if tuple(got) != want:
             mismatches += 1
     return mismatches, len(table) + 50
+
+
+def _register_search_vs_table(pk) -> tuple[int, int]:
+    """register_preimages against the truth table on every image of the key."""
+    table = lwe.f_bit_table(pk)
+    images = np.unique(table)
+    mismatches = sum(
+        lwe.register_preimages(pk, int(v)) != np.flatnonzero(table == v).tolist() for v in images
+    )
+    return mismatches, len(images)
 
 
 def _formula_regressions(params: ParamSet, seed: int) -> tuple[int, int]:
@@ -127,6 +139,7 @@ def _backend_tv(params: ParamSet, samples: int, seed: int) -> tuple[float, float
 def oracle_check(params: ParamSet, trials: int, seed: int) -> OracleReport:
     pk, td = lwe.gen(params, derive_seed(seed, "key"))
     inv_mism, inv_total = _invert_vs_enumeration(pk, td)
+    reg_mism, reg_total = _register_search_vs_table(pk)
     form_fail, form_cases = _formula_regressions(params, seed)
     tv_y, tv_out = _backend_tv(params, trials, seed)
 
@@ -145,6 +158,8 @@ def oracle_check(params: ParamSet, trials: int, seed: int) -> OracleReport:
     return OracleReport(
         invert_mismatches=inv_mism,
         invert_images_checked=inv_total,
+        register_preimage_mismatches=reg_mism,
+        register_images_checked=reg_total,
         formula_failures=form_fail,
         formula_cases=form_cases,
         tv_y_marginal=tv_y,

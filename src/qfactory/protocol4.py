@@ -136,18 +136,19 @@ def server_honest(key_msg: KeyMessage, backend: str, seed: int) -> StrategyReply
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _preimage_bits(pk: lwe.PublicKey, packed_y: int, table: np.ndarray) -> list[int]:
-    return [int(x) for x in np.flatnonzero(table == packed_y)]
+def _measured_image(pk: lwe.PublicKey, rng: np.random.Generator) -> tuple[int, list[int]]:
+    """The image measurement, drawn classically: packed y and the register
+    patterns the register collapses onto (its preimages, ascending)."""
+    x = lwe.sample_domain_element(pk.params, rng)
+    packed_y = lwe.pack_image(pk.params, lwe.f(pk, x))
+    return packed_y, lwe.register_preimages(pk, packed_y)
 
 
 def _server_two_branch(key_msg: KeyMessage, seed: int) -> StrategyReply:
     pk = key_msg.pk
     params = pk.params
     rng = np.random.default_rng(derive_seed(seed, "server"))
-    table = lwe.f_bit_table(pk)
-    x = lwe.sample_domain_element(params, rng)
-    packed_y = int(table[lwe.encode_int(params, x)])
-    branches = _preimage_bits(pk, packed_y, table)
+    packed_y, branches = _measured_image(pk, rng)
     theta = meas_theta(key_msg.variant)
     if len(branches) == 2:
         xb, xpb = (lwe.unpack_bits(params, v) for v in branches)
@@ -181,13 +182,14 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
     rng = np.random.default_rng(derive_seed(seed, "server"))
     nbits = params.total_bits
     ybits = params.m * params.ell_q
-    table = lwe.f_bit_table(pk)
     if nbits + ybits + 1 <= 16:
         sv = StateVector(nbits + ybits + 1)
         for qb in range(nbits):
             sv.h(qb)
         sv.apply_function_unitary(
-            table, controls=list(range(nbits)), targets=list(range(nbits, nbits + ybits))
+            lwe.f_bit_table(pk),
+            controls=list(range(nbits)),
+            targets=list(range(nbits, nbits + ybits)),
         )
         # bits[i] is the outcome of the i-th listed qubit
         ybits_out, _ = sv.measure(list(range(nbits, nbits + ybits)), MEAS_COMPUTATIONAL, rng)
@@ -198,9 +200,7 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
         return StrategyReply(y=_unpack_y(params, packed_y), b=tuple(b), held=held)
 
     # projection route: draw y classically, prepare the collapsed state
-    x = lwe.sample_domain_element(params, rng)
-    packed_y = int(table[lwe.encode_int(params, x)])
-    branches = _preimage_bits(pk, packed_y, table)
+    packed_y, branches = _measured_image(pk, rng)
     sv = _stage2_state(params, branches)
     b, _ = sv.measure(list(range(nbits)), xy_plane(meas_theta(key_msg.variant)), rng)
     held = QubitDescription(sv.qubit_state(nbits))

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from . import protocol4 as p4, protocol8 as p8, serde
+from . import lwe, protocol4 as p4, protocol8 as p8, serde
 from .params import ParamSet
 from .seeds import derive_seed, run_seed
 from .sim import QubitDescription
@@ -157,6 +157,10 @@ def read_frame(sock: socket.socket) -> WireMessage:
 # server session (shared by local and socket transports)
 
 
+# States of at most this many runs are held per session; the oldest run goes first.
+MAX_HELD_RUNS = 1024
+
+
 @dataclass
 class ServerSession:
     """Honest server state machine; one instance per logical session."""
@@ -164,6 +168,7 @@ class ServerSession:
     master_seed: int
     backend: str = "two_branch"
     held: dict = field(default_factory=dict)  # (run_id, variant) -> QubitDescription
+    _runs: dict = field(default_factory=dict, init=False, repr=False)  # held run ids, oldest first
 
     def handle(self, msg: WireMessage) -> list[WireMessage]:
         validate_message(msg)
@@ -171,11 +176,10 @@ class ServerSession:
             variant = msg.payload.get("variant")
             if variant not in (p4.PLAIN, p4.ROTATED):
                 raise WireError(f"unknown variant {variant!r}")
-            pk = serde.key_from_obj(msg.payload["key"])
-            key_msg = p4.KeyMessage(pk=pk, variant=variant)
+            key_msg = p4.KeyMessage(pk=_decode_key(msg.payload.get("key")), variant=variant)
             seed = run_seed(self.master_seed, msg.run_id, variant)
             reply = p4.server_honest(key_msg, self.backend, seed)
-            self.held[(msg.run_id, variant)] = reply.held
+            self._hold(msg.run_id, variant, reply.held)
             return [
                 WireMessage("image", msg.run_id, {"y": [str(int(v)) for v in reply.y]}),
                 WireMessage("meas", msg.run_id, {"b": "".join(str(v) for v in reply.b)}),
@@ -187,20 +191,63 @@ class ServerSession:
                 raise WireError("merge requested before both runs completed")
             rng = np.random.default_rng(run_seed(self.master_seed, msg.run_id, "merge"))
             res = p8.merge_gadget(in1, in2, rng)
-            self.held[(msg.run_id, "merged")] = res.out
+            self._hold(msg.run_id, "merged", res.out)
             return [WireMessage("merge", msg.run_id, {"s1": res.s1, "s2": res.s2})]
         if msg.kind == "test_plan":
             results = {}
             rng = np.random.default_rng(derive_seed(self.master_seed, "tests"))
-            for key, m_idx in zip(msg.payload["indices"], msg.payload["measurements"]):
-                held = self.held.get((int(key), "merged"))
+            for run_id, m_idx in _test_plan(msg.payload):
+                held = self.held.get((run_id, "merged"))
                 if held is None:
-                    raise WireError(f"no merged state for run {key}")
-                target = QubitDescription.eight(int(m_idx))
+                    raise WireError(f"no merged state for run {run_id}")
+                target = QubitDescription.eight(m_idx)
                 p_plus = float(abs(np.vdot(target.vec, held.vec)) ** 2)
-                results[str(key)] = int(rng.random() < p_plus)
+                results[str(run_id)] = int(rng.random() < p_plus)
             return [WireMessage("test_results", msg.run_id, {"results": results})]
         raise WireError(f"server cannot handle kind {msg.kind!r}")
+
+    def _hold(self, run_id: int, tag: str, state: QubitDescription):
+        """Keep a run's state; past MAX_HELD_RUNS runs, drop the oldest run's."""
+        self._runs.setdefault(run_id)
+        if len(self._runs) > MAX_HELD_RUNS:
+            oldest = next(iter(self._runs))
+            del self._runs[oldest]
+            for old_tag in (p4.PLAIN, p4.ROTATED, "merged"):
+                self.held.pop((oldest, old_tag), None)
+        self.held[(run_id, tag)] = state
+
+
+def _decode_key(obj) -> lwe.PublicKey:
+    """A key message's public key, inside the server's simulation envelope."""
+    if not isinstance(obj, dict):
+        raise WireError("key message needs a key object")
+    try:
+        pk = serde.key_from_obj(obj)
+        lwe.check_register(pk.params)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireError(f"unusable key: {exc!r}") from exc
+    params = pk.params
+    for arr, shape in ((pk.K, (params.m, params.n)), (pk.y0, (params.m,))):
+        if arr.shape != shape or not (arr.min() >= 0 and arr.max() < params.q):
+            raise WireError("key entries must form the declared shape with entries in [0, q)")
+    return pk
+
+
+def _test_plan(payload: dict) -> list[tuple[int, int]]:
+    """(run id, measurement index in [0, 8)) pairs of a test plan."""
+    indices, measurements = payload.get("indices"), payload.get("measurements")
+    if not (isinstance(indices, list) and isinstance(measurements, list)):
+        raise WireError("test plan needs the lists indices and measurements")
+    if len(indices) != len(measurements):
+        raise WireError("test plan lists differ in length")
+    pairs = []
+    for key, m_idx in zip(indices, measurements):
+        if isinstance(key, str) and key.isascii() and key.isdigit():
+            key = int(key)
+        if type(key) is not int or type(m_idx) is not int or not 0 <= m_idx < 8:
+            raise WireError(f"test plan entry ({key!r}, {m_idx!r}) is not (run id, index < 8)")
+        pairs.append((key, m_idx))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -334,5 +334,7 @@ def test_oracle_check_report():
     """The packaged cross-validation driver finds zero mismatches."""
     rep = oracle.oracle_check(TOY_MICRO, trials=400, seed=1111)
     assert rep.invert_mismatches == 0
+    assert rep.register_preimage_mismatches == 0
+    assert rep.register_images_checked > 0
     assert rep.formula_failures == 0
     assert rep.corrupted_trapdoor_detected

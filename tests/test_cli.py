@@ -84,6 +84,8 @@ def test_oracle_check(capsys):
     )
     assert rc == 0
     assert rep["invert_mismatches"] == 0
+    assert rep["register_preimage_mismatches"] == 0
+    assert rep["register_images_checked"] > 0
     assert rep["formula_failures"] == 0
     assert rep["corrupted_trapdoor_detected"] is True
 

@@ -257,6 +257,63 @@ def test_paper_profile_big_modulus_round_trip():
 
 
 # ---------------------------------------------------------------------------
+# register preimage search (the truth-table lookup without the table)
+
+
+@pytest.mark.parametrize(
+    "params, seeds",
+    [(TOY_MICRO, (1, 2, 3)), (TOY_GADGET, (1, 2, 3)), (TOY_REG, (1, 2)), (TOY_WIDE, (1, 2))],
+    ids=["micro", "gadget", "reg", "wide"],
+)
+def test_register_preimages_match_truth_table(params, seeds):
+    for seed in seeds:
+        pk, _ = lwe.gen(params, seed=seed)
+        table = lwe.f_bit_table(pk)
+        for v in np.unique(table):
+            want = np.flatnonzero(table == v).tolist()
+            assert lwe.register_preimages(pk, int(v)) == want
+
+
+def test_register_preimages_cover_the_whole_noise_box():
+    # mu = 3 sits inside the box [-4, 3], so the register holds noise values
+    # outside |e| <= mu; the truth table counts them, and so must the search
+    params = toy_params(n=1, q=16, m=2, mu=3, mu_prime=0)
+    assert lwe.e_range(params) == (-3, 3) and params.noise_box == 4
+    rng = _rng(5)
+    for _ in range(3):
+        K = rng.integers(0, params.q, size=(params.m, params.n))
+        pk = lwe.PublicKey(K=K, y0=rng.integers(0, params.q, size=params.m), params=params)
+        table = lwe.f_bit_table(pk)
+        for v in np.unique(table):
+            assert lwe.register_preimages(pk, int(v)) == np.flatnonzero(table == v).tolist()
+
+
+def test_register_preimages_outside_table_is_empty():
+    pk, _ = lwe.gen(TOY_REG, seed=4)
+    table = lwe.f_bit_table(pk)
+    ybits = TOY_REG.m * TOY_REG.ell_q
+    missing = sorted(set(range(1 << ybits)) - set(table.tolist()))
+    assert missing
+    for v in missing[:: max(1, len(missing) // 200)]:
+        assert lwe.register_preimages(pk, v) == []
+    present = int(table[0])
+    assert lwe.register_preimages(pk, present | 1 << ybits) == []  # bits past the image
+    assert lwe.register_preimages(pk, -1) == []
+
+
+def test_register_envelope_rejects_paper_keys():
+    params = paper_params(4)
+    pk = lwe.PublicKey(
+        K=np.zeros((params.m, params.n), dtype=object),
+        y0=np.zeros(params.m, dtype=object),
+        params=params,
+    )
+    for build in (lwe.f_bit_table, lambda key: lwe.register_preimages(key, 0)):
+        with pytest.raises(ValueError, match="envelope"):
+            build(pk)
+
+
+# ---------------------------------------------------------------------------
 # encoding
 
 
@@ -284,11 +341,11 @@ def test_encode_decode_identity(packed):
 
 
 def test_encode_decode_random_elements():
-    params = TOY_WIDE
     rng = _rng(8)
-    for _ in range(1000):
-        x = lwe.sample_domain_element(params, rng)
-        assert lwe.decode(params, lwe.encode(params, x)) == x
+    for params, samples in ((TOY_WIDE, 1000), (paper_params(4), 20)):
+        for _ in range(samples):
+            x = lwe.sample_domain_element(params, rng)
+            assert lwe.decode(params, lwe.encode(params, x)) == x
 
 
 def test_decode_out_of_box_noise_is_bot():

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from qfactory import lwe, protocol4 as p4
-from qfactory.params import TOY_MICRO, TOY_REG
+from qfactory import lwe, protocol4 as p4, protocol8 as p8
+from qfactory.params import TOY_GADGET, TOY_MICRO, TOY_REG, TOY_WIDE
 from qfactory.seeds import derive_seed
-from qfactory.sim import QubitDescription, fidelity
+from qfactory.sim import QubitDescription, analytic_stage2, fidelity, sample_b
 
 
 def _pair(params, preimages):
@@ -269,3 +269,53 @@ def test_plain_description_is_bb84_state():
             continue
         want = QubitDescription.bb84(res.out.B1, res.out.B2)
         assert fidelity(res.out.qubit(), want) >= 1 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# honest server without the truth table
+
+
+def _table_two_branch(key_msg, seed):
+    """The two-branch server as it read the partner preimage off f_bit_table."""
+    pk = key_msg.pk
+    params = pk.params
+    rng = np.random.default_rng(derive_seed(seed, "server"))
+    table = lwe.f_bit_table(pk)
+    x = lwe.sample_domain_element(params, rng)
+    packed_y = int(table[lwe.encode_int(params, x)])
+    branches = [int(v) for v in np.flatnonzero(table == packed_y)]
+    theta = p4.meas_theta(key_msg.variant)
+    if len(branches) == 2:
+        xb, xpb = (lwe.unpack_bits(params, v) for v in branches)
+        if xb[-1] == 1:
+            xb, xpb = xpb, xb
+        b = sample_b(xb, xpb, theta, rng)
+        held = analytic_stage2(xb, xpb, b, theta)
+    else:
+        xb = lwe.unpack_bits(params, branches[0])
+        b = tuple(int(v) for v in rng.integers(0, 2, size=params.total_bits))
+        held = QubitDescription.computational(xb[-2])
+    return tuple(int(v) for v in lwe.unpack_image(params, packed_y)), tuple(b), held
+
+
+@pytest.mark.parametrize("params", [TOY_MICRO, TOY_GADGET, TOY_REG, TOY_WIDE])
+def test_two_branch_server_matches_table_lookup(params):
+    for variant in (p4.PLAIN, p4.ROTATED):
+        for seed in range(6):
+            _, key_msg = p4.client_init(params, variant, seed=derive_seed(seed, "key"))
+            reply = p4.server_honest(key_msg, "two_branch", seed)
+            y, b, held = _table_two_branch(key_msg, seed)
+            assert (reply.y, reply.b) == (y, b)
+            assert np.array_equal(reply.held.vec, held.vec)
+
+
+def test_servers_run_without_the_truth_table(monkeypatch):
+    def no_table(pk):
+        raise AssertionError("f_bit_table called")
+
+    monkeypatch.setattr(lwe, "f_bit_table", no_table)
+    for seed in range(3):
+        res8 = p8.run_protocol8(TOY_WIDE, seed, backend="two_branch")
+        assert fidelity(res8.run1.held, res8.run1.out.qubit()) >= 1 - 1e-9
+        res4 = p4.run_protocol4(TOY_WIDE, seed, backend="statevector")
+        assert fidelity(res4.held, res4.out.qubit()) >= 1 - 1e-9

@@ -7,7 +7,7 @@ import struct
 import pytest
 
 from qfactory import protocol4 as p4, serde, transcripts, wire
-from qfactory.params import TOY_MICRO
+from qfactory.params import TOY_MICRO, paper_params
 from qfactory.seeds import derive_seed
 
 
@@ -128,6 +128,65 @@ def test_server_session_rejects_unknown_variant():
     with pytest.raises(wire.WireError):
         session.handle(wire.WireMessage("key", 0, key))
     assert session.held == {}
+
+
+def _key_payload(params=TOY_MICRO, seed=1):
+    client, _ = p4.client_init(params, p4.PLAIN, seed=derive_seed(seed, "c"))
+    return {"key": serde.key_to_obj(client.pk), "variant": p4.PLAIN, "hardcore_tag": "x"}
+
+
+def _without(obj, field):
+    return {k: v for k, v in obj.items() if k != field}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _without(_key_payload(), "key"),
+        {**_key_payload(), "key": _without(_key_payload()["key"], "k")},
+        _key_payload(paper_params(4)),
+    ],
+    ids=["no-key-field", "key-without-k", "paper-profile-key"],
+)
+def test_server_session_rejects_unusable_key(payload):
+    session = wire.ServerSession(master_seed=1)
+    with pytest.raises(wire.WireError):
+        session.handle(wire.WireMessage("key", 0, payload))
+    assert session.held == {}
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [{"indices": [0]}, {"indices": ["x"], "measurements": [0]}],
+    ids=["missing-measurements", "non-integer-index"],
+)
+def test_server_session_rejects_malformed_test_plan(plan):
+    chan = wire.local_session(5)
+    wire.run8_over_channel(chan, TOY_MICRO, 5, 0)
+    chan.send(wire.WireMessage("test_plan", 0, {"indices": [0], "measurements": [3]}))
+    assert set(chan.recv().payload["results"]) == {"0"}
+    with pytest.raises(wire.WireError):
+        chan.session.handle(wire.WireMessage("test_plan", 0, plan))
+
+
+def test_server_session_holds_a_bounded_number_of_runs():
+    chan = wire.local_session(3)
+    wire.run8_over_channel(chan, TOY_MICRO, 3, 0)
+    key = _key_payload()
+    extra = wire.MAX_HELD_RUNS + 5
+    for run_id in range(1, extra + 1):
+        chan.send(wire.WireMessage("key", run_id, key))
+        chan.recv(), chan.recv()
+    held_runs = {run_id for run_id, _ in chan.session.held}
+    assert len(held_runs) == wire.MAX_HELD_RUNS
+    assert len(chan.session.held) <= wire.MAX_HELD_RUNS + 2  # run 0 alone held three states
+    assert min(held_runs) == extra - wire.MAX_HELD_RUNS + 1  # the oldest runs went first
+    with pytest.raises(wire.WireError):
+        chan.session.handle(wire.WireMessage("merge", 0, {}))
+    with pytest.raises(wire.WireError):
+        chan.session.handle(
+            wire.WireMessage("test_plan", 0, {"indices": [0], "measurements": [0]})
+        )
 
 
 class _TamperingChannel(wire.LocalChannel):
