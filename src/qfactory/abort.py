@@ -85,7 +85,7 @@ class CombinedOutput:
 # the combining circuit
 
 
-def gad_xor(states, rng: np.random.Generator, strict: bool = True):
+def gad_xor(states, rng: np.random.Generator):
     """Run the combining circuit on BB84 inputs; returns (s-pairs, out).
 
     Wires: per input, a pi/2 ancilla and the input itself; one shared carrier
@@ -96,12 +96,9 @@ def gad_xor(states, rng: np.random.Generator, strict: bool = True):
     t = len(states)
     if t < 1:
         raise ValueError("need at least one input")
-    if strict:
-        for st in states:
-            if not any(st.approx_equal(ref, atol=1e-9) for ref in BB84_SET.values()):
-                raise ValueError("input outside the BB84 set in strict mode")
-    if 2 * t + 1 > 16:
-        raise ValueError("too many inputs for the statevector backend")
+    for st in states:
+        if not any(st.approx_equal(ref, atol=1e-9) for ref in BB84_SET.values()):
+            raise ValueError("input outside the BB84 set")
     sv = _gad_state(states)
     s_pairs = []
     for i in range(t):
@@ -116,8 +113,6 @@ def gad_xor_branches(states):
     """Exhaustive (s-bits, probability, out) enumeration for t <= 4 inputs."""
     states = list(states)
     t = len(states)
-    if 2 * t + 1 > 16:
-        raise ValueError("too many inputs")
     base = _gad_state(states)
     for qb in range(2 * t):
         base.h(qb)

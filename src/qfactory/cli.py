@@ -30,11 +30,18 @@ def _emit(obj: dict, out: str | None):
         print(text)
 
 
-def _common(parser: argparse.ArgumentParser):
-    parser.add_argument("--params", default="toy", help="parameter preset name")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--backend", default="twobranch", choices=["sv", "twobranch"])
-    parser.add_argument("--out", default=None, help="write the JSON report here")
+_SHARED_OPTIONS = {
+    "--params": dict(default="toy", help="parameter preset name"),
+    "--seed": dict(type=int, default=0),
+    "--backend": dict(default="twobranch", choices=["sv", "twobranch"]),
+    "--out": dict(default=None, help="write the JSON report here"),
+}
+
+
+def _shared(parser: argparse.ArgumentParser, *names: str):
+    """Add the shared options a subcommand reads, and only those."""
+    for name in names:
+        parser.add_argument(name, **_SHARED_OPTIONS[name])
 
 
 def _backend(name: str) -> str:
@@ -155,7 +162,7 @@ def cmd_selftest(args) -> int:
         strategy = stt.Strategy(states=states, observables=observables)
     else:
         strategy = stt.honest_strategy()
-    res = stt.selftest_iid(strategy, N=args.N, eps1=args.eps1, eps2=args.eps2, seed=args.seed)
+    res = stt.selftest_iid(strategy, N=args.N, eps2=args.eps2, seed=args.seed)
     report = {
         "accept": res.accept,
         "cells": {
@@ -195,12 +202,7 @@ def cmd_serve(args) -> int:
 
 def cmd_connect(args) -> int:
     params = params_by_name(args.params)
-    if args.endpoint:
-        host, _, port = args.endpoint.rpartition(":")
-        host, port = host or "127.0.0.1", int(port)
-    else:
-        host, port = wire.endpoint_from_env()
-    chan = wire.SocketChannel(host, port)
+    chan = wire.SocketChannel(*(args.endpoint or wire.endpoint_from_env()))
     accepted = 0
     try:
         for run_id in range(args.runs):
@@ -230,23 +232,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("keygen", help="generate a keypair")
-    _common(sp)
+    _shared(sp, "--params", "--seed", "--out")
     sp.set_defaults(func=cmd_keygen)
 
     sp = sub.add_parser("run4", help="run the 4-states protocol")
-    _common(sp)
+    _shared(sp, "--params", "--seed", "--backend", "--out")
     sp.add_argument("--runs", type=int, default=20)
     sp.add_argument("--rotated", action="store_true")
     sp.add_argument("--transcripts", default=None, help="write JSON-lines transcripts")
     sp.set_defaults(func=cmd_run4)
 
     sp = sub.add_parser("run8", help="run the 8-states protocol")
-    _common(sp)
+    _shared(sp, "--params", "--seed", "--backend", "--out")
     sp.add_argument("--runs", type=int, default=20)
     sp.set_defaults(func=cmd_run8)
 
     sp = sub.add_parser("run-abort", help="chunked abort-tolerant statistics")
-    _common(sp)
+    _shared(sp, "--params", "--seed", "--out")
     sp.add_argument("--t_c", type=int, default=60)
     sp.add_argument("--n_c", dest="n_c_chunks", type=int, default=1000)
     sp.add_argument("--p_a", type=float, default=None, help="override the analytic accept probability")
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_run_abort)
 
     sp = sub.add_parser("run-verifiable", help="verification layer over the stack")
-    _common(sp)
+    _shared(sp, "--params", "--seed", "--backend", "--out")
     sp.add_argument("--N", type=int, default=400)
     sp.add_argument("--fraction", type=float, default=0.5)
     sp.add_argument("--eps2", type=float, default=0.05)
@@ -262,32 +264,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_run_verifiable)
 
     sp = sub.add_parser("selftest", help="iid blind self-testing of a strategy file")
-    _common(sp)
+    _shared(sp, "--seed", "--out")
     sp.add_argument("--strategy", default=None, help="JSON strategy description")
     sp.add_argument("--N", type=int, default=10_000)
-    sp.add_argument("--eps1", type=float, default=1e-9)
     sp.add_argument("--eps2", type=float, default=0.05)
     sp.set_defaults(func=cmd_selftest)
 
     sp = sub.add_parser("oracle-check", help="closed forms against brute force")
-    _common(sp)
+    _shared(sp, "--params", "--seed", "--out")
     sp.add_argument("--trials", type=int, default=400)
     sp.set_defaults(func=cmd_oracle_check)
 
     sp = sub.add_parser("serve", help="host the honest server over TCP")
-    _common(sp)
+    _shared(sp, "--seed", "--backend")
     sp.add_argument("--host", default="127.0.0.1")
     sp.add_argument("--port", type=int, default=7801)
     sp.set_defaults(func=cmd_serve)
 
     sp = sub.add_parser("connect", help="drive protocol runs against a server")
-    _common(sp)
-    sp.add_argument("--endpoint", default=None, help="host:port (or QFACTORY_ENDPOINT)")
+    _shared(sp, "--params", "--seed", "--out")
+    sp.add_argument("--endpoint", type=wire.parse_endpoint, help="host:port (or QFACTORY_ENDPOINT)")
     sp.add_argument("--runs", type=int, default=10)
     sp.set_defaults(func=cmd_connect)
 
     sp = sub.add_parser("replay", help="verify a transcript file")
-    _common(sp)
+    _shared(sp, "--out")
     sp.add_argument("file")
     sp.set_defaults(func=cmd_replay)
 

@@ -13,6 +13,9 @@ reads the ``d`` component.  Key generation embeds a base-2 gadget in the
 bottom rows of ``K`` so the holder of the small matrix ``R`` can decode ``s``
 from any image; at enumeration scale (m too small for the gadget) inversion
 falls back to scanning Z_q^n.
+
+Z_q values are int64 arrays whose products may wrap around; since q divides
+2^64 every result is exact after ``% q`` (see :mod:`qfactory.params`).
 """
 
 from __future__ import annotations
@@ -77,24 +80,8 @@ class Trapdoor:
 # arithmetic helpers
 
 
-def _as_vec(params: ParamSet, values) -> np.ndarray:
-    return np.array(values, dtype=params.int_dtype)
-
-
-def _sample_zq(rng: np.random.Generator, q: int, size: int) -> np.ndarray:
-    """Uniform vector over Z_q; q is a power of two, possibly > 2^62."""
-    if q <= 1 << 62:
-        return rng.integers(0, q, size=size)
-    k = q.bit_length() - 1
-    words = (k + 31) // 32
-    draws = rng.integers(0, 1 << 32, size=(size, words), dtype=np.uint64)
-    out = []
-    for row in draws:
-        acc = 0
-        for wval in row:
-            acc = (acc << 32) | int(wval)
-        out.append(acc & (q - 1))
-    return np.array(out, dtype=object)
+def _as_vec(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
 
 
 def e_range(params: ParamSet) -> tuple[int, int]:
@@ -116,8 +103,8 @@ def _centered(params: ParamSet, vec: np.ndarray) -> np.ndarray:
 
 def g_bar(params: ParamSet, K: np.ndarray, s, e) -> np.ndarray:
     """K s + e mod q."""
-    s = _as_vec(params, s)
-    e = _as_vec(params, e)
+    s = _as_vec(s)
+    e = _as_vec(e)
     if K.shape != (params.m, params.n) or s.shape != (params.n,) or e.shape != (params.m,):
         raise ValueError("dimension mismatch")
     return (K @ s + e) % params.q
@@ -231,7 +218,7 @@ def decode_int(params: ParamSet, value: int) -> DomainElement | None:
 def _gadget_rows(params: ParamSet) -> np.ndarray:
     """w x n matrix whose row (j*ell_q + l) is 2^l on coordinate j."""
     w = params.n * params.ell_q
-    G = np.zeros((w, params.n), dtype=params.int_dtype)
+    G = np.zeros((w, params.n), dtype=np.int64)
     for j in range(params.n):
         for level in range(params.ell_q):
             G[j * params.ell_q + level, j] = 1 << level
@@ -260,7 +247,7 @@ def _wide_injective(params: ParamSet, K: np.ndarray) -> bool:
     if D >= q // 2:
         return False
     ds = _s_grid(q, params.n)[:, 1:]  # drop ds = 0
-    t = (K.astype(np.int64) @ ds) % q  # (m, q^n - 1)
+    t = (K @ ds) % q  # (m, q^n - 1)
     for delta in (0, 1):
         tt = t.copy()
         if delta:
@@ -283,11 +270,10 @@ def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
     q, n, m = params.q, params.n, params.m
     w = n * params.ell_q
     box = params.noise_box
-    dtype = params.int_dtype
 
     m_bar = m - w
     if m_bar >= 1:
-        K_top = np.array(_sample_zq(rng, q, m_bar * n), dtype=dtype).reshape(m_bar, n)
+        K_top = rng.integers(0, q, size=(m_bar, n))
         R = rng.integers(0, 2, size=(m_bar, w), dtype=np.int64)
         # Row 0 must stay out of the mix: the d-shift lands on coordinate 0,
         # and injectivity across that shift needs a decode functional that
@@ -307,7 +293,7 @@ def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
         if np.any(err_hi - err_lo >= q // 2):
             raise ValueError("gadget column error range too wide for decoding")
         G = _gadget_rows(params)
-        K_bottom = (G - R.T.astype(dtype) @ K_top) % q
+        K_bottom = (G - R.T @ K_top) % q
         K = np.concatenate([K_top, K_bottom], axis=0)
         gadget = GadgetData(R=R, err_lo=err_lo, err_hi=err_hi)
     else:
@@ -315,14 +301,14 @@ def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
         if se_bits > _ENUM_CAP_BITS:
             raise ValueError("m <= n*ell_q needs enumeration-scale parameters")
         for _ in range(4096):
-            K = np.array(_sample_zq(rng, q, m * n), dtype=dtype).reshape(m, n)
+            K = rng.integers(0, q, size=(m, n))
             if _wide_injective(params, K):
                 break
         else:
             raise ValueError("could not sample an injective toy key")
         gadget = None
 
-    s0 = np.array(_sample_zq(rng, q, n), dtype=dtype)
+    s0 = rng.integers(0, q, size=n)
     e0 = rng.integers(-params.mu_prime, params.mu_prime + 1, size=m)
     d0 = int(rng.integers(0, 2))
     z0 = DomainElement(tuple(int(x) for x in s0), tuple(int(x) for x in e0), d0, None)
@@ -352,7 +338,7 @@ def _bar_invert_gadget(td: Trapdoor, pk: PublicKey, target: np.ndarray) -> list[
     top = target[:m_bar]
     low = target[m_bar:]
     if m_bar > 0:
-        u = (low + gd.R.T.astype(params.int_dtype) @ top) % q
+        u = (low + gd.R.T @ top) % q
     else:
         u = low % q
     s = []
@@ -384,7 +370,7 @@ def _bar_invert_enum(
     params = pk.params
     grid = _s_grid(params.q, params.n)
     # [lo, hi] sits inside [-q/2, q/2), so e is in it iff (e - lo) mod q <= hi - lo
-    u = (targets[:, :, None] - lo - pk.K.astype(np.int64) @ grid) % params.q
+    u = (targets[:, :, None] - lo - pk.K @ grid) % params.q
     rows, cols = np.nonzero(u.max(axis=1) <= hi - lo)
     return [
         (k, tuple(grid[:, j].tolist()), tuple((u[k, :, j] + lo).tolist()))
@@ -408,7 +394,7 @@ def invert(td: Trapdoor, pk: PublicKey, y) -> tuple[DomainElement, ...]:
     f before being accepted, and the result is sorted by encoded bit-string.
     """
     params = pk.params
-    y = _as_vec(params, y)
+    y = _as_vec(y)
     if y.shape != (params.m,):
         raise ValueError("image length mismatch")
     q = params.q
@@ -420,7 +406,7 @@ def invert(td: Trapdoor, pk: PublicKey, y) -> tuple[DomainElement, ...]:
         cands = [(k, s) for k, s, _ in _bar_invert_enum(pk, targets, lo, hi)]
     found = []
     for k, s in cands:
-        e = _centered(params, targets[k] - pk.K @ _as_vec(params, s))
+        e = _centered(params, targets[k] - pk.K @ _as_vec(s))
         if not (np.all(e >= lo) and np.all(e <= hi)):
             continue
         elem = DomainElement(s, tuple(int(x) for x in e), k & 1, k >> 1)
@@ -479,7 +465,7 @@ def exhaustive_preimages(pk: PublicKey, y) -> tuple[DomainElement, ...]:
     params = pk.params
     if domain_size(params) > 1 << _ENUM_CAP_BITS:
         raise ValueError("domain too large for exhaustive enumeration")
-    y = _as_vec(params, y) % params.q
+    y = _as_vec(y) % params.q
     out = [x for x in iter_domain(params) if np.array_equal(f(pk, x), y)]
     out.sort(key=lambda el: encode(params, el))
     return tuple(out)
@@ -526,11 +512,10 @@ def f_bit_table(pk: PublicKey) -> np.ndarray:
         return (idx >> start) & ((1 << width) - 1)
 
     y = np.zeros((1 << nbits, params.m), dtype=np.int64)
-    K = pk.K.astype(np.int64)
     pos = 0
     for j in range(params.n):
         sj = field(pos, params.ell_q)
-        y = (y + np.outer(sj, K[:, j])) % params.q
+        y = (y + np.outer(sj, pk.K[:, j])) % params.q
         pos += params.ell_q
     for i in range(params.m):
         y[:, i] = (y[:, i] + field(pos, params.ell_e) - box) % params.q
@@ -538,7 +523,7 @@ def f_bit_table(pk: PublicKey) -> np.ndarray:
     d = field(pos, 1)
     c = field(pos + 1, 1)
     y[:, 0] = (y[:, 0] + d * (params.q // 2)) % params.q
-    y = (y + np.outer(c, pk.y0.astype(np.int64))) % params.q
+    y = (y + np.outer(c, pk.y0)) % params.q
 
     packed = np.zeros(1 << nbits, dtype=np.int64)
     for i in range(params.m):
@@ -555,10 +540,7 @@ def pack_image(params: ParamSet, y) -> int:
 
 def unpack_image(params: ParamSet, packed: int) -> np.ndarray:
     mask = (1 << params.ell_q) - 1
-    return np.array(
-        [(packed >> (i * params.ell_q)) & mask for i in range(params.m)],
-        dtype=params.int_dtype,
-    )
+    return _as_vec([(packed >> (i * params.ell_q)) & mask for i in range(params.m)])
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +551,7 @@ def sample_domain_element(
     params: ParamSet, rng: np.random.Generator, include_c: bool = True
 ) -> DomainElement:
     lo, hi = e_range(params)
-    s = tuple(int(x) for x in _sample_zq(rng, params.q, params.n))
+    s = tuple(int(x) for x in rng.integers(0, params.q, size=params.n))
     e = tuple(int(x) for x in rng.integers(lo, hi + 1, size=params.m))
     d = int(rng.integers(0, 2))
     c = int(rng.integers(0, 2)) if include_c else None

@@ -3,8 +3,7 @@
 Two profiles exist:
 
 * ``paper``: dimensions scaled for classical-only testing (keygen, inversion,
-  estimators).  The modulus can exceed 64 bits, so arithmetic switches to
-  Python integers behind a numpy object array.
+  estimators).
 * ``toy``: everything small enough that the full quantum register
   (``total_bits`` qubits) fits in a statevector and the whole domain can be
   enumerated.  Toy parameters are intentionally insecure.
@@ -14,6 +13,10 @@ The noise set is realized as the integer box ``[-2^a, 2^a - 1]`` where
 field then decodes to an in-box value, so a uniform superposition over noise
 bits is exact.  When mu itself is a power of two the box carries zero invalid
 mass; otherwise values with ``|e| > mu`` decode as invalid.
+
+Z_q values are int64 arrays.  q is a power of two that divides 2^64, so a
+matrix product that wraps around in int64 is still exact mod q after ``% q``.
+q is capped at ``MAX_Q`` = 2^62, which keeps q and q/2 int64 scalars.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-# Above this modulus, int64 products (q-1)^2 * m can overflow; use object dtype.
-_INT64_SAFE_Q = 1 << 24
+# Largest modulus: q and q/2 stay int64 scalars (paper_params(n) for n <= 256).
+MAX_Q = 1 << 62
 
 TOY_TOTAL_BITS_CAP = 14
 
@@ -45,6 +48,8 @@ class ParamSet:
             raise ValueError(f"unknown profile {self.profile!r}")
         if self.q < 4 or (self.q & (self.q - 1)) != 0:
             raise ValueError("q must be a power of two >= 4")
+        if self.q > MAX_Q:
+            raise ValueError(f"q = {self.q} is above the int64 envelope MAX_Q = {MAX_Q}")
         object.__setattr__(self, "ell_q", self.q.bit_length() - 1)
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be positive")
@@ -78,12 +83,6 @@ class ParamSet:
     @property
     def total_bits(self) -> int:
         return self.n * self.ell_q + self.m * self.ell_e + 2
-
-    @property
-    def int_dtype(self):
-        import numpy as np
-
-        return np.int64 if self.q <= _INT64_SAFE_Q else object
 
 
 def noise_box_half(mu: int) -> int:

@@ -28,6 +28,7 @@ from .params import ParamSet
 from .seeds import derive_seed, run_seed
 from .sim import (
     COMPUTATIONAL as MEAS_COMPUTATIONAL,
+    MAX_QUBITS,
     QubitDescription,
     StateVector,
     analytic_stage2,
@@ -182,7 +183,7 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
     rng = np.random.default_rng(derive_seed(seed, "server"))
     nbits = params.total_bits
     ybits = params.m * params.ell_q
-    if nbits + ybits + 1 <= 16:
+    if nbits + ybits + 1 <= MAX_QUBITS:
         sv = StateVector(nbits + ybits + 1)
         for qb in range(nbits):
             sv.h(qb)

@@ -16,6 +16,6 @@ def derive_seed(master: int, *labels) -> int:
 
 
 def run_seed(master: int, run_id: int, label: str, *role) -> int:
-    """Seed of one run's server step (label = variant or "merge"); the client
-    appends the role "client".  Every transport derives seeds here."""
+    """Seed of one run's server step (label = variant, "merge" or "test");
+    the client appends the role "client".  Every transport derives seeds here."""
     return derive_seed(master, "run", run_id, label, *role)

@@ -325,7 +325,7 @@ class SelfTestResult:
 
 
 def selftest_iid(
-    strategy: Strategy, N: int, eps1: float, eps2: float, seed: int, min_count: int = 30
+    strategy: Strategy, N: int, eps2: float, seed: int, min_count: int = 30
 ) -> SelfTestResult:
     """Sample test statistics from the strategy's Born rule and, on accept,
     extract the isometry report."""

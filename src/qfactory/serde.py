@@ -22,7 +22,21 @@ def _vec_str(values) -> list[str]:
 
 
 def _mat_str(mat) -> list[list[str]]:
-    return [[str(int(v)) for v in row] for row in np.asarray(mat, dtype=object)]
+    return [[str(v) for v in row] for row in mat.tolist()]
+
+
+def zq_entries(values, length: int, q: int) -> list[int]:
+    """A list of `length` decimal strings in [0, q), as ints; else ValueError."""
+    if not isinstance(values, list) or len(values) != length:
+        raise ValueError(f"expected a list of {length} Z_q entries")
+    try:
+        text = "".join(values)  # every entry is a str
+    except TypeError as exc:
+        raise ValueError("Z_q entries must be decimal strings") from exc
+    ints = list(map(int, values))
+    if not (text.isascii() and text.isdigit()) or max(ints) >= q:
+        raise ValueError("Z_q entries must be decimal strings in [0, q)")
+    return ints
 
 
 def params_to_obj(params: ParamSet) -> dict[str, Any]:
@@ -59,12 +73,21 @@ def key_to_obj(pk: PublicKey) -> dict[str, Any]:
 
 
 def key_from_obj(obj: dict[str, Any]) -> PublicKey:
+    """The public key of a key object whose K (m x n) and y0 (m) entries are
+    all in [0, q); ValueError otherwise, checked before any array is built."""
     if obj.get("version") != FORMAT_VERSION:
         raise ValueError("unsupported key format version")
     params = params_from_obj(obj["k"]["params"])
-    K = np.array([[int(v) for v in row] for row in obj["k"]["K"]], dtype=params.int_dtype)
-    y0 = np.array([int(v) for v in obj["k"]["y0"]], dtype=params.int_dtype)
-    return PublicKey(K=K, y0=y0, params=params)
+    rows = obj["k"]["K"]
+    if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == params.n for r in rows)):
+        raise ValueError(f"K must be a list of rows of {params.n} entries")
+    K = zq_entries([v for row in rows for v in row], params.m * params.n, params.q)
+    y0 = zq_entries(obj["k"]["y0"], params.m, params.q)
+    return PublicKey(
+        K=np.array(K, dtype=np.int64).reshape(params.m, params.n),
+        y0=np.array(y0, dtype=np.int64),
+        params=params,
+    )
 
 
 def trapdoor_to_obj(td: Trapdoor) -> dict[str, Any]:
@@ -91,14 +114,11 @@ def trapdoor_from_obj(obj: dict[str, Any]) -> Trapdoor:
     t = obj["t"]
     gadget = None
     if t["gadget"] is not None:
+        gd = t["gadget"]
         gadget = GadgetData(
-            R=np.array([[int(v) for v in row] for row in t["gadget"]["R"]], dtype=np.int64).reshape(
-                len(t["gadget"]["R"]), -1
-            )
-            if t["gadget"]["R"]
-            else np.zeros((0, len(t["gadget"]["err_lo"])), dtype=np.int64),
-            err_lo=np.array([int(v) for v in t["gadget"]["err_lo"]], dtype=np.int64),
-            err_hi=np.array([int(v) for v in t["gadget"]["err_hi"]], dtype=np.int64),
+            R=np.array([[int(v) for v in row] for row in gd["R"]], dtype=np.int64),
+            err_lo=np.array([int(v) for v in gd["err_lo"]], dtype=np.int64),
+            err_hi=np.array([int(v) for v in gd["err_hi"]], dtype=np.int64),
         )
     z0 = DomainElement(
         s=tuple(int(v) for v in t["z0"]["s"]),

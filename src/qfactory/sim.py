@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_QUBIT_CAP = 16
+# Widest statevector; StateVector raises above it.
+MAX_QUBITS = 16
 ATOL = 1e-9
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -59,11 +60,11 @@ def xy_plane(theta: float) -> MeasBasis:
 
 
 class StateVector:
-    """Dense statevector over at most `cap` qubits."""
+    """Dense statevector over at most MAX_QUBITS qubits."""
 
-    def __init__(self, num_qubits: int, cap: int = DEFAULT_QUBIT_CAP):
-        if num_qubits < 1 or num_qubits > cap:
-            raise ValueError(f"num_qubits must be in [1, {cap}]")
+    def __init__(self, num_qubits: int):
+        if num_qubits < 1 or num_qubits > MAX_QUBITS:
+            raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
         self.n = num_qubits
         self.amps = np.zeros(1 << num_qubits, dtype=complex)
         self.amps[0] = 1.0
@@ -306,12 +307,12 @@ def stage2_phase_exponent(x, x_prime, b, theta: float) -> complex:
     return cmath.exp(-1j * theta * delta) * (-1) ** beta
 
 
-def analytic_stage2(x, x_prime, b, theta: float, h_bit_index: int | None = None):
+def analytic_stage2(x, x_prime, b, theta: float):
     """Closed-form output qubit for the honest run with preimages (x, x').
 
     The target qubit holds the next-to-last bit of each branch (the hardcore
-    bit) unless `h_bit_index` overrides it.  Only theta in {0, pi/2} is
-    supported.  Raises on a measurement record b of probability zero.
+    bit).  Only theta in {0, pi/2} is supported.  Raises on a measurement
+    record b of probability zero.
     """
     if not (abs(theta) < 1e-12 or abs(theta - math.pi / 2) < 1e-12):
         raise ValueError("only theta in {0, pi/2} is supported")
@@ -321,8 +322,7 @@ def analytic_stage2(x, x_prime, b, theta: float, h_bit_index: int | None = None)
     b = tuple(int(v) & 1 for v in b)
     if len(b) != len(x):
         raise ValueError("b length mismatch")
-    hidx = len(x) - 2 if h_bit_index is None else h_bit_index
-    hz, hzp = x[hidx], x_prime[hidx]
+    hz, hzp = x[-2], x_prime[-2]
     phase = stage2_phase_exponent(x, x_prime, b, theta)
     amps = np.zeros(2, dtype=complex)
     amps[hz] += 1.0

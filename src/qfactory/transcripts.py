@@ -131,21 +131,20 @@ def replay(path) -> ReplayReport:
     mismatches = []
 
     def check_run4(body, seq) -> dict | None:
-        pk = serde.key_from_obj(body["key_msg"])
-        td = serde.trapdoor_from_obj(body["trapdoor"])
-        client = p4.ClientState4(
-            pk=pk,
-            trapdoor=td,
-            params=pk.params,
-            variant=body["variant"],
-            seed=int(body["seeds"]["run"]),
-        )
         try:
+            pk = serde.key_from_obj(body["key_msg"])
+            client = p4.ClientState4(
+                pk=pk,
+                trapdoor=serde.trapdoor_from_obj(body["trapdoor"]),
+                params=pk.params,
+                variant=body["variant"],
+                seed=int(body["seeds"]["run"]),
+            )
             y = [int(v) for v in body["y"]]
             b = tuple(int(ch) for ch in body["b"])
             out = p4.finalize(client, y, b)
-        except ValueError as exc:
-            raise TranscriptError(f"record {seq}: {exc}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise TranscriptError(f"record {seq}: {exc!r}") from exc
         got = {"accepted": out.accepted, "B1": out.B1, "B2": out.B2}
         want = {"accepted": body["accepted"], "B1": body["B1"], "B2": body["B2"]}
         if got != want:

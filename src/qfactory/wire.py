@@ -26,7 +26,7 @@ import numpy as np
 
 from . import lwe, protocol4 as p4, protocol8 as p8, serde
 from .params import ParamSet
-from .seeds import derive_seed, run_seed
+from .seeds import run_seed
 from .sim import QubitDescription
 
 WIRE_VERSION = 1
@@ -194,14 +194,16 @@ class ServerSession:
             self._hold(msg.run_id, "merged", res.out)
             return [WireMessage("merge", msg.run_id, {"s1": res.s1, "s2": res.s2})]
         if msg.kind == "test_plan":
-            results = {}
-            rng = np.random.default_rng(derive_seed(self.master_seed, "tests"))
-            for run_id, m_idx in _test_plan(msg.payload):
-                held = self.held.get((run_id, "merged"))
-                if held is None:
+            # a measurement consumes the merged state; a rejected plan consumes nothing
+            plan = _test_plan(msg.payload)
+            for run_id, _ in plan:
+                if (run_id, "merged") not in self.held:
                     raise WireError(f"no merged state for run {run_id}")
-                target = QubitDescription.eight(m_idx)
-                p_plus = float(abs(np.vdot(target.vec, held.vec)) ** 2)
+            results = {}
+            for run_id, m_idx in plan:
+                held = self.held.pop((run_id, "merged"))
+                p_plus = float(abs(np.vdot(QubitDescription.eight(m_idx).vec, held.vec)) ** 2)
+                rng = np.random.default_rng(run_seed(self.master_seed, run_id, "test"))
                 results[str(run_id)] = int(rng.random() < p_plus)
             return [WireMessage("test_results", msg.run_id, {"results": results})]
         raise WireError(f"server cannot handle kind {msg.kind!r}")
@@ -226,15 +228,11 @@ def _decode_key(obj) -> lwe.PublicKey:
         lwe.check_register(pk.params)
     except (KeyError, TypeError, ValueError) as exc:
         raise WireError(f"unusable key: {exc!r}") from exc
-    params = pk.params
-    for arr, shape in ((pk.K, (params.m, params.n)), (pk.y0, (params.m,))):
-        if arr.shape != shape or not (arr.min() >= 0 and arr.max() < params.q):
-            raise WireError("key entries must form the declared shape with entries in [0, q)")
     return pk
 
 
 def _test_plan(payload: dict) -> list[tuple[int, int]]:
-    """(run id, measurement index in [0, 8)) pairs of a test plan."""
+    """(run id, measurement index in [0, 8)) pairs of a test plan, one per run."""
     indices, measurements = payload.get("indices"), payload.get("measurements")
     if not (isinstance(indices, list) and isinstance(measurements, list)):
         raise WireError("test plan needs the lists indices and measurements")
@@ -247,6 +245,8 @@ def _test_plan(payload: dict) -> list[tuple[int, int]]:
         if type(key) is not int or type(m_idx) is not int or not 0 <= m_idx < 8:
             raise WireError(f"test plan entry ({key!r}, {m_idx!r}) is not (run id, index < 8)")
         pairs.append((key, m_idx))
+    if len({key for key, _ in pairs}) != len(pairs):
+        raise WireError("test plan names a run more than once")
     return pairs
 
 
@@ -295,17 +295,14 @@ def _decode_reply(params: ParamSet, image: WireMessage, meas: WireMessage) -> p4
     """The server's image y and record b, accepted only in canonical form."""
     if image.kind != "image" or meas.kind != "meas":
         raise WireError("unexpected reply sequence")
-    y, b = image.payload.get("y"), meas.payload.get("b")
-    if not isinstance(y, list) or len(y) != params.m:
-        raise WireError(f"image must hold exactly {params.m} entries")
-    digits = len(str(params.q - 1))
-    for v in y:
-        ok = isinstance(v, str) and v.isascii() and v.isdigit() and len(v) <= digits
-        if not ok or int(v) >= params.q:
-            raise WireError(f"image entry {v!r} is not a decimal in [0, q)")
+    try:
+        y = serde.zq_entries(image.payload.get("y"), params.m, params.q)
+    except ValueError as exc:
+        raise WireError(f"image: {exc}") from exc
+    b = meas.payload.get("b")
     if not isinstance(b, str) or len(b) != params.total_bits or not set(b) <= {"0", "1"}:
         raise WireError(f"record must be exactly {params.total_bits} characters from {{0, 1}}")
-    return p4.StrategyReply(y=tuple(int(v) for v in y), b=tuple(int(ch) for ch in b), held=None)
+    return p4.StrategyReply(y=tuple(y), b=tuple(int(ch) for ch in b), held=None)
 
 
 def run4_over_channel(
@@ -404,7 +401,11 @@ def serve(host: str, port: int, master_seed: int, backend: str = "two_branch") -
     return server
 
 
-def endpoint_from_env(default: str = "127.0.0.1:7801") -> tuple[str, int]:
-    raw = os.environ.get(ENDPOINT_ENV, default)
-    host, _, port = raw.rpartition(":")
+def parse_endpoint(text: str) -> tuple[str, int]:
+    """(host, port) of "host:port"; the host defaults to 127.0.0.1."""
+    host, _, port = text.rpartition(":")
     return host or "127.0.0.1", int(port)
+
+
+def endpoint_from_env(default: str = "127.0.0.1:7801") -> tuple[str, int]:
+    return parse_endpoint(os.environ.get(ENDPOINT_ENV, default))

@@ -180,14 +180,14 @@ def test_criterion_06_regularity_vs_homomorphy():
 
 def test_criterion_07_selftest_statistics():
     """Honest stats within eps2 = 0.05 at N = 10^4; pi/8 shift aborts >= 99%."""
-    res = stt.selftest_iid(stt.honest_strategy(), N=10_000, eps1=1e-9, eps2=0.05, seed=707)
+    res = stt.selftest_iid(stt.honest_strategy(), N=10_000, eps2=0.05, seed=707)
     worst_dev = max(
         abs(plus / count - stt.ideal_prob(k, 0))
         for k, (count, plus) in res.table.pooled().items()
     )
     shifted = stt.shifted_strategy(math.pi / 8)
     aborts = sum(
-        not stt.selftest_iid(shifted, N=10_000, eps1=1e-9, eps2=0.05, seed=derive_seed(7, t)).accept
+        not stt.selftest_iid(shifted, N=10_000, eps2=0.05, seed=derive_seed(7, t)).accept
         for t in range(100)
     )
     ok = res.accept and worst_dev < 0.05 and aborts >= 99

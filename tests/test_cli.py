@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qfactory import cli
 
 
@@ -9,6 +11,22 @@ def _run(argv, capsys):
     rc = cli.main(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out) if out.strip() else None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["keygen", "--backend", "sv"],
+        ["selftest", "--params", "toy"],
+        ["selftest", "--eps1", "0.1"],
+        ["serve", "--out", "report.json"],
+        ["replay", "--seed", "1", "runs.jsonl"],
+        ["connect", "--endpoint", "127.0.0.1:port"],
+    ],
+)
+def test_subcommands_take_only_the_options_they_read(argv):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
 
 
 def test_keygen(capsys):

@@ -247,13 +247,60 @@ def test_paper_profile_round_trip():
 
 
 def test_paper_profile_big_modulus_round_trip():
-    # n=4 pushes q to 2^31, past the int64 fast path threshold
+    # n=4 gives q = 2^31, so K s wraps around in int64 and must stay exact mod q
     params = paper_params(4)
-    assert params.int_dtype is object
     pk, td = lwe.gen(params, seed=53)
+    assert pk.K.dtype == np.int64 and pk.K.min() >= 0 and pk.K.max() < params.q
     rng = _rng(7)
     x = lwe.sample_domain_element(params, rng)
     assert x in lwe.invert(td, pk, lwe.f(pk, x))
+
+
+# the largest modulus of the int64 envelope; products reach 2^124 before % q
+Q62 = ParamSet(n=4, q=1 << 62, m=8, mu=1 << 20, mu_prime=1 << 16, profile="paper")
+
+
+def _reference_f(K, y0, q, elem):
+    """f over Python ints, the exact value int64 wraparound must reproduce."""
+    out = []
+    for i, row in enumerate(K.tolist()):
+        v = sum(k * s for k, s in zip(row, elem.s)) + elem.e[i]
+        v += (q // 2) * elem.d * (i == 0) + elem.c * int(y0[i])
+        out.append(v % q)
+    return out
+
+
+def test_g_bar_and_f_exact_at_the_int64_envelope():
+    rng = _rng(61)
+    q = Q62.q
+    K = rng.integers(0, q, size=(Q62.m, Q62.n))
+    y0 = rng.integers(0, q, size=Q62.m)
+    pk = lwe.PublicKey(K=K, y0=y0, params=Q62)
+    assert max(K.ravel().tolist()) ** 2 > 1 << 120
+    for _ in range(2000):
+        x = lwe.sample_domain_element(Q62, rng)
+        want = _reference_f(K, y0, q, x)
+        assert lwe.f(pk, x).tolist() == want
+        g_want = _reference_f(K, y0, q, lwe.DomainElement(x.s, x.e, 0, 0))
+        assert lwe.g_bar(Q62, K, x.s, x.e).tolist() == g_want
+
+
+def test_gadget_round_trip_at_the_int64_envelope():
+    params = ParamSet(n=1, q=1 << 62, m=70, mu=1 << 10, mu_prime=1 << 3, profile="paper")
+    pk, td = lwe.gen(params, seed=62)
+    assert td.gadget is not None
+    rng = _rng(62)
+    for _ in range(5):
+        x = lwe.sample_domain_element(params, rng)
+        assert x in lwe.invert(td, pk, lwe.f(pk, x))
+
+
+def test_param_set_rejects_moduli_above_the_int64_envelope():
+    assert paper_params(256).q == 1 << 61
+    with pytest.raises(ValueError):
+        ParamSet(n=1, q=1 << 63, m=2, mu=1, mu_prime=0, profile="paper")
+    with pytest.raises(ValueError):
+        paper_params(257)  # q = 2^66
 
 
 # ---------------------------------------------------------------------------

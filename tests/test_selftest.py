@@ -174,7 +174,7 @@ def test_blindness_fails_for_leaky_strategy():
 
 
 def test_selftest_honest_accepts():
-    res = stt.selftest_iid(stt.honest_strategy(), N=10_000, eps1=1e-9, eps2=0.05, seed=11)
+    res = stt.selftest_iid(stt.honest_strategy(), N=10_000, eps2=0.05, seed=11)
     assert res.accept
     assert res.isometry is not None
     assert min(res.isometry.fidelities) >= 1 - 1e-9
@@ -184,13 +184,13 @@ def test_selftest_shifted_strategy_aborts():
     aborts = 0
     st = stt.shifted_strategy(math.pi / 8)
     for trial in range(40):
-        res = stt.selftest_iid(st, N=10_000, eps1=1e-9, eps2=0.05, seed=derive_seed(12, trial))
+        res = stt.selftest_iid(st, N=10_000, eps2=0.05, seed=derive_seed(12, trial))
         aborts += not res.accept
     assert aborts >= 39
 
 
 def test_selftest_orthogonal_junk_aborts():
-    res = stt.selftest_iid(stt.orthogonal_junk_strategy(), N=10_000, eps1=1e-9, eps2=0.05, seed=13)
+    res = stt.selftest_iid(stt.orthogonal_junk_strategy(), N=10_000, eps2=0.05, seed=13)
     assert not res.accept
 
 

@@ -139,14 +139,36 @@ def _without(obj, field):
     return {k: v for k, v in obj.items() if k != field}
 
 
+def _key_entry(value):
+    payload = _key_payload()
+    payload["key"]["k"]["K"][0][0] = value
+    return payload
+
+
+def _key_modulus(q):
+    payload = _key_payload()
+    payload["key"]["k"]["params"]["q"] = str(q)
+    return payload
+
+
 @pytest.mark.parametrize(
     "payload",
     [
         _without(_key_payload(), "key"),
         {**_key_payload(), "key": _without(_key_payload()["key"], "k")},
         _key_payload(paper_params(4)),
+        _key_entry(str(2**70)),
+        _key_entry("-1"),
+        _key_modulus(2**63),
     ],
-    ids=["no-key-field", "key-without-k", "paper-profile-key"],
+    ids=[
+        "no-key-field",
+        "key-without-k",
+        "paper-profile-key",
+        "entry-2^70",
+        "entry-minus-1",
+        "modulus-2^63",
+    ],
 )
 def test_server_session_rejects_unusable_key(payload):
     session = wire.ServerSession(master_seed=1)
@@ -167,6 +189,42 @@ def test_server_session_rejects_malformed_test_plan(plan):
     assert set(chan.recv().payload["results"]) == {"0"}
     with pytest.raises(wire.WireError):
         chan.session.handle(wire.WireMessage("test_plan", 0, plan))
+
+
+def test_test_plan_consumes_the_merged_state():
+    chan = wire.local_session(5)
+    wire.run8_over_channel(chan, TOY_MICRO, 5, 0)
+    plan = {"indices": [0], "measurements": [3]}
+    chan.send(wire.WireMessage("test_plan", 0, plan))
+    assert set(chan.recv().payload["results"]) == {"0"}
+    assert (0, "merged") not in chan.session.held
+    with pytest.raises(wire.WireError):
+        chan.session.handle(wire.WireMessage("test_plan", 0, plan))
+
+
+@pytest.mark.parametrize("indices", [[0, 7], [0, 0]], ids=["unknown-run", "run-twice"])
+def test_rejected_test_plan_consumes_nothing(indices):
+    chan = wire.local_session(5)
+    wire.run8_over_channel(chan, TOY_MICRO, 5, 0)
+    plan = {"indices": indices, "measurements": [3, 3]}
+    with pytest.raises(wire.WireError):
+        chan.session.handle(wire.WireMessage("test_plan", 0, plan))
+    assert (0, "merged") in chan.session.held
+
+
+def test_test_outcome_depends_only_on_its_run():
+    together, apart = wire.local_session(8), wire.local_session(8)
+    for chan in (together, apart):
+        for run_id in range(4):
+            wire.run8_over_channel(chan, TOY_MICRO, 8, run_id)
+    plan = {"indices": [0, 1, 2, 3], "measurements": [1, 2, 5, 6]}
+    joint = together.session.handle(wire.WireMessage("test_plan", 0, plan))[0].payload["results"]
+    single = {}
+    for run_id, m_idx in zip(plan["indices"], plan["measurements"]):
+        one = {"indices": [run_id], "measurements": [m_idx]}
+        (reply,) = apart.session.handle(wire.WireMessage("test_plan", 9, one))
+        single.update(reply.payload["results"])
+    assert joint == single
 
 
 def test_server_session_holds_a_bounded_number_of_runs():
@@ -324,6 +382,21 @@ def test_transcript_non_binary_record_structured_error(tmp_path):
     res = p4.run_protocol4(TOY_MICRO, 36)
     body = transcripts.run4_record(res, 0, 36)
     body["b"] = body["b"][:-1] + "2"
+    with transcripts.TranscriptWriter(path) as w:
+        w.append(body)
+    with pytest.raises(transcripts.TranscriptError):
+        transcripts.replay(path)
+
+
+@pytest.mark.parametrize("part", ["key_msg", "trapdoor"])
+def test_transcript_unparsable_key_structured_error(tmp_path, part):
+    path = tmp_path / "runs.jsonl"
+    res = p4.run_protocol4(TOY_MICRO, 36)
+    body = transcripts.run4_record(res, 0, 36)
+    if part == "key_msg":
+        body["key_msg"]["k"]["K"][0][0] = str(2**70)
+    else:
+        body["trapdoor"]["t"]["z0"] = None
     with transcripts.TranscriptWriter(path) as w:
         w.append(body)
     with pytest.raises(transcripts.TranscriptError):
