@@ -33,7 +33,7 @@ from . import lwe
 from . import protocol4 as p4
 from .params import ParamSet
 from .seeds import derive_seed
-from .sim import QubitDescription, StateVector, xy_plane
+from .sim import ATOL, QubitDescription, StateVector, top_qubit_rows, xy_plane
 
 BB84_SET = {
     (0, 0): QubitDescription.computational(0),
@@ -113,20 +113,13 @@ def gad_xor_branches(states):
     """Exhaustive (s-bits, probability, out) enumeration for t <= 4 inputs."""
     states = list(states)
     t = len(states)
-    base = _gad_state(states)
-    for qb in range(2 * t):
-        base.h(qb)
+    rows = top_qubit_rows(_gad_state(states), 0.0)
     out = []
-    for outcome in range(1 << (2 * t)):
-        sv = StateVector(2 * t + 1)
-        sv.amps = base.amps.copy()
-        bits = tuple((outcome >> j) & 1 for j in range(2 * t))
-        try:
-            prob = sv.postselect(list(range(2 * t)), bits)
-        except ValueError:
-            continue
-        s_pairs = [(bits[2 * i], bits[2 * i + 1]) for i in range(t)]
-        out.append((s_pairs, prob, QubitDescription(sv.qubit_state(2 * t))))
+    for outcome, row in enumerate(rows):
+        prob = float(np.vdot(row, row).real)
+        if prob > ATOL:
+            s_pairs = [((outcome >> 2 * i) & 1, (outcome >> (2 * i + 1)) & 1) for i in range(t)]
+            out.append((s_pairs, prob, QubitDescription(row)))
     return out
 
 

@@ -152,14 +152,24 @@ def cmd_run_verifiable(args) -> int:
     return 0
 
 
+def _strategy_file(path: str) -> stt.Strategy:
+    """The strategy in a JSON file: states as rows of [re, im] pairs and
+    observables as matrices of them."""
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    states = np.array([[complex(re, im) for re, im in row] for row in obj["states"]])
+    observables = np.array(
+        [[[complex(re, im) for re, im in row] for row in mat] for mat in obj["observables"]]
+    )
+    return stt.Strategy(states=states, observables=observables)
+
+
 def cmd_selftest(args) -> int:
     if args.strategy:
-        obj = json.loads(Path(args.strategy).read_text(encoding="utf-8"))
-        states = np.array([[complex(re, im) for re, im in row] for row in obj["states"]])
-        observables = np.array(
-            [[[complex(re, im) for re, im in row] for row in mat] for mat in obj["observables"]]
-        )
-        strategy = stt.Strategy(states=states, observables=observables)
+        try:
+            strategy = _strategy_file(args.strategy)
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            print(f"qfactory selftest: bad strategy file {args.strategy}: {exc!r}", file=sys.stderr)
+            return 2
     else:
         strategy = stt.honest_strategy()
     res = stt.selftest_iid(strategy, N=args.N, eps2=args.eps2, seed=args.seed)

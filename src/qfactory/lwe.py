@@ -90,13 +90,6 @@ def e_range(params: ParamSet) -> tuple[int, int]:
     return -params.mu, min(box - 1, params.mu)
 
 
-def _centered(params: ParamSet, vec: np.ndarray) -> np.ndarray:
-    """Map mod-q values to representatives in [-q/2, q/2)."""
-    q = params.q
-    v = np.asarray(vec) % q
-    return np.where(v >= q // 2, v - q, v)
-
-
 # ---------------------------------------------------------------------------
 # the function family
 
@@ -320,38 +313,25 @@ def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
 # inversion
 
 
-def _bar_invert_gadget(td: Trapdoor, pk: PublicKey, target: np.ndarray) -> list[tuple[int, ...]]:
-    """Decode s from target ~ K s + e using the gadget columns.
+def _gadget_decode(gd: GadgetData, params: ParamSet, targets: np.ndarray) -> np.ndarray:
+    """(n, 4) array whose column k is the s decoded from row k of `targets`.
 
-    Per coordinate, column (j, l) holds s_j * 2^l + err mod q.  Bits of s_j
-    are peeled least-significant first from the highest-level column down,
-    subtracting the known low bits at each step.  The decision threshold uses
-    the exact per-column error interval, so decoding is exact whenever the
-    interval spans less than q/2 (enforced at gen time).
+    Per coordinate, gadget column (j, l) holds s_j * 2^l + err mod q.  Bits
+    of s_j are peeled least-significant first from the highest-level column
+    down, subtracting the known low bits at each step.  The decision
+    threshold uses the exact per-column error interval, so decoding is exact
+    whenever the interval spans less than q/2 (enforced at gen time).
     """
-    params = pk.params
-    q = params.q
-    w = params.n * params.ell_q
-    m_bar = params.m - w
-    gd = td.gadget
-    assert gd is not None
-    top = target[:m_bar]
-    low = target[m_bar:]
-    if m_bar > 0:
-        u = (low + gd.R.T @ top) % q
-    else:
-        u = low % q
-    s = []
-    for j in range(params.n):
-        sj = 0
-        for k in range(params.ell_q):
-            level = params.ell_q - 1 - k
-            col = j * params.ell_q + level
-            val = (int(u[col]) - sj * (1 << level) - int(gd.err_lo[col])) % q
-            bit = 1 if val >= q // 2 else 0
-            sj += bit << k
-        s.append(sj)
-    return [tuple(s)]
+    q, n, ell = params.q, params.n, params.ell_q
+    m_bar = params.m - n * ell
+    u = ((targets[:, m_bar:] + targets[:, :m_bar] @ gd.R) % q).reshape(len(targets), n, ell)
+    err_lo = gd.err_lo.reshape(n, ell)
+    s = np.zeros(u.shape[:2], dtype=np.int64)
+    for k in range(ell):
+        level = ell - 1 - k
+        val = (u[:, :, level] - (s << level) - err_lo[:, level]) % q
+        s |= (val >= q // 2).astype(np.int64) << k
+    return s.T
 
 
 @functools.lru_cache(maxsize=None)
@@ -362,22 +342,6 @@ def _s_grid(q: int, n: int) -> np.ndarray:
     return grid
 
 
-def _bar_invert_enum(
-    pk: PublicKey, targets: np.ndarray, lo: int, hi: int
-) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Scan s over Z_q^n for each row of `targets`: every (row, s, e) whose
-    noise e = target - K s (centred) lies in [lo, hi] on every coordinate."""
-    params = pk.params
-    grid = _s_grid(params.q, params.n)
-    # [lo, hi] sits inside [-q/2, q/2), so e is in it iff (e - lo) mod q <= hi - lo
-    u = (targets[:, :, None] - lo - pk.K @ grid) % params.q
-    rows, cols = np.nonzero(u.max(axis=1) <= hi - lo)
-    return [
-        (k, tuple(grid[:, j].tolist()), tuple((u[k, :, j] + lo).tolist()))
-        for k, j in zip(rows.tolist(), cols.tolist())
-    ]
-
-
 def _sector_targets(pk: PublicKey, y: np.ndarray) -> np.ndarray:
     """(4, m) array whose row 2c + d is y - c y0 - d v mod q."""
     q = pk.params.q
@@ -386,53 +350,72 @@ def _sector_targets(pk: PublicKey, y: np.ndarray) -> np.ndarray:
     return targets % q
 
 
-def invert(td: Trapdoor, pk: PublicKey, y) -> tuple[DomainElement, ...]:
-    """All valid preimages of y under f (0, 1 or 2 of them).
+def _sector_hits(
+    pk: PublicKey, y: np.ndarray, lo: int, hi: int, gadget: GadgetData | None = None
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The preimage rule: every (k, s, e) with f(s, e, d, c) = y, k = 2c + d,
+    and every noise coordinate in [lo, hi], in order of k.
 
-    Sectors (c, d) are scanned in lexicographic order; a decode failure in a
-    sector simply contributes nothing.  Every candidate is re-verified through
-    f before being accepted, and the result is sorted by encoded bit-string.
+    Sector k's target t = y - c y0 - d v mod q is matched as t = K s + e: the
+    candidate s are the gadget decode of t (with a trapdoor) or every s in
+    Z_q^n (the enumeration scan), and e = t - K s is built from the target, so
+    f(x) = y holds by construction and only the range of e is checked.
+    """
+    params = pk.params
+    targets = _sector_targets(pk, y)
+    if gadget is None:
+        cands, tried = _s_grid(params.q, params.n), True  # every s in every sector
+    else:
+        # column k is sector k's own decode; it is tried only there
+        cands, tried = _gadget_decode(gadget, params, targets), np.eye(4, dtype=bool)
+    # [lo, hi] sits inside [-q/2, q/2), so e is in it iff (e - lo) mod q <= hi - lo
+    u = (targets[:, :, None] - lo - pk.K @ cands) % params.q
+    ks, js = np.nonzero((u.max(axis=1) <= hi - lo) & tried)
+    return [
+        (k, tuple(cands[:, j].tolist()), tuple((u[k, :, j] + lo).tolist()))
+        for k, j in zip(ks.tolist(), js.tolist())
+    ]
+
+
+def invert(td: Trapdoor, pk: PublicKey, y) -> tuple[DomainElement, ...]:
+    """All valid preimages of y under f (0, 1 or 2 of them), in sector order.
+
+    Sector (c, d) is scanned as k = 2c + d by the preimage rule of
+    `_sector_hits`: the gadget decode of its target (or, for an
+    enumeration-scale key, an s-scan), with e built from the target and
+    range-checked, so each hit is a preimage by construction.  c and d are
+    the top two bits of `encode_int`, and gen makes g injective on the
+    widened box, so there is at most one preimage per c and sector order is
+    ascending `encode_int` order.
     """
     params = pk.params
     y = _as_vec(y)
     if y.shape != (params.m,):
         raise ValueError("image length mismatch")
-    q = params.q
     lo, hi = e_range(params)
-    targets = _sector_targets(pk, y)
-    if td.gadget is not None:
-        cands = [(k, s) for k in range(4) for s in _bar_invert_gadget(td, pk, targets[k])]
-    else:
-        cands = [(k, s) for k, s, _ in _bar_invert_enum(pk, targets, lo, hi)]
-    found = []
-    for k, s in cands:
-        e = _centered(params, targets[k] - pk.K @ _as_vec(s))
-        if not (np.all(e >= lo) and np.all(e <= hi)):
-            continue
-        elem = DomainElement(s, tuple(int(x) for x in e), k & 1, k >> 1)
-        if np.array_equal(f(pk, elem) % q, y % q):
-            found.append(elem)
-    found.sort(key=lambda el: encode(params, el))
-    return tuple(found)
+    return tuple(
+        DomainElement(s, e, k & 1, k >> 1) for k, s, e in _sector_hits(pk, y, lo, hi, td.gadget)
+    )
 
 
 def register_preimages(pk: PublicKey, packed_y: int) -> list[int]:
     """Every register pattern p with ``f_bit_table(pk)[p] == packed_y``, ascending.
 
-    The closed form of the truth-table lookup, without the table.  In sector
-    (c, d) a pattern's stored noise is fixed by s: ``stored = target - K s + B
-    mod q``, and it counts only if it is below 2B = 2^ell_e on every
-    coordinate.  Since 2B <= q/2 there is at most one such value per s, so
-    the s-scan of the enumeration inverter over the whole box [-B, B-1] (not
-    only |e| <= mu, as the register holds every box pattern) finds them all.
+    The closed form of the truth-table lookup, without the table: the
+    preimage rule of `_sector_hits` with the enumeration scan over the whole
+    box [-B, B-1] (not only |e| <= mu, as the register holds every box
+    pattern).  In sector (c, d) a pattern's stored noise is fixed by s, and
+    since 2B <= q/2 there is at most one such value per s.  For a key from
+    gen the hits already come in ascending order (one per c); a key a server
+    receives may be any matrix, where one sector can hold several patterns,
+    so the patterns are sorted as integers.
     """
     params = pk.params
     check_register(params)
     if not 0 <= packed_y < 1 << (params.m * params.ell_q):
         return []
     box = params.noise_box
-    targets = _sector_targets(pk, unpack_image(params, packed_y))
-    hits = _bar_invert_enum(pk, targets, -box, box - 1)
+    hits = _sector_hits(pk, unpack_image(params, packed_y), -box, box - 1)
     return sorted(encode_int(params, DomainElement(s, e, k & 1, k >> 1)) for k, s, e in hits)
 
 
@@ -462,17 +445,13 @@ def domain_size(params: ParamSet, include_c: bool = True) -> int:
 
 def exhaustive_preimages(pk: PublicKey, y) -> tuple[DomainElement, ...]:
     """Brute-force preimage set of y; the oracle invert() is checked against."""
-    params = pk.params
-    if domain_size(params) > 1 << _ENUM_CAP_BITS:
-        raise ValueError("domain too large for exhaustive enumeration")
-    y = _as_vec(y) % params.q
-    out = [x for x in iter_domain(params) if np.array_equal(f(pk, x), y)]
-    out.sort(key=lambda el: encode(params, el))
-    return tuple(out)
+    y = _as_vec(y) % pk.params.q
+    return tuple(exhaustive_image_map(pk).get(tuple(y.tolist()), ()))
 
 
 def exhaustive_image_map(pk: PublicKey) -> dict[tuple[int, ...], list[DomainElement]]:
-    """Full image -> preimage-list table by forward enumeration."""
+    """Full image -> preimage-list table by forward enumeration, each list in
+    ascending `encode_int` order."""
     params = pk.params
     if domain_size(params) > 1 << _ENUM_CAP_BITS:
         raise ValueError("domain too large for exhaustive enumeration")
@@ -481,7 +460,7 @@ def exhaustive_image_map(pk: PublicKey) -> dict[tuple[int, ...], list[DomainElem
         key = tuple(int(v) for v in f(pk, x))
         table.setdefault(key, []).append(x)
     for lst in table.values():
-        lst.sort(key=lambda el: encode(params, el))
+        lst.sort(key=lambda el: encode_int(params, el))
     return table
 
 

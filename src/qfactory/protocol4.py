@@ -34,6 +34,7 @@ from .sim import (
     analytic_stage2,
     record_parity,
     sample_b,
+    top_qubit_rows,
     xy_plane,
 )
 
@@ -153,8 +154,6 @@ def _server_two_branch(key_msg: KeyMessage, seed: int) -> StrategyReply:
     theta = meas_theta(key_msg.variant)
     if len(branches) == 2:
         xb, xpb = (lwe.unpack_bits(params, v) for v in branches)
-        if xb[-1] == 1:
-            xb, xpb = xpb, xb
         b = sample_b(xb, xpb, theta, rng)
         held = analytic_stage2(xb, xpb, b, theta)
     else:
@@ -221,11 +220,6 @@ def fixed_reply_strategy(y, b) -> ServerStrategy:
 # client finalization
 
 
-def _sorted_pair(preimages):
-    by_c = {el.c: el for el in preimages}
-    return by_c[0], by_c[1]
-
-
 def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputIndex4:
     """Client-side output index of one run from the image y and the record b.
 
@@ -233,10 +227,11 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
     preimage: a computational qubit holding the hardcore bit.  Two preimages
     with equal hardcore bits: the computational state |h>, in both variants.
 
-    Two preimages with opposite hardcore bits give an equatorial state.  In
-    the plain variant the basis bit is 1 and the value bit is <b, x xor x'>.
-    The rotated variant is frozen from the theta = pi/2 oracle: the state is
-    |+_{k pi/2}> where
+    Two preimages come from `lwe.invert` in sector order, z with c = 0 and
+    z' with c = 1.  With opposite hardcore bits they give an equatorial
+    state.  In the plain variant the basis bit is 1 and the value bit is
+    <b, x xor x'>.  The rotated variant is frozen from the theta = pi/2
+    oracle: the state is |+_{k pi/2}> where
     k = (2 h(z) - 1) * (wt(x') - wt(x)) + 2 <b, x xor x'>  (mod 4);
     B1' = k mod 2 selects the X or Y equatorial pair and B2' the sign.
     """
@@ -248,7 +243,7 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
         return _no_preimage_output(client, y, b, always_output)
     if len(preimages) == 1:
         return OutputIndex4(0, lwe.h(preimages[0]), SINGLE_PREIMAGE, COMPUTATIONAL)
-    z, zp = _sorted_pair(preimages)
+    z, zp = preimages
     if lwe.h(z) == lwe.h(zp):
         return OutputIndex4(0, lwe.h(z), TWO_PREIMAGES, COMPUTATIONAL)
     xb = lwe.encode(params, z)
@@ -363,11 +358,4 @@ def honest_output_table(pk: lwe.PublicKey, branch_bits: list[int], theta: float)
     records of probability zero.  Built by the statevector pipeline, so the
     client formulas can be checked against it exhaustively.
     """
-    params = pk.params
-    nbits = params.total_bits
-    sv = _stage2_state(params, branch_bits)
-    for qb in range(nbits):
-        sv.r(-theta, qb)
-        sv.h(qb)
-    flat = sv.amps
-    return np.stack([flat[: 1 << nbits], flat[1 << nbits :]], axis=1)
+    return top_qubit_rows(_stage2_state(pk.params, branch_bits), theta)

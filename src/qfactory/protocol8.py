@@ -30,7 +30,7 @@ import numpy as np
 
 from . import protocol4 as p4
 from .params import ParamSet
-from .sim import QubitDescription, StateVector, xy_plane
+from .sim import ATOL, QubitDescription, StateVector, top_qubit_rows, xy_plane
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,14 @@ def merge_gadget(
 
 def merge_branches(in1: QubitDescription, in2: QubitDescription):
     """All four (s1, s2) branches with exact probabilities; no sampling."""
+    rows = top_qubit_rows(_merge_state(in1, in2), 0.0)
     out = []
     for s1 in (0, 1):
         for s2 in (0, 1):
-            sv = _merge_state(in1, in2)
-            for qb in (0, 1):
-                sv.h(qb)
-            try:
-                prob = sv.postselect([0, 1], (s1, s2))
-            except ValueError:
-                continue
-            out.append((s1, s2, prob, QubitDescription(sv.qubit_state(2))))
+            row = rows[s1 | s2 << 1]
+            prob = float(np.vdot(row, row).real)
+            if prob > ATOL:
+                out.append((s1, s2, prob, QubitDescription(row)))
     return out
 
 

@@ -72,22 +72,24 @@ def key_to_obj(pk: PublicKey) -> dict[str, Any]:
     }
 
 
+def _zq_matrix(rows, n_rows: int, n_cols: int, q: int) -> np.ndarray:
+    """An n_rows x n_cols int64 matrix from rows of decimal strings in [0, q),
+    all checked before the array is built; else ValueError."""
+    if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == n_cols for r in rows)):
+        raise ValueError(f"expected a list of rows of {n_cols} entries")
+    flat = zq_entries([v for row in rows for v in row], n_rows * n_cols, q)
+    return np.array(flat, dtype=np.int64).reshape(n_rows, n_cols)
+
+
 def key_from_obj(obj: dict[str, Any]) -> PublicKey:
     """The public key of a key object whose K (m x n) and y0 (m) entries are
     all in [0, q); ValueError otherwise, checked before any array is built."""
     if obj.get("version") != FORMAT_VERSION:
         raise ValueError("unsupported key format version")
     params = params_from_obj(obj["k"]["params"])
-    rows = obj["k"]["K"]
-    if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == params.n for r in rows)):
-        raise ValueError(f"K must be a list of rows of {params.n} entries")
-    K = zq_entries([v for row in rows for v in row], params.m * params.n, params.q)
     y0 = zq_entries(obj["k"]["y0"], params.m, params.q)
-    return PublicKey(
-        K=np.array(K, dtype=np.int64).reshape(params.m, params.n),
-        y0=np.array(y0, dtype=np.int64),
-        params=params,
-    )
+    K = _zq_matrix(obj["k"]["K"], params.m, params.n, params.q)
+    return PublicKey(K=K, y0=np.array(y0, dtype=np.int64), params=params)
 
 
 def trapdoor_to_obj(td: Trapdoor) -> dict[str, Any]:
@@ -108,21 +110,38 @@ def trapdoor_to_obj(td: Trapdoor) -> dict[str, Any]:
     }
 
 
-def trapdoor_from_obj(obj: dict[str, Any]) -> Trapdoor:
+def _int_vec(values, length: int) -> np.ndarray:
+    if not isinstance(values, list) or len(values) != length:
+        raise ValueError(f"expected a list of {length} integers")
+    return np.array([int(v) for v in values], dtype=np.int64)
+
+
+def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
+    """The trapdoor of a trapdoor object, shaped for a key with `params`:
+    a gadget exactly when m > n*ell_q, with R an (m - n*ell_q) x n*ell_q 0/1
+    matrix and n*ell_q entries in each of err_lo and err_hi, a plant with n
+    entries of s in [0, q) and m entries of e, and d0 in {0, 1}; ValueError
+    otherwise."""
     if obj.get("version") != FORMAT_VERSION:
         raise ValueError("unsupported trapdoor format version")
     t = obj["t"]
+    w = params.n * params.ell_q
+    m_bar = params.m - w
+    if (t["gadget"] is not None) != (m_bar >= 1):
+        raise ValueError("a trapdoor has a gadget exactly when m > n*ell_q")
     gadget = None
     if t["gadget"] is not None:
         gd = t["gadget"]
         gadget = GadgetData(
-            R=np.array([[int(v) for v in row] for row in gd["R"]], dtype=np.int64),
-            err_lo=np.array([int(v) for v in gd["err_lo"]], dtype=np.int64),
-            err_hi=np.array([int(v) for v in gd["err_hi"]], dtype=np.int64),
+            R=_zq_matrix(gd["R"], m_bar, w, 2),
+            err_lo=_int_vec(gd["err_lo"], w),
+            err_hi=_int_vec(gd["err_hi"], w),
         )
+    if t["d0"] not in (0, 1):
+        raise ValueError("d0 must be 0 or 1")
     z0 = DomainElement(
-        s=tuple(int(v) for v in t["z0"]["s"]),
-        e=tuple(int(v) for v in t["z0"]["e"]),
+        s=tuple(zq_entries(t["z0"]["s"], params.n, params.q)),
+        e=tuple(_int_vec(t["z0"]["e"], params.m).tolist()),
         d=int(t["d0"]),
         c=None,
     )
@@ -135,4 +154,5 @@ def keypair_to_json(pk: PublicKey, td: Trapdoor) -> str:
 
 def keypair_from_json(text: str) -> tuple[PublicKey, Trapdoor]:
     obj = json.loads(text)
-    return key_from_obj(obj["key"]), trapdoor_from_obj(obj["trapdoor"])
+    pk = key_from_obj(obj["key"])
+    return pk, trapdoor_from_obj(obj["trapdoor"], pk.params)

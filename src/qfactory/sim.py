@@ -30,6 +30,11 @@ def _r(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, cmath.exp(1j * theta)]], dtype=complex)
 
 
+def _xy_readout(theta: float) -> np.ndarray:
+    """H R(-theta): maps the XY-plane basis at theta onto the computational one."""
+    return _H @ _r(-theta)
+
+
 @functools.lru_cache(maxsize=None)
 def _index(n: int) -> np.ndarray:
     """The read-only amplitude indices 0 .. 2^n - 1, shared per width."""
@@ -164,7 +169,7 @@ class StateVector:
         qubits = list(qubits)
         self._check(*qubits)
         if basis.kind == "xy_plane":
-            readout = _H @ _r(-basis.theta)
+            readout = _xy_readout(basis.theta)
             for qb in qubits:
                 self._apply_1q(readout, qb)
         probs = self.probabilities(qubits).reshape(-1)
@@ -212,6 +217,19 @@ class StateVector:
         if weights.sum() - np.vdot(proj, proj).real > 1e-12:
             raise ValueError("qubit is entangled with the rest of the register")
         return vec
+
+
+def top_qubit_rows(sv: StateVector, theta: float) -> np.ndarray:
+    """Read every qubit below the top one in the XY-plane basis at theta.
+
+    Applies the readout in place and returns a (2^(n-1), 2) view: row r holds
+    the top qubit's unnormalised amplitudes for the readout outcome r (bit j
+    = qubit j), so its squared norm is the outcome's probability.
+    """
+    readout = _xy_readout(theta)
+    for qb in range(sv.n - 1):
+        sv._apply_1q(readout, qb)
+    return sv.amps.reshape(2, -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -278,55 +296,39 @@ def fidelity(a, b) -> float:
 # analytic two-branch evaluation of the honest stage-2 output
 
 
-@dataclass(frozen=True)
-class TwoBranchState:
-    """The honest post-image-measurement superposition over two preimages."""
-
-    x: tuple[int, ...]
-    x_prime: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.x == self.x_prime:
-            raise ValueError("the two branches must differ")
-        if len(self.x) != len(self.x_prime):
-            raise ValueError("branch length mismatch")
-        if self.x[-1] == self.x_prime[-1]:
-            raise ValueError("branches must differ in the last bit")
-
-
 def record_parity(b: tuple[int, ...], diff: tuple[int, ...]) -> int:
     """<b, diff> mod 2: the record's parity over the positions where two branches differ."""
     return sum(bi & di for bi, di in zip(b, diff)) & 1
 
 
-def stage2_phase_exponent(x, x_prime, b, theta: float) -> complex:
-    """Relative amplitude of the x' branch after XY-plane measurements at theta."""
-    delta = sum(x_prime) - sum(x)
-    diff = tuple(a ^ bb for a, bb in zip(x, x_prime))
-    beta = record_parity(tuple(b), diff)
-    return cmath.exp(-1j * theta * delta) * (-1) ** beta
-
-
 def analytic_stage2(x, x_prime, b, theta: float):
     """Closed-form output qubit for the honest run with preimages (x, x').
 
-    The target qubit holds the next-to-last bit of each branch (the hardcore
-    bit).  Only theta in {0, pi/2} is supported.  Raises on a measurement
+    The two branches must differ, have equal length and differ in the last
+    bit.  The target qubit holds the next-to-last bit of each branch (the
+    hardcore bit).  After the XY-plane measurements at theta the x' branch
+    carries the relative amplitude exp(-i theta (wt(x') - wt(x))) (-1)^<b, x
+    xor x'>.  Only theta in {0, pi/2} is supported.  Raises on a measurement
     record b of probability zero.
     """
     if not (abs(theta) < 1e-12 or abs(theta - math.pi / 2) < 1e-12):
         raise ValueError("only theta in {0, pi/2} is supported")
     x = tuple(int(v) & 1 for v in x)
     x_prime = tuple(int(v) & 1 for v in x_prime)
-    TwoBranchState(x, x_prime)  # validation
+    if x == x_prime:
+        raise ValueError("the two branches must differ")
+    if len(x) != len(x_prime):
+        raise ValueError("branch length mismatch")
+    if x[-1] == x_prime[-1]:
+        raise ValueError("branches must differ in the last bit")
     b = tuple(int(v) & 1 for v in b)
     if len(b) != len(x):
         raise ValueError("b length mismatch")
-    hz, hzp = x[-2], x_prime[-2]
-    phase = stage2_phase_exponent(x, x_prime, b, theta)
+    delta = sum(x_prime) - sum(x)
+    beta = record_parity(b, tuple(a ^ c for a, c in zip(x, x_prime)))
     amps = np.zeros(2, dtype=complex)
-    amps[hz] += 1.0
-    amps[hzp] += phase
+    amps[x[-2]] += 1.0
+    amps[x_prime[-2]] += cmath.exp(-1j * theta * delta) * (-1) ** beta
     if np.linalg.norm(amps) < 1e-9:
         raise ValueError("measurement record has probability zero")
     return QubitDescription(amps)

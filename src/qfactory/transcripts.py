@@ -135,7 +135,7 @@ def replay(path) -> ReplayReport:
             pk = serde.key_from_obj(body["key_msg"])
             client = p4.ClientState4(
                 pk=pk,
-                trapdoor=serde.trapdoor_from_obj(body["trapdoor"]),
+                trapdoor=serde.trapdoor_from_obj(body["trapdoor"], pk.params),
                 params=pk.params,
                 variant=body["variant"],
                 seed=int(body["seeds"]["run"]),

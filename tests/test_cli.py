@@ -96,6 +96,23 @@ def test_selftest_with_strategy_file(capsys, tmp_path):
     assert min(rep["fidelities"]) >= 1 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", '{"states": [[1, 0]]}', '{"states": []}', "[1]"],
+    ids=["missing", "not-json", "wrong-nesting", "rejected", "not-an-object"],
+)
+def test_selftest_bad_strategy_file_is_a_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "strategy.json"
+    if content is not None:
+        path.write_text(content)
+    rc = cli.main(["selftest", "--strategy", str(path), "--N", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("qfactory selftest: bad strategy file")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_oracle_check(capsys):
     rc, rep = _run(
         ["oracle-check", "--params", "toy-micro", "--seed", "7", "--trials", "120"], capsys

@@ -321,6 +321,17 @@ def test_register_preimages_match_truth_table(params, seeds):
             assert lwe.register_preimages(pk, int(v)) == want
 
 
+@pytest.mark.parametrize(
+    "params", [TOY_MICRO, TOY_GADGET, TOY_REG, TOY_WIDE], ids=["micro", "gadget", "reg", "wide"]
+)
+def test_client_and_server_agree_on_preimages_and_order(params):
+    # the client's invert and the server's register search apply one rule
+    pk, td = lwe.gen(params, seed=7)
+    for v in np.unique(lwe.f_bit_table(pk)).tolist():
+        got = [lwe.encode_int(params, el) for el in lwe.invert(td, pk, lwe.unpack_image(params, v))]
+        assert got == lwe.register_preimages(pk, v)
+
+
 def test_register_preimages_cover_the_whole_noise_box():
     # mu = 3 sits inside the box [-4, 3], so the register holds noise values
     # outside |e| <= mu; the truth table counts them, and so must the search

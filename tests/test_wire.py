@@ -6,8 +6,8 @@ import struct
 
 import pytest
 
-from qfactory import protocol4 as p4, serde, transcripts, wire
-from qfactory.params import TOY_MICRO, paper_params
+from qfactory import lwe, protocol4 as p4, serde, transcripts, wire
+from qfactory.params import TOY_GADGET, TOY_MICRO, paper_params
 from qfactory.seeds import derive_seed
 
 
@@ -401,6 +401,62 @@ def test_transcript_unparsable_key_structured_error(tmp_path, part):
         w.append(body)
     with pytest.raises(transcripts.TranscriptError):
         transcripts.replay(path)
+
+
+def _cut_err_lo(t):
+    t["gadget"]["err_lo"] = t["gadget"]["err_lo"][:1]
+
+
+def _drop_r_row(t):
+    t["gadget"]["R"] = t["gadget"]["R"][1:]
+
+
+def _r_entry_two(t):
+    t["gadget"]["R"][1][0] = "2"
+
+
+def _no_gadget(t):
+    t["gadget"] = None
+
+
+def _short_s(t):
+    t["z0"]["s"] = t["z0"]["s"][:-1]
+
+
+def _s_is_q(t):
+    t["z0"]["s"][0] = str(TOY_GADGET.q)
+
+
+def _short_e(t):
+    t["z0"]["e"] = t["z0"]["e"][:-1]
+
+
+def _d0_two(t):
+    t["d0"] = 2
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_cut_err_lo, _drop_r_row, _r_entry_two, _no_gadget, _short_s, _s_is_q, _short_e, _d0_two],
+    ids=lambda tamper: tamper.__name__.lstrip("_"),
+)
+def test_transcript_trapdoor_not_fitting_the_key_structured_error(tmp_path, tamper):
+    path = tmp_path / "runs.jsonl"
+    res = p4.run_protocol4(TOY_GADGET, 3)
+    body = transcripts.run4_record(res, 0, 3)
+    tamper(body["trapdoor"]["t"])
+    with transcripts.TranscriptWriter(path) as w:
+        w.append(body)
+    with pytest.raises(transcripts.TranscriptError):
+        transcripts.replay(path)
+
+
+def test_trapdoor_gadget_only_for_gadget_sized_keys():
+    _, td = lwe.gen(TOY_GADGET, 3)
+    obj = serde.trapdoor_to_obj(td)
+    assert serde.trapdoor_to_obj(serde.trapdoor_from_obj(obj, TOY_GADGET)) == obj
+    with pytest.raises(ValueError, match="gadget"):
+        serde.trapdoor_from_obj(obj, TOY_MICRO)
 
 
 def test_transcript_truncated_line_structured_error(tmp_path):
