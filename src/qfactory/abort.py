@@ -33,7 +33,7 @@ from . import lwe
 from . import protocol4 as p4
 from .params import ParamSet
 from .seeds import derive_seed
-from .sim import ATOL, QubitDescription, StateVector, top_qubit_rows, xy_plane
+from .sim import ATOL, QubitDescription, StateVector, cz_gadget, draw_row, top_qubit_rows
 
 BB84_SET = {
     (0, 0): QubitDescription.computational(0),
@@ -99,14 +99,8 @@ def gad_xor(states, rng: np.random.Generator):
     for st in states:
         if not any(st.approx_equal(ref, atol=1e-9) for ref in BB84_SET.values()):
             raise ValueError("input outside the BB84 set")
-    sv = _gad_state(states)
-    s_pairs = []
-    for i in range(t):
-        (s1,), _ = sv.measure([2 * i], xy_plane(0.0), rng)
-        (s2,), _ = sv.measure([2 * i + 1], xy_plane(0.0), rng)
-        s_pairs.append((s1, s2))
-    out = QubitDescription(sv.qubit_state(2 * t))
-    return s_pairs, out
+    s, out = draw_row(top_qubit_rows(_gad_state(states), 0.0), rng)
+    return [(s[2 * i], s[2 * i + 1]) for i in range(t)], out
 
 
 def gad_xor_branches(states):
@@ -124,21 +118,13 @@ def gad_xor_branches(states):
 
 
 def _gad_state(states) -> StateVector:
-    # qubit 2i = ancilla of run i, qubit 2i+1 = input i, qubit 2t = carrier;
-    # np.kron puts its first factor on the high bits, so later runs wrap the
-    # accumulated low part
+    # qubit 2i = ancilla of run i, qubit 2i+1 = input i, qubit 2t = carrier
     t = len(states)
-    sv = StateVector(2 * t + 1)
     anc = np.array([1, 1j], dtype=complex) / math.sqrt(2)
-    amps = np.array([1.0], dtype=complex)
-    for st in states:
-        amps = np.kron(np.kron(st.vec, anc), amps)
     carrier = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    sv.amps = np.kron(carrier, amps)
-    for i in range(t):
-        sv.cz(2 * i, 2 * i + 1)
-        sv.cz(2 * i + 1, 2 * t)
-    return sv
+    vecs = [v for st in states for v in (anc, st.vec)] + [carrier]
+    edges = [e for i in range(t) for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * t))]
+    return cz_gadget(vecs, edges)
 
 
 def combine_bits(records, s_pairs) -> tuple[int, int]:

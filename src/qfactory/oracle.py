@@ -26,7 +26,6 @@ class OracleReport:
     register_images_checked: int
     formula_failures: int
     formula_cases: int
-    tv_y_marginal: float
     tv_outputs: float
     samples: int
     corrupted_trapdoor_detected: bool
@@ -118,22 +117,17 @@ def _formula_regressions(params: ParamSet, seed: int) -> tuple[int, int]:
     return failures, cases
 
 
-def _backend_tv(params: ParamSet, samples: int, seed: int) -> tuple[float, float]:
-    """Sampled agreement of the two backends on the y marginal and on the
-    coarse (acceptance, index, family) output statistic."""
+def _backend_tv(params: ParamSet, samples: int, seed: int) -> float:
+    """Sampled agreement of the two backends on the coarse (acceptance,
+    index, family) output statistic."""
     client, key_msg = p4.client_init(params, p4.PLAIN, derive_seed(seed, "tvk"))
-    y_counts = {"statevector": Counter(), "two_branch": Counter()}
-    o_counts = {"statevector": Counter(), "two_branch": Counter()}
-    for backend in ("statevector", "two_branch"):
+    counts = {"statevector": Counter(), "two_branch": Counter()}
+    for backend in counts:
         for t in range(samples):
             reply = p4.server_honest(key_msg, backend, derive_seed(seed, backend, t))
             out = p4.finalize(client, reply.y, reply.b)
-            y_counts[backend][reply.y] += 1
-            o_counts[backend][(out.accepted, out.B1, out.B2, out.family)] += 1
-    return (
-        tv_distance(y_counts["statevector"], y_counts["two_branch"]),
-        tv_distance(o_counts["statevector"], o_counts["two_branch"]),
-    )
+            counts[backend][(out.accepted, out.B1, out.B2, out.family)] += 1
+    return tv_distance(counts["statevector"], counts["two_branch"])
 
 
 def oracle_check(params: ParamSet, trials: int, seed: int) -> OracleReport:
@@ -141,7 +135,7 @@ def oracle_check(params: ParamSet, trials: int, seed: int) -> OracleReport:
     inv_mism, inv_total = _invert_vs_enumeration(pk, td)
     reg_mism, reg_total = _register_search_vs_table(pk)
     form_fail, form_cases = _formula_regressions(params, seed)
-    tv_y, tv_out = _backend_tv(params, trials, seed)
+    tv_out = _backend_tv(params, trials, seed)
 
     # fault injection: a flipped plant bit must surface as a hardcore-identity
     # mismatch on every two-preimage image
@@ -162,7 +156,6 @@ def oracle_check(params: ParamSet, trials: int, seed: int) -> OracleReport:
         register_images_checked=reg_total,
         formula_failures=form_fail,
         formula_cases=form_cases,
-        tv_y_marginal=tv_y,
         tv_outputs=tv_out,
         samples=trials,
         corrupted_trapdoor_detected=corrupted_detected,

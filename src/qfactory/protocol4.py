@@ -27,15 +27,15 @@ from . import lwe
 from .params import ParamSet
 from .seeds import derive_seed, run_seed
 from .sim import (
-    COMPUTATIONAL as MEAS_COMPUTATIONAL,
     MAX_QUBITS,
     QubitDescription,
     StateVector,
     analytic_stage2,
+    draw_row,
     record_parity,
     sample_b,
     top_qubit_rows,
-    xy_plane,
+    xy_readout,
 )
 
 TWO_PREIMAGES = "two_preimages"
@@ -130,6 +130,10 @@ def server_honest(key_msg: KeyMessage, backend: str, seed: int) -> StrategyReply
     circuit fits under the qubit cap, and otherwise samples y classically and
     prepares the post-measurement state directly (the image measurement
     commutes with everything that follows, so the two routes agree exactly).
+    The projection route draws its record as a row of the table that
+    `honest_output_table` enumerates.  A key the backend cannot serve raises
+    ValueError: two-branch, an image with more than two preimages or two of
+    equal c; statevector, a register and target wider than `sim.MAX_QUBITS`.
     """
     if backend == "two_branch":
         return _server_two_branch(key_msg, seed)
@@ -151,6 +155,8 @@ def _server_two_branch(key_msg: KeyMessage, seed: int) -> StrategyReply:
     params = pk.params
     rng = np.random.default_rng(derive_seed(seed, "server"))
     packed_y, branches = _measured_image(pk, rng)
+    if len(branches) > 2:
+        raise ValueError(f"the image has {len(branches)} register preimages, not one or two")
     theta = meas_theta(key_msg.variant)
     if len(branches) == 2:
         xb, xpb = (lwe.unpack_bits(params, v) for v in branches)
@@ -182,7 +188,11 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
     rng = np.random.default_rng(derive_seed(seed, "server"))
     nbits = params.total_bits
     ybits = params.m * params.ell_q
+    if nbits + 1 > MAX_QUBITS:
+        raise ValueError(f"register and target exceed the {MAX_QUBITS}-qubit statevector")
+    theta = meas_theta(key_msg.variant)
     if nbits + ybits + 1 <= MAX_QUBITS:
+        # the literal circuit, the reference the projection route is tested against
         sv = StateVector(nbits + ybits + 1)
         for qb in range(nbits):
             sv.h(qb)
@@ -192,18 +202,16 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
             targets=list(range(nbits, nbits + ybits)),
         )
         # bits[i] is the outcome of the i-th listed qubit
-        ybits_out, _ = sv.measure(list(range(nbits, nbits + ybits)), MEAS_COMPUTATIONAL, rng)
+        ybits_out, _ = sv.measure(list(range(nbits, nbits + ybits)), rng)
         packed_y = sum(bit << j for j, bit in enumerate(ybits_out))
         sv.apply_function_unitary([0, 1], controls=[nbits - 2], targets=[nbits + ybits])
-        b, _ = sv.measure(list(range(nbits)), xy_plane(meas_theta(key_msg.variant)), rng)
+        b, _ = xy_readout(sv, range(nbits), theta).measure(range(nbits), rng)
         held = QubitDescription(sv.qubit_state(nbits + ybits))
-        return StrategyReply(y=_unpack_y(params, packed_y), b=tuple(b), held=held)
+        return StrategyReply(y=_unpack_y(params, packed_y), b=b, held=held)
 
-    # projection route: draw y classically, prepare the collapsed state
+    # projection route: draw y classically, then a row of honest_output_table
     packed_y, branches = _measured_image(pk, rng)
-    sv = _stage2_state(params, branches)
-    b, _ = sv.measure(list(range(nbits)), xy_plane(meas_theta(key_msg.variant)), rng)
-    held = QubitDescription(sv.qubit_state(nbits))
+    b, held = draw_row(top_qubit_rows(_stage2_state(params, branches), theta), rng)
     return StrategyReply(y=_unpack_y(params, packed_y), b=b, held=held)
 
 

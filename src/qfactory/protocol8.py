@@ -30,7 +30,7 @@ import numpy as np
 
 from . import protocol4 as p4
 from .params import ParamSet
-from .sim import ATOL, QubitDescription, StateVector, top_qubit_rows, xy_plane
+from .sim import ATOL, QubitDescription, StateVector, cz_gadget, draw_row, top_qubit_rows
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,8 @@ def merge_gadget(
     in1: QubitDescription, in2: QubitDescription, rng: np.random.Generator
 ) -> MergeResult:
     """Execute the 3-qubit merge circuit, sampling the two X-basis outcomes."""
-    sv = _merge_state(in1, in2)
-    (s1, s2), _ = sv.measure([0, 1], xy_plane(0.0), rng)
-    return MergeResult(s1=s1, s2=s2, out=QubitDescription(sv.qubit_state(2)))
+    (s1, s2), out = draw_row(top_qubit_rows(_merge_state(in1, in2), 0.0), rng)
+    return MergeResult(s1=s1, s2=s2, out=out)
 
 
 def merge_branches(in1: QubitDescription, in2: QubitDescription):
@@ -89,12 +88,8 @@ def merge_branches(in1: QubitDescription, in2: QubitDescription):
 
 def _merge_state(in1: QubitDescription, in2: QubitDescription) -> StateVector:
     # qubit 0 = ancilla |+_{pi/4}>, qubit 1 = in1, qubit 2 = in2
-    sv = StateVector(3)
     anc = np.array([1, np.exp(1j * math.pi / 4)], dtype=complex) / math.sqrt(2)
-    sv.amps = np.kron(np.kron(in2.vec, in1.vec), anc)
-    sv.cz(0, 1)
-    sv.cz(1, 2)
-    return sv
+    return cz_gadget([anc, in1.vec, in2.vec], [(0, 1), (1, 2)])
 
 
 # ---------------------------------------------------------------------------

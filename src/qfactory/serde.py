@@ -51,14 +51,17 @@ def params_to_obj(params: ParamSet) -> dict[str, Any]:
 
 
 def params_from_obj(obj: dict[str, Any]) -> ParamSet:
-    return ParamSet(
-        n=int(obj["n"]),
-        q=int(obj["q"]),
-        m=int(obj["m"]),
-        mu=int(obj["mu"]),
-        mu_prime=int(obj["mu_prime"]),
-        profile=obj["profile"],
-    )
+    """The ParamSet of n, m, mu and mu_prime given as ints (not bools), q as
+    a decimal string and profile as a str; ValueError otherwise."""
+    dims = {name: obj[name] for name in ("n", "m", "mu", "mu_prime")}
+    if any(type(v) is not int for v in dims.values()):
+        raise ValueError(f"n, m, mu and mu_prime must be integers: {dims!r}")
+    q, profile = obj["q"], obj["profile"]
+    if not (isinstance(q, str) and q.isascii() and q.isdigit()):
+        raise ValueError(f"q must be a decimal string, not {q!r}")
+    if not isinstance(profile, str):
+        raise ValueError(f"profile must be a string, not {profile!r}")
+    return ParamSet(q=int(q), profile=profile, **dims)
 
 
 def key_to_obj(pk: PublicKey) -> dict[str, Any]:

@@ -3,9 +3,18 @@ evaluator for the honest post-measurement state.
 
 Statevector indexing is little-endian: bit i of an amplitude index is qubit i,
 so qubit 0 varies fastest.  Gates mutate in place; a StateVector must stay
-confined to one worker.  Measurement sampling is inverse-CDF over outcomes in
-lexicographic order with the first listed qubit most significant, which keeps
-transcripts reproducible.
+confined to one worker.
+
+There is one XY-plane readout, `xy_readout`: a fused H R(-theta) gate per
+qubit, after which a computational readout reads the XY-plane basis.
+`top_qubit_rows` applies it to every qubit below the top one and returns the
+top qubit's amplitudes per outcome.  Exhaustive sweeps enumerate those rows
+and sampled runs draw one with `draw_row`.
+
+Sampling order: every draw, by `draw_row` and by the computational
+`StateVector.measure` alike, goes through `_draw`, an inverse CDF over
+outcomes in lexicographic order with the first qubit most significant, one
+uniform variate per draw.  This keeps transcripts reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,38 +38,12 @@ def _r(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, cmath.exp(1j * theta)]], dtype=complex)
 
 
-def _xy_readout(theta: float) -> np.ndarray:
-    """H R(-theta): maps the XY-plane basis at theta onto the computational one."""
-    return _H @ _r(-theta)
-
-
 @functools.lru_cache(maxsize=None)
 def _index(n: int) -> np.ndarray:
     """The read-only amplitude indices 0 .. 2^n - 1, shared per width."""
     idx = np.arange(1 << n, dtype=np.int64)
     idx.flags.writeable = False
     return idx
-
-
-@dataclass(frozen=True)
-class MeasBasis:
-    """computational, or the XY-plane basis {(|0> +- e^{i theta}|1>)/sqrt(2)}."""
-
-    kind: str  # "computational" | "xy_plane"
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("computational", "xy_plane"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if not 0.0 <= self.theta < 2 * math.pi:
-            raise ValueError("theta must lie in [0, 2*pi)")
-
-
-COMPUTATIONAL = MeasBasis("computational")
-
-
-def xy_plane(theta: float) -> MeasBasis:
-    return MeasBasis("xy_plane", theta % (2 * math.pi))
 
 
 class StateVector:
@@ -157,30 +139,13 @@ class StateVector:
         order = [sorted(keep).index(ax) for ax in keep]
         return np.transpose(p, axes=order)
 
-    def measure(self, qubits, basis: MeasBasis, rng: np.random.Generator):
-        """Measure the listed qubits; returns (bits, probability).
-
-        XY-plane measurement is realized as one fused H R(-theta) gate per
-        qubit, then a computational readout; measured qubits are left
-        collapsed in that rotated frame.  The outcome is drawn by inverse CDF
-        over outcomes in lexicographic order, first listed qubit most
-        significant.
-        """
+    def measure(self, qubits, rng: np.random.Generator):
+        """Measure the listed qubits in the computational basis, drawn by
+        `_draw`; returns (bits, probability) and leaves the state collapsed."""
         qubits = list(qubits)
         self._check(*qubits)
-        if basis.kind == "xy_plane":
-            readout = _xy_readout(basis.theta)
-            for qb in qubits:
-                self._apply_1q(readout, qb)
-        probs = self.probabilities(qubits).reshape(-1)
-        cdf = np.cumsum(probs)
-        u = rng.random()
-        outcome = int(np.searchsorted(cdf, u, side="right"))
-        outcome = min(outcome, len(probs) - 1)
-        k = len(qubits)
-        bits = tuple((outcome >> (k - 1 - i)) & 1 for i in range(k))
-        prob = self.postselect(qubits, bits)
-        return bits, prob
+        bits = _draw(self.probabilities(qubits), rng)
+        return bits, self.postselect(qubits, bits)
 
     def postselect(self, qubits, bits) -> float:
         """Project onto the given computational outcome; returns its probability."""
@@ -219,6 +184,17 @@ class StateVector:
         return vec
 
 
+def xy_readout(sv: StateVector, qubits, theta: float) -> StateVector:
+    """Rotate the XY-plane basis at theta onto the computational one on each
+    listed qubit, by one fused H R(-theta) gate per qubit, in place."""
+    qubits = list(qubits)
+    sv._check(*qubits)
+    readout = _H @ _r(-theta)
+    for qb in qubits:
+        sv._apply_1q(readout, qb)
+    return sv
+
+
 def top_qubit_rows(sv: StateVector, theta: float) -> np.ndarray:
     """Read every qubit below the top one in the XY-plane basis at theta.
 
@@ -226,10 +202,37 @@ def top_qubit_rows(sv: StateVector, theta: float) -> np.ndarray:
     the top qubit's unnormalised amplitudes for the readout outcome r (bit j
     = qubit j), so its squared norm is the outcome's probability.
     """
-    readout = _xy_readout(theta)
-    for qb in range(sv.n - 1):
-        sv._apply_1q(readout, qb)
-    return sv.amps.reshape(2, -1).T
+    return xy_readout(sv, range(sv.n - 1), theta).amps.reshape(2, -1).T
+
+
+def draw_row(rows: np.ndarray, rng: np.random.Generator):
+    """Sample one readout outcome from `top_qubit_rows` rows.
+
+    Returns the outcome bits (qubit 0 first) and the top qubit it leaves.
+    `_draw` takes qubit 0 as most significant, so the transpose puts the rows
+    (bit j = qubit j) in its outcome order.
+    """
+    k = len(rows).bit_length() - 1
+    bits = _draw((np.abs(rows) ** 2).sum(axis=1).reshape((2,) * k).T, rng)
+    return bits, QubitDescription(rows[sum(b << j for j, b in enumerate(bits))])
+
+
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
+    """Inverse-CDF draw from a (2,)*k outcome table, axis 0 most significant."""
+    cdf = np.cumsum(probs.reshape(-1))
+    k = len(cdf).bit_length() - 1
+    outcome = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+    return tuple((outcome >> (k - 1 - i)) & 1 for i in range(k))
+
+
+def cz_gadget(vecs, edges) -> StateVector:
+    """The product state with the complex 2-vector vecs[j] on qubit j, then a
+    CZ on each edge (a, b)."""
+    sv = StateVector(len(vecs))
+    sv.amps = functools.reduce(np.kron, vecs[::-1])  # kron's first factor takes the high bits
+    for a, b in edges:
+        sv.cz(a, b)
+    return sv
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,7 @@ class WireMessage:
     @classmethod
     def from_obj(cls, obj: dict) -> "WireMessage":
         try:
-            msg = cls(
-                kind=obj["kind"],
-                run_id=int(obj["run_id"]),
-                payload=obj["payload"],
-                version=int(obj["version"]),
-            )
+            msg = cls(obj["kind"], obj["run_id"], obj["payload"], obj["version"])
         except (KeyError, TypeError) as exc:
             raise WireError(f"malformed message: {exc}") from exc
         validate_message(msg)
@@ -108,10 +103,16 @@ def _scan_private(node: Any, path: str):
 
 
 def validate_message(msg: WireMessage):
-    if msg.version != WIRE_VERSION:
-        raise WireError(f"unsupported version {msg.version}")
-    if msg.kind not in KIND_SCHEMAS:
+    """Exact types (no bool for an int, nothing coerced), a known kind and
+    version, the kind's payload fields only, and no private field."""
+    if type(msg.version) is not int or msg.version != WIRE_VERSION:
+        raise WireError(f"unsupported version {msg.version!r}")
+    if not isinstance(msg.kind, str) or msg.kind not in KIND_SCHEMAS:
         raise WireError(f"unknown kind {msg.kind!r}")
+    if type(msg.run_id) is not int:
+        raise WireError(f"run id {msg.run_id!r} is not an integer")
+    if not isinstance(msg.payload, dict):
+        raise WireError("payload must be an object")
     extra = set(msg.payload) - KIND_SCHEMAS[msg.kind]
     if extra:
         raise WireError(f"unexpected payload fields {sorted(extra)}")
@@ -168,7 +169,8 @@ class ServerSession:
     master_seed: int
     backend: str = "two_branch"
     held: dict = field(default_factory=dict)  # (run_id, variant) -> QubitDescription
-    _runs: dict = field(default_factory=dict, init=False, repr=False)  # held run ids, oldest first
+    # held run ids, oldest first -> whether the run was merged
+    _runs: dict = field(default_factory=dict, init=False, repr=False)
 
     def handle(self, msg: WireMessage) -> list[WireMessage]:
         validate_message(msg)
@@ -178,7 +180,10 @@ class ServerSession:
                 raise WireError(f"unknown variant {variant!r}")
             key_msg = p4.KeyMessage(pk=_decode_key(msg.payload.get("key")), variant=variant)
             seed = run_seed(self.master_seed, msg.run_id, variant)
-            reply = p4.server_honest(key_msg, self.backend, seed)
+            try:
+                reply = p4.server_honest(key_msg, self.backend, seed)
+            except ValueError as exc:
+                raise WireError(f"key cannot be served: {exc}") from exc
             self._hold(msg.run_id, variant, reply.held)
             return [
                 WireMessage("image", msg.run_id, {"y": [str(int(v)) for v in reply.y]}),
@@ -189,9 +194,12 @@ class ServerSession:
             in2 = self.held.get((msg.run_id, p4.ROTATED))
             if in1 is None or in2 is None:
                 raise WireError("merge requested before both runs completed")
+            if self._runs[msg.run_id]:
+                raise WireError(f"run {msg.run_id} was already merged")
             rng = np.random.default_rng(run_seed(self.master_seed, msg.run_id, "merge"))
             res = p8.merge_gadget(in1, in2, rng)
             self._hold(msg.run_id, "merged", res.out)
+            self._runs[msg.run_id] = True
             return [WireMessage("merge", msg.run_id, {"s1": res.s1, "s2": res.s2})]
         if msg.kind == "test_plan":
             # a measurement consumes the merged state; a rejected plan consumes nothing
@@ -210,7 +218,7 @@ class ServerSession:
 
     def _hold(self, run_id: int, tag: str, state: QubitDescription):
         """Keep a run's state; past MAX_HELD_RUNS runs, drop the oldest run's."""
-        self._runs.setdefault(run_id)
+        self._runs.setdefault(run_id, False)
         if len(self._runs) > MAX_HELD_RUNS:
             oldest = next(iter(self._runs))
             del self._runs[oldest]

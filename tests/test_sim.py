@@ -8,14 +8,15 @@ import pytest
 from qfactory import lwe
 from qfactory.params import TOY_MICRO
 from qfactory.sim import (
-    COMPUTATIONAL,
     QubitDescription,
     StateVector,
     analytic_stage2,
+    draw_row,
     fidelity,
     sample_b,
     stage2_b_support,
-    xy_plane,
+    top_qubit_rows,
+    xy_readout,
 )
 
 SQ2 = 1 / math.sqrt(2)
@@ -109,19 +110,52 @@ def test_1q_gate_matches_reference_in_place(n, gate):
         assert np.max(np.abs(sv.amps - expect)) <= 1e-12
 
 
+def _split_readout(sv, theta, qubits=None):
+    """The reference XY-plane readout: R(-theta) then H on each listed qubit,
+    by default every qubit below the top."""
+    for qb in range(sv.n - 1) if qubits is None else qubits:
+        sv.r(-theta, qb).h(qb)
+    return sv
+
+
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2, 1.3])
 def test_xy_readout_matches_r_then_h(theta):
-    n, measured = 6, [4, 0, 2, 5]
+    n, listed = 6, [4, 0, 2, 5]
     fused = _random_state(n, np.random.default_rng(9))
     split = StateVector(n)
     split.amps = fused.amps.copy()
-    for qb in measured:
-        split.r(-theta, qb).h(qb)
-    bits, prob = fused.measure(measured, xy_plane(theta), np.random.default_rng(10))
-    split_bits, split_prob = split.measure(measured, COMPUTATIONAL, np.random.default_rng(10))
-    assert bits == split_bits
-    assert prob == pytest.approx(split_prob, abs=1e-12)
+    assert xy_readout(fused, listed, theta) is fused
+    _split_readout(split, theta, listed)
     assert np.max(np.abs(fused.amps - split.amps)) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, 1.3])
+def test_top_qubit_rows_is_a_view_of_the_readout(theta):
+    fused = _random_state(6, np.random.default_rng(9))
+    split = StateVector(6)
+    split.amps = fused.amps.copy()
+    rows = top_qubit_rows(fused, theta)
+    _split_readout(split, theta)
+    assert np.max(np.abs(fused.amps - split.amps)) <= 1e-12
+    assert np.shares_memory(rows, fused.amps)
+    assert np.max(np.abs(rows[0b10110] - split.amps[[0b010110, 0b110110]])) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, 1.3], ids=["0", "pi/2", "1.3"])
+@pytest.mark.parametrize("n", range(2, 15))
+def test_draw_row_matches_measure_reference(n, theta):
+    """draw_row on the rows equals split gates, a computational measure of
+    every qubit below the top and qubit_state, draw for draw."""
+    rng = np.random.default_rng(100 + n)
+    for seed in range(3):
+        fused = _random_state(n, rng)
+        split = StateVector(n)
+        split.amps = fused.amps.copy()
+        bits, out = draw_row(top_qubit_rows(fused, theta), np.random.default_rng(seed))
+        _split_readout(split, theta)
+        want, _ = split.measure(range(n - 1), np.random.default_rng(seed))
+        assert bits == want
+        assert fidelity(out, split.qubit_state(n - 1)) >= 1 - 1e-9
 
 
 def test_function_unitary_identity_is_cnot():
@@ -173,28 +207,30 @@ def test_measure_plus_computational():
     counts = [0, 0]
     for _ in range(200):
         sv = StateVector(1).h(0)
-        bits, prob = sv.measure([0], COMPUTATIONAL, rng)
+        bits, prob = sv.measure([0], rng)
         assert prob == pytest.approx(0.5)
         counts[bits[0]] += 1
     assert counts[0] > 60 and counts[1] > 60
 
 
 def test_measure_plus_in_its_own_basis():
-    rng = np.random.default_rng(4)
-    sv = StateVector(1).h(0)
-    bits, prob = sv.measure([0], xy_plane(0.0), rng)
-    assert bits == (0,)
-    assert prob == pytest.approx(1.0)
+    # |+> on qubit 0 reads 0 in the X basis and leaves the top qubit untouched
+    for seed in range(20):
+        sv = StateVector(2).h(0).x(1)
+        bits, out = draw_row(top_qubit_rows(sv, 0.0), np.random.default_rng(seed))
+        assert bits == (0,)
+        assert out.approx_equal(QubitDescription.computational(1))
 
 
 def test_measure_deterministic_given_seed():
     def run(seed):
         rng = np.random.default_rng(seed)
-        sv = StateVector(4)
+        sv = StateVector(5)
         for qb in range(4):
             sv.h(qb)
-        sv.cz(0, 1).cz(2, 3)
-        return sv.measure([0, 1, 2, 3], xy_plane(math.pi / 2), rng)
+        sv.cz(0, 1).cz(2, 3).cz(3, 4)
+        bits, out = draw_row(top_qubit_rows(sv, math.pi / 2), rng)
+        return bits, out.vec.tolist()
 
     assert run(77) == run(77)
 

@@ -4,10 +4,11 @@ import json
 import socket
 import struct
 
+import numpy as np
 import pytest
 
 from qfactory import lwe, protocol4 as p4, serde, transcripts, wire
-from qfactory.params import TOY_GADGET, TOY_MICRO, paper_params
+from qfactory.params import TOY_GADGET, TOY_MICRO, ParamSet, paper_params
 from qfactory.seeds import derive_seed
 
 
@@ -37,6 +38,48 @@ def test_version_mismatch_rejected():
         wire.WireMessage.from_obj(
             {"version": 99, "kind": "image", "run_id": 0, "payload": {"y": []}}
         )
+
+
+_FRAME = {"version": 1, "kind": "image", "run_id": 0, "payload": {"y": []}}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("run_id", 1.9),
+        ("run_id", "7"),
+        ("run_id", True),
+        ("version", 1.5),
+        ("version", 1.0),
+        ("version", True),
+        ("kind", ["image"]),
+        ("payload", [["y", []]]),
+    ],
+    ids=[
+        "run-id-float",
+        "run-id-str",
+        "run-id-bool",
+        "version-1.5",
+        "version-1.0",
+        "version-bool",
+        "kind-list",
+        "payload-list",
+    ],
+)
+def test_message_fields_are_not_coerced(field, value):
+    with pytest.raises(wire.WireError):
+        wire.WireMessage.from_obj({**_FRAME, field: value})
+
+
+def test_negative_run_id_is_accepted():
+    assert wire.WireMessage.from_obj({**_FRAME, "run_id": -1}).run_id == -1
+
+
+@pytest.mark.parametrize("kind", ["key", "merge", "test_plan"])
+def test_server_session_rejects_non_object_payload(kind):
+    session = wire.ServerSession(master_seed=1)
+    with pytest.raises(wire.WireError, match="payload"):
+        session.handle(wire.WireMessage(kind, 0, [["indices", [0]]]))
 
 
 def test_frame_roundtrip_over_socketpair():
@@ -175,6 +218,86 @@ def test_server_session_rejects_unusable_key(payload):
     with pytest.raises(wire.WireError):
         session.handle(wire.WireMessage("key", 0, payload))
     assert session.held == {}
+
+
+_COERCED_PARAMS = [
+    ("n", 1.9),
+    ("n", True),
+    ("mu_prime", 0.5),
+    ("m", 2.0),
+    ("mu", "1"),
+    ("q", 8),
+    ("q", "8.0"),
+    ("profile", ["toy"]),
+]
+_COERCED_IDS = ["n-1.9", "n-bool", "mu_prime-0.5", "m-2.0", "mu-str", "q-int", "q-8.0", "profile-list"]
+
+
+@pytest.mark.parametrize("field, value", _COERCED_PARAMS, ids=_COERCED_IDS)
+def test_key_params_are_not_coerced(tmp_path, field, value):
+    params = serde.params_to_obj(TOY_MICRO)
+    serde.params_from_obj(params)  # the untouched object is accepted
+    with pytest.raises(ValueError):
+        serde.params_from_obj({**params, field: value})
+
+    payload = _key_payload()
+    payload["key"]["k"]["params"][field] = value
+    session = wire.ServerSession(master_seed=1)
+    with pytest.raises(wire.WireError):
+        session.handle(wire.WireMessage("key", 0, payload))
+    assert session.held == {}
+
+    path = tmp_path / "runs.jsonl"
+    body = transcripts.run4_record(p4.run_protocol4(TOY_MICRO, 36), 0, 36)
+    body["key_msg"]["k"]["params"][field] = value
+    with transcripts.TranscriptWriter(path) as w:
+        w.append(body)
+    with pytest.raises(transcripts.TranscriptError):
+        transcripts.replay(path)
+
+
+def _uniform_micro_key():
+    """A TOY_MICRO key with K and y0 uniform (the third draw of seed 0): not injective."""
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        K = rng.integers(0, TOY_MICRO.q, size=(TOY_MICRO.m, TOY_MICRO.n))
+        y0 = rng.integers(0, TOY_MICRO.q, size=TOY_MICRO.m)
+    pk = lwe.PublicKey(K=K, y0=y0, params=TOY_MICRO)
+    return {"key": serde.key_to_obj(pk), "variant": p4.PLAIN, "hardcore_tag": "x"}
+
+
+@pytest.mark.parametrize(
+    "run_id, reason",
+    [(3, "differ in the last bit"), (0, "4 register preimages")],
+    ids=["two-preimages-equal-c", "four-preimages"],
+)
+def test_two_branch_session_rejects_image_it_cannot_serve(run_id, reason):
+    session = wire.ServerSession(master_seed=0)
+    with pytest.raises(wire.WireError, match=reason):
+        session.handle(wire.WireMessage("key", run_id, _uniform_micro_key()))
+    assert session.held == {}
+
+
+def test_statevector_session_rejects_register_wider_than_the_simulator():
+    # 19 register qubits: inside the 20-qubit envelope, but 20 with the target
+    params = ParamSet(n=1, q=256, m=3, mu=4, mu_prime=0, profile="paper")
+    session = wire.ServerSession(master_seed=0, backend="statevector")
+    with pytest.raises(wire.WireError, match="statevector"):
+        session.handle(wire.WireMessage("key", 0, _key_payload(params)))
+    assert session.held == {}
+
+
+@pytest.mark.parametrize("measured", [False, True], ids=["held", "measured"])
+def test_second_merge_of_a_run_is_rejected(measured):
+    chan = wire.local_session(5)
+    wire.run8_over_channel(chan, TOY_MICRO, 5, 0)
+    plan = {"indices": [0], "measurements": [3]}
+    if measured:
+        chan.send(wire.WireMessage("test_plan", 0, plan))
+        assert set(chan.recv().payload["results"]) == {"0"}
+    with pytest.raises(wire.WireError, match="already merged"):
+        chan.session.handle(wire.WireMessage("merge", 0, {}))
+    assert ((0, "merged") in chan.session.held) is not measured
 
 
 @pytest.mark.parametrize(
