@@ -225,7 +225,11 @@ def cmd_connect(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    rep = transcripts.replay(args.file)
+    try:
+        rep = transcripts.replay(args.file)
+    except (OSError, transcripts.TranscriptError) as exc:
+        print(f"qfactory replay: {args.file}: {exc}", file=sys.stderr)
+        return 2
     _emit(
         {
             "records": rep.records,

@@ -28,6 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .params import ParamSet
+from .seeds import derive_seed
 from .stats import wilson_interval
 
 # Largest register (in s/e bits) the enumeration fallback will scan.
@@ -567,8 +568,6 @@ def _two_preimage_estimate(
 
 def regularity_estimate(params: ParamSet, trials: int, seed: int) -> Estimate:
     """Fraction of sampled inputs whose image has exactly two preimages."""
-    from .seeds import derive_seed
-
     def draw(t: int):
         pk, td = gen(params, derive_seed(seed, "regularity", t))
         return pk, td, np.random.default_rng(derive_seed(seed, "regularity-x", t))
@@ -586,8 +585,6 @@ def homomorphy_estimate(params: ParamSet, trials: int, seed: int) -> Estimate:
     """Probability that a fresh shift composes additively without leaving the box."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    from .seeds import derive_seed
-
     hits = 0
     for t in range(trials):
         pk, td = gen(params, derive_seed(seed, "homomorphy", t))
@@ -635,8 +632,6 @@ class GameResult:
 def hardcore_game(adversary: Adversary, params: ParamSet, trials: int, seed: int) -> GameResult:
     """Guess d0 from (K, y0).  The trapdoor is passed only so white-box
     baselines can be expressed; honest adversaries must ignore it."""
-    from .seeds import derive_seed
-
     wins = 0
     for t in range(trials):
         pk, td = gen(params, derive_seed(seed, "hardcore", t))

@@ -6,8 +6,9 @@ fresh environment can be validated from the command line.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -68,13 +69,7 @@ def _formula_regressions(params: ParamSet, seed: int) -> tuple[int, int]:
     failures = 0
     cases = 0
     client_p, _ = p4.client_init(params, p4.PLAIN, derive_seed(seed, "fp"))
-    client_r = p4.ClientState4(
-        pk=client_p.pk,
-        trapdoor=client_p.trapdoor,
-        params=params,
-        variant=p4.ROTATED,
-        seed=client_p.seed,
-    )
+    client_r = replace(client_p, variant=p4.ROTATED)
     table = lwe.f_bit_table(client_p.pk)
     nbits = params.total_bits
     rng = np.random.default_rng(derive_seed(seed, "fy"))
@@ -92,18 +87,15 @@ def _formula_regressions(params: ParamSet, seed: int) -> tuple[int, int]:
                 cases += 1
                 if fidelity(out.qubit(), col) < 1 - 1e-9:
                     failures += 1
-    # merge sweep
-    for B1 in (0, 1):
-        for B2 in (0, 1):
-            for B1p in (0, 1):
-                for B2p in (0, 1):
-                    in1 = QubitDescription.bb84(B1, B2)
-                    in2 = QubitDescription.eight(2 * B1p + 4 * B2p)
-                    for s1, s2, _, out in p8.merge_branches(in1, in2):
-                        cases += 1
-                        want = p8.compute_L(B1, B2, B1p, B2p, s1, s2).qubit()
-                        if fidelity(out, want) < 1 - 1e-9:
-                            failures += 1
+    # merge sweep: the client's run8 rule on every BB84 and equatorial input pair
+    for B1, B2, B1p, B2p in itertools.product((0, 1), repeat=4):
+        in1, in2 = QubitDescription.bb84(B1, B2), QubitDescription.eight(2 * B1p + 4 * B2p)
+        out1 = p4.OutputIndex4(B1, B2, p4.TWO_PREIMAGES, (p4.COMPUTATIONAL, p4.PAULI_X)[B1])
+        out2 = p4.OutputIndex4(B1p, B2p, p4.TWO_PREIMAGES, (p4.PAULI_X, p4.PAULI_Y)[B1p])
+        for s1, s2, _, out in p8.merge_branches(in1, in2):
+            cases += 1
+            if fidelity(out, p8.eight_index(out1, out2, s1, s2).qubit()) < 1 - 1e-9:
+                failures += 1
     # combine sweep at t = 2
     for combo in range(16):
         bits = [((combo >> 1) & 1, combo & 1), ((combo >> 3) & 1, (combo >> 2) & 1)]

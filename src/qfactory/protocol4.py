@@ -88,7 +88,6 @@ class OutputIndex4:
 class ClientState4:
     pk: lwe.PublicKey
     trapdoor: lwe.Trapdoor
-    params: ParamSet
     variant: str
     seed: int
 
@@ -103,15 +102,21 @@ class StrategyReply:
 ServerStrategy = Callable[[KeyMessage, np.random.Generator], StrategyReply]
 
 
+def check_variant(variant) -> str:
+    """`variant` if it is PLAIN or ROTATED; ValueError otherwise."""
+    if variant not in (PLAIN, ROTATED):
+        raise ValueError(f"unknown variant {variant!r}")
+    return variant
+
+
 def meas_theta(variant: str) -> float:
-    return 0.0 if variant == PLAIN else math.pi / 2
+    return 0.0 if check_variant(variant) == PLAIN else math.pi / 2
 
 
 def client_init(params: ParamSet, variant: str, seed: int) -> tuple[ClientState4, KeyMessage]:
-    if variant not in (PLAIN, ROTATED):
-        raise ValueError(f"unknown variant {variant!r}")
+    check_variant(variant)
     pk, td = lwe.gen(params, derive_seed(seed, "gen"))
-    client = ClientState4(pk=pk, trapdoor=td, params=params, variant=variant, seed=seed)
+    client = ClientState4(pk=pk, trapdoor=td, variant=variant, seed=seed)
     return client, KeyMessage(pk=pk, variant=variant)
 
 
@@ -229,7 +234,8 @@ def fixed_reply_strategy(y, b) -> ServerStrategy:
 
 
 def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputIndex4:
-    """Client-side output index of one run from the image y and the record b.
+    """Client-side output index of one run from the image y and the record b;
+    ValueError for an unknown variant or a malformed y or b.
 
     None: abort, or a fresh uniform pair in always-output mode.  One
     preimage: a computational qubit holding the hardcore bit.  Two preimages
@@ -243,7 +249,8 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
     k = (2 h(z) - 1) * (wt(x') - wt(x)) + 2 <b, x xor x'>  (mod 4);
     B1' = k mod 2 selects the X or Y equatorial pair and B2' the sign.
     """
-    params = client.params
+    variant = check_variant(client.variant)
+    params = client.pk.params
     y = _check_y(params, y)
     b = _check_b(params, b)
     preimages = lwe.invert(client.trapdoor, client.pk, y)
@@ -257,7 +264,7 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
     xb = lwe.encode(params, z)
     xpb = lwe.encode(params, zp)
     beta = record_parity(b, tuple(a ^ c for a, c in zip(xb, xpb)))
-    if client.variant == ROTATED:
+    if variant == ROTATED:
         delta = sum(xpb) - sum(xb)
         k = ((2 * lwe.h(z) - 1) * delta + 2 * beta) % 4
         b1 = k & 1

@@ -65,6 +65,17 @@ def compute_L(B1: int, B2: int, B1p: int, B2p: int, s1: int, s2: int) -> EightIn
     return EightIndex((l1 << 2) | (l2 << 1) | l3)
 
 
+def eight_index(
+    out1: p4.OutputIndex4, out2: p4.OutputIndex4, s1: int, s2: int
+) -> EightIndex | None:
+    """The merged qubit's index from the plain and rotated outputs and the
+    merge outcomes; None for an unusable run, whose rotated input is not
+    equatorial or whose plain run found no preimage."""
+    if out2.family not in (p4.PAULI_X, p4.PAULI_Y) or out1.accepted == p4.NO_PREIMAGE:
+        return None
+    return compute_L(out1.B1, out1.B2, out2.B1, out2.B2, s1, s2)
+
+
 def merge_gadget(
     in1: QubitDescription, in2: QubitDescription, rng: np.random.Generator
 ) -> MergeResult:
@@ -98,13 +109,16 @@ def _merge_state(in1: QubitDescription, in2: QubitDescription) -> StateVector:
 
 @dataclass(frozen=True)
 class Protocol8Result:
-    index: EightIndex | None
-    usable: bool
+    index: EightIndex | None  # None for an unusable run
     run1: p4.Protocol4Result
     run2: p4.Protocol4Result
     s1: int
     s2: int
     held: QubitDescription | None
+
+    @property
+    def usable(self) -> bool:
+        return self.index is not None
 
 
 def run_protocol8(params: ParamSet, seed: int, backend: str = "two_branch") -> Protocol8Result:

@@ -152,9 +152,7 @@ def _pauli_xy(theta: float) -> np.ndarray:
 
 
 def honest_strategy() -> Strategy:
-    states = np.stack([QubitDescription.eight(L).vec for L in range(8)])
-    obs = np.stack([_pauli_xy(M * math.pi / 4) for M in range(8)])
-    return Strategy(states=states, observables=obs)
+    return shifted_strategy(0.0)
 
 
 def shifted_strategy(delta: float) -> Strategy:
@@ -169,10 +167,7 @@ def phi_family_strategy(phi: float, dim: int = 2) -> Strategy:
     with observables built from the family's own orthogonal pairs."""
     if dim < 2:
         raise ValueError("need dim >= 2")
-    u0 = np.zeros(dim, dtype=complex)
-    u1 = np.zeros(dim, dtype=complex)
-    u0[0] = 1.0
-    u1[1] = 1.0
+    u0, u1 = np.eye(dim, dtype=complex)[:2]
     states = np.stack(
         [
             math.cos(L * math.pi / 8) * u0 + cmath.exp(1j * phi) * math.sin(L * math.pi / 8) * u1
@@ -225,9 +220,7 @@ def orthogonal_junk_strategy() -> Strategy:
     """One state replaced by something orthogonal to the honest plane."""
     base = conjugated_strategy(np.eye(4))
     states = base.states.copy()
-    bad = np.zeros(4, dtype=complex)
-    bad[3] = 1.0
-    states[3] = bad
+    states[3] = np.eye(4)[3]
     return Strategy(states=states, observables=base.observables)
 
 
@@ -296,10 +289,7 @@ def blindness_check(strategy: Strategy, eps1: float) -> tuple[bool, float]:
         psi = strategy.states[L]
         psi2 = strategy.states[L ^ 4]
         rhos.append(np.outer(psi, psi.conj()) + np.outer(psi2, psi2.conj()))
-    worst = 0.0
-    for i in range(8):
-        for j in range(8):
-            worst = max(worst, 0.5 * np.abs(np.linalg.eigvalsh(rhos[i] - rhos[j])).sum())
+    worst = max(trace_distance(rhos[i], rhos[j]) for i in range(8) for j in range(i + 1, 8))
     return worst <= eps1, worst
 
 

@@ -39,6 +39,21 @@ def zq_entries(values, length: int, q: int) -> list[int]:
     return ints
 
 
+def record_bits(text, length: int) -> tuple[int, ...]:
+    """A measurement record of exactly `length` characters from {0, 1}, as
+    bits; ValueError otherwise."""
+    if not isinstance(text, str) or len(text) != length or not set(text) <= {"0", "1"}:
+        raise ValueError(f"record must be exactly {length} characters from {{0, 1}}")
+    return tuple(map(int, text))
+
+
+def bit(value, name: str) -> int:
+    """`value` if it is the int 0 or 1 (a bool does not count); else ValueError."""
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"{name} must be the integer 0 or 1, not {value!r}")
+    return value
+
+
 def params_to_obj(params: ParamSet) -> dict[str, Any]:
     return {
         "n": params.n,
@@ -87,7 +102,7 @@ def _zq_matrix(rows, n_rows: int, n_cols: int, q: int) -> np.ndarray:
 def key_from_obj(obj: dict[str, Any]) -> PublicKey:
     """The public key of a key object whose K (m x n) and y0 (m) entries are
     all in [0, q); ValueError otherwise, checked before any array is built."""
-    if obj.get("version") != FORMAT_VERSION:
+    if type(obj.get("version")) is not int or obj["version"] != FORMAT_VERSION:
         raise ValueError("unsupported key format version")
     params = params_from_obj(obj["k"]["params"])
     y0 = zq_entries(obj["k"]["y0"], params.m, params.q)
@@ -114,8 +129,11 @@ def trapdoor_to_obj(td: Trapdoor) -> dict[str, Any]:
 
 
 def _int_vec(values, length: int) -> np.ndarray:
-    if not isinstance(values, list) or len(values) != length:
-        raise ValueError(f"expected a list of {length} integers")
+    """A list of `length` signed decimal strings, as int64; else ValueError."""
+    if not (isinstance(values, list) and len(values) == length) or not all(
+        isinstance(v, str) and v.isascii() and v.removeprefix("-").isdigit() for v in values
+    ):
+        raise ValueError(f"expected a list of {length} signed decimal strings")
     return np.array([int(v) for v in values], dtype=np.int64)
 
 
@@ -125,7 +143,7 @@ def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
     matrix and n*ell_q entries in each of err_lo and err_hi, a plant with n
     entries of s in [0, q) and m entries of e, and d0 in {0, 1}; ValueError
     otherwise."""
-    if obj.get("version") != FORMAT_VERSION:
+    if type(obj.get("version")) is not int or obj["version"] != FORMAT_VERSION:
         raise ValueError("unsupported trapdoor format version")
     t = obj["t"]
     w = params.n * params.ell_q
@@ -140,12 +158,10 @@ def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
             err_lo=_int_vec(gd["err_lo"], w),
             err_hi=_int_vec(gd["err_hi"], w),
         )
-    if t["d0"] not in (0, 1):
-        raise ValueError("d0 must be 0 or 1")
     z0 = DomainElement(
         s=tuple(zq_entries(t["z0"]["s"], params.n, params.q)),
         e=tuple(_int_vec(t["z0"]["e"], params.m).tolist()),
-        d=int(t["d0"]),
+        d=bit(t["d0"], "d0"),
         c=None,
     )
     return Trapdoor(gadget=gadget, z0=z0)

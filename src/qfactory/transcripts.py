@@ -1,8 +1,12 @@
 """Tamper-evident experiment records: JSON lines with a SHA-256 chain.
 
 Each line carries {"seq", "prev", "body", "hash"} where hash covers the
-previous hash and the canonical body encoding.  Replay re-derives every
-client-side index from the persisted key material and flags divergence.
+previous hash and the canonical body encoding.  Replay re-derives each
+record's client-derived fields (accepted, B1, B2, family; run8 adds usable
+and L) by the live client's rules: the `serde` readers of y, b and the merge
+outcomes, `protocol4.finalize`, `protocol8.eight_index` and the field
+builders the records are written with.  Fields are compared by type and
+value; a record not readable with its exact meaning is a TranscriptError.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import protocol4 as p4
+from . import protocol8 as p8
 from . import serde
 
 GENESIS = "0" * 64
@@ -62,15 +67,17 @@ def read_records(path) -> list[dict]:
     """Parse and verify the chain; raises TranscriptError on any break."""
     records = []
     prev = GENESIS
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
                 raise TranscriptError(f"line {lineno}: truncated or corrupt JSON") from exc
+            if not isinstance(rec, dict):
+                raise TranscriptError(f"line {lineno}: not a JSON object")
             for field in ("seq", "prev", "body", "hash"):
                 if field not in rec:
                     raise TranscriptError(f"line {lineno}: missing field {field!r}")
@@ -83,6 +90,17 @@ def read_records(path) -> list[dict]:
     return records
 
 
+def _run4_fields(out: p4.OutputIndex4) -> dict:
+    """The client-derived fields of a run4 record."""
+    return {"accepted": out.accepted, "B1": out.B1, "B2": out.B2, "family": out.family}
+
+
+def _run8_fields(s1: int, s2: int, index: p8.EightIndex | None) -> dict:
+    """The merge fields of a run8 record: the outcomes and the derived index."""
+    L = None if index is None else index.L
+    return {"s1": s1, "s2": s2, "usable": index is not None, "L": L}
+
+
 def run4_record(result: p4.Protocol4Result, run_id: int, seed: int) -> dict:
     """Client-private record of one 4-states run (never sent on the wire)."""
     return {
@@ -93,28 +111,21 @@ def run4_record(result: p4.Protocol4Result, run_id: int, seed: int) -> dict:
         "trapdoor": serde.trapdoor_to_obj(result.client.trapdoor),
         "y": [str(int(v)) for v in result.transcript.y],
         "b": "".join(str(v) for v in result.transcript.b),
-        "accepted": result.out.accepted,
-        "B1": result.out.B1,
-        "B2": result.out.B2,
-        "family": result.out.family,
+        **_run4_fields(result.out),
         "seeds": {"run": seed},
     }
 
 
-def run8_record(result, run_id: int, seed: int) -> dict:
+def run8_record(result: p8.Protocol8Result, run_id: int, seed: int) -> dict:
     """Two 4-states sub-records plus the merge outcomes and the stored index."""
-    rec = {
+    return {
         "kind": "run8",
         "run_id": run_id,
         "run1": run4_record(result.run1, run_id, seed),
         "run2": run4_record(result.run2, run_id, seed),
-        "s1": result.s1,
-        "s2": result.s2,
-        "usable": result.usable,
-        "L": result.index.L if result.index is not None else None,
+        **_run8_fields(result.s1, result.s2, result.index),
         "seeds": {"run": seed},
     }
-    return rec
 
 
 @dataclass
@@ -124,58 +135,57 @@ class ReplayReport:
     mismatches: list
 
 
+def _finalize(body: dict) -> p4.OutputIndex4:
+    """`finalize` on a run4 body's key material, y and b, each read by the
+    rule the wire client reads it with."""
+    pk = serde.key_from_obj(body["key_msg"])
+    seed = body["seeds"]["run"]
+    if type(seed) is not int:
+        raise ValueError(f"run seed {seed!r} is not an integer")
+    td = serde.trapdoor_from_obj(body["trapdoor"], pk.params)
+    client = p4.ClientState4(pk=pk, trapdoor=td, variant=body["variant"], seed=seed)
+    y = serde.zq_entries(body["y"], pk.params.m, pk.params.q)
+    b = serde.record_bits(body["b"], pk.params.total_bits)
+    return p4.finalize(client, y, b)
+
+
+def _derived(body: dict) -> dict:
+    """The client-derived fields of a record, re-derived and built as the
+    live client builds them."""
+    if body["kind"] == "run4":
+        return _run4_fields(_finalize(body))
+    if body["kind"] != "run8":
+        raise ValueError(f"unknown record kind {body['kind']!r}")
+    if (body["run1"]["variant"], body["run2"]["variant"]) != (p4.PLAIN, p4.ROTATED):
+        raise ValueError("a run8 record merges a plain run and a rotated run")
+    out1, out2 = _finalize(body["run1"]), _finalize(body["run2"])
+    s1, s2 = (serde.bit(body[k], "merge outcome " + k) for k in ("s1", "s2"))
+    return {
+        "run1": _run4_fields(out1),
+        "run2": _run4_fields(out2),
+        **_run8_fields(s1, s2, p8.eight_index(out1, out2, s1, s2)),
+    }
+
+
+def _recorded(body: dict, derived: dict) -> dict:
+    """The fields of `body` named in `derived`, nested alike."""
+    return {
+        k: _recorded(body[k], v) if isinstance(v, dict) else body[k] for k, v in derived.items()
+    }
+
+
 def replay(path) -> ReplayReport:
-    """Re-derive (accepted, B1, B2) for every persisted run and compare."""
+    """Re-derive every record's client-derived fields and compare them with
+    the recorded ones by type as well as value (repr), so True is not 1."""
     records = read_records(path)
-    verified = 0
     mismatches = []
-
-    def check_run4(body, seq) -> dict | None:
-        try:
-            pk = serde.key_from_obj(body["key_msg"])
-            client = p4.ClientState4(
-                pk=pk,
-                trapdoor=serde.trapdoor_from_obj(body["trapdoor"], pk.params),
-                params=pk.params,
-                variant=body["variant"],
-                seed=int(body["seeds"]["run"]),
-            )
-            y = [int(v) for v in body["y"]]
-            b = tuple(int(ch) for ch in body["b"])
-            out = p4.finalize(client, y, b)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise TranscriptError(f"record {seq}: {exc!r}") from exc
-        got = {"accepted": out.accepted, "B1": out.B1, "B2": out.B2}
-        want = {"accepted": body["accepted"], "B1": body["B1"], "B2": body["B2"]}
-        if got != want:
-            return {"seq": seq, "recorded": want, "derived": got}
-        return None
-
     for rec in records:
-        body = rec["body"]
-        if body.get("kind") == "run4":
-            bad = check_run4(body, rec["seq"])
-            if bad:
-                mismatches.append(bad)
-            else:
-                verified += 1
-        elif body.get("kind") == "run8":
-            bad = check_run4(body["run1"], rec["seq"]) or check_run4(body["run2"], rec["seq"])
-            if bad is None and body.get("L") is not None:
-                from . import protocol8 as p8
-
-                idx = p8.compute_L(
-                    body["run1"]["B1"],
-                    body["run1"]["B2"],
-                    body["run2"]["B1"],
-                    body["run2"]["B2"],
-                    int(body["s1"]),
-                    int(body["s2"]),
-                )
-                if idx.L != int(body["L"]):
-                    bad = {"seq": rec["seq"], "recorded": body["L"], "derived": idx.L}
-            if bad:
-                mismatches.append(bad)
-            else:
-                verified += 1
+        try:
+            got = _derived(rec["body"])
+            want = _recorded(rec["body"], got)
+        except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+            raise TranscriptError(f"record {rec['seq']}: {exc!r}") from exc
+        if repr(got) != repr(want):
+            mismatches.append({"seq": rec["seq"], "recorded": want, "derived": got})
+    verified = len(records) - len(mismatches)
     return ReplayReport(records=len(records), verified_runs=verified, mismatches=mismatches)

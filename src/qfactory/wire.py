@@ -175,12 +175,10 @@ class ServerSession:
     def handle(self, msg: WireMessage) -> list[WireMessage]:
         validate_message(msg)
         if msg.kind == "key":
-            variant = msg.payload.get("variant")
-            if variant not in (p4.PLAIN, p4.ROTATED):
-                raise WireError(f"unknown variant {variant!r}")
-            key_msg = p4.KeyMessage(pk=_decode_key(msg.payload.get("key")), variant=variant)
-            seed = run_seed(self.master_seed, msg.run_id, variant)
             try:
+                variant = p4.check_variant(msg.payload.get("variant"))
+                key_msg = p4.KeyMessage(pk=_decode_key(msg.payload.get("key")), variant=variant)
+                seed = run_seed(self.master_seed, msg.run_id, variant)
                 reply = p4.server_honest(key_msg, self.backend, seed)
             except ValueError as exc:
                 raise WireError(f"key cannot be served: {exc}") from exc
@@ -248,8 +246,6 @@ def _test_plan(payload: dict) -> list[tuple[int, int]]:
         raise WireError("test plan lists differ in length")
     pairs = []
     for key, m_idx in zip(indices, measurements):
-        if isinstance(key, str) and key.isascii() and key.isdigit():
-            key = int(key)
         if type(key) is not int or type(m_idx) is not int or not 0 <= m_idx < 8:
             raise WireError(f"test plan entry ({key!r}, {m_idx!r}) is not (run id, index < 8)")
         pairs.append((key, m_idx))
@@ -305,12 +301,10 @@ def _decode_reply(params: ParamSet, image: WireMessage, meas: WireMessage) -> p4
         raise WireError("unexpected reply sequence")
     try:
         y = serde.zq_entries(image.payload.get("y"), params.m, params.q)
+        b = serde.record_bits(meas.payload.get("b"), params.total_bits)
     except ValueError as exc:
-        raise WireError(f"image: {exc}") from exc
-    b = meas.payload.get("b")
-    if not isinstance(b, str) or len(b) != params.total_bits or not set(b) <= {"0", "1"}:
-        raise WireError(f"record must be exactly {params.total_bits} characters from {{0, 1}}")
-    return p4.StrategyReply(y=tuple(y), b=tuple(int(ch) for ch in b), held=None)
+        raise WireError(f"server reply: {exc}") from exc
+    return p4.StrategyReply(y=tuple(y), b=b, held=None)
 
 
 def run4_over_channel(
@@ -338,9 +332,8 @@ def run4_over_channel(
 def run8_over_channel(chan, params: ParamSet, master_seed: int, run_id: int):
     """Two 4-states runs (plain + rotated) followed by the merge gadget.
 
-    A run is usable when the rotated input landed in an equatorial pair;
-    otherwise the merged state cannot be an eighth-turn state and the client
-    records the run as unusable (the classification never leaves the client).
+    The client classifies the run by `protocol8.eight_index`; the
+    classification never leaves the client.
     """
     r1 = run4_over_channel(chan, params, master_seed, run_id, p4.PLAIN)
     r2 = run4_over_channel(chan, params, master_seed, run_id, p4.ROTATED)
@@ -348,16 +341,12 @@ def run8_over_channel(chan, params: ParamSet, master_seed: int, run_id: int):
     merged = chan.recv()
     if merged.kind != "merge":
         raise WireError("expected merge outcomes")
-    s1, s2 = merged.payload.get("s1"), merged.payload.get("s2")
-    if any(type(v) is not int or v not in (0, 1) for v in (s1, s2)):
-        raise WireError("merge outcomes must be the integers 0 or 1")
-    usable = r2.out.family in (p4.PAULI_X, p4.PAULI_Y) and r1.out.accepted != p4.NO_PREIMAGE
-    index = None
-    if usable:
-        index = p8.compute_L(r1.out.B1, r1.out.B2, r2.out.B1, r2.out.B2, s1, s2)
-    return p8.Protocol8Result(
-        index=index, usable=usable, run1=r1, run2=r2, s1=s1, s2=s2, held=None
-    )
+    try:
+        s1, s2 = (serde.bit(merged.payload.get(k), "merge outcome " + k) for k in ("s1", "s2"))
+    except ValueError as exc:
+        raise WireError(str(exc)) from exc
+    index = p8.eight_index(r1.out, r2.out, s1, s2)
+    return p8.Protocol8Result(index=index, run1=r1, run2=r2, s1=s1, s2=s2, held=None)
 
 
 def local_session(master_seed: int, backend: str = "two_branch") -> LocalChannel:

@@ -1,0 +1,10 @@
+"""Suite-wide test settings.
+
+Hypothesis draws the same examples on every run (derandomize) and keeps no
+example database, so runs are comparable and leave no `.hypothesis/` behind.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")

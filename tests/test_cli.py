@@ -157,3 +157,40 @@ def test_endpoint_env_override(monkeypatch):
 
     monkeypatch.setenv(wire.ENDPOINT_ENV, "10.0.0.1:1234")
     assert wire.endpoint_from_env() == ("10.0.0.1", 1234)
+
+
+def _one_record_file(tmp_path, **changes):
+    from qfactory import protocol4 as p4, transcripts
+    from qfactory.params import TOY_MICRO
+
+    path = tmp_path / "runs.jsonl"
+    body = transcripts.run4_record(p4.run_protocol4(TOY_MICRO, 1), 0, 1)
+    with transcripts.TranscriptWriter(path) as w:
+        w.append({**body, **changes})
+        w.append(body)
+    return path
+
+
+@pytest.mark.parametrize("case", ["missing", "chain-break", "non-object-line", "unknown-kind"])
+def test_replay_of_an_unreadable_file_is_a_usage_error(capsys, tmp_path, case):
+    path = _one_record_file(tmp_path, **({"kind": "run9"} if case == "unknown-kind" else {}))
+    lines = path.read_text().splitlines()
+    if case == "missing":
+        path.unlink()
+    elif case == "chain-break":
+        path.write_text(lines[1] + "\n")
+    elif case == "non-object-line":
+        path.write_text("\n".join([lines[0], "null", lines[1]]) + "\n")
+    rc = cli.main(["replay", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"qfactory replay: {path}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_replay_with_a_mismatch_exits_1(capsys, tmp_path):
+    rc, rep = _run(["replay", str(_one_record_file(tmp_path, family="nonsense"))], capsys)
+    assert rc == 1
+    assert rep["records"] == 2 and rep["verified_runs"] == 1
+    assert [m["seq"] for m in rep["mismatches"]] == [0]

@@ -1,0 +1,162 @@
+"""Replay re-derives every record with the live client's rules.
+
+A record whose client-derived field (accepted, B1, B2, family, usable, L)
+differs from the re-derived one, in type or in value, is a mismatch.  A
+record replay cannot read with its exact meaning is a TranscriptError.
+"""
+
+import copy
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qfactory import protocol4 as p4, protocol8 as p8, transcripts
+from qfactory.params import TOY_MICRO
+
+# TOY_MICRO records with fixed seeds: run 0 of seed 0 has B1 = 1; seed 1
+# gives a usable run8 (L = 7), seed 0 an unusable one.
+RUN4 = transcripts.run4_record(p4.run_protocol4(TOY_MICRO, 0), 0, 0)
+USABLE = transcripts.run8_record(p8.run_protocol8(TOY_MICRO, 1), 1, 1)
+UNUSABLE = transcripts.run8_record(p8.run_protocol8(TOY_MICRO, 0), 0, 0)
+
+DERIVED = {"accepted", "B1", "B2", "family", "usable", "L"}
+DELETE = object()
+
+
+def _replay(path, *bodies):
+    with transcripts.TranscriptWriter(path) as w:
+        for body in bodies:
+            w.append(body)
+    return transcripts.replay(path)
+
+
+def _edited(base, *edits):
+    """A deep copy of `base` with each (field path, value) edit applied."""
+    body = copy.deepcopy(base)
+    for path, value in edits:
+        node = body
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return body
+
+
+def test_base_records_verify(tmp_path):
+    assert RUN4["B1"] == 1 and USABLE["usable"] and not UNUSABLE["usable"]
+    report = _replay(tmp_path / "runs.jsonl", RUN4, USABLE, UNUSABLE)
+    assert (report.records, report.verified_runs, report.mismatches) == (3, 3, [])
+
+
+MISMATCHES = {
+    "family-other": (RUN4, (("family",), p4.PAULI_Y)),
+    "family-nonsense": (RUN4, (("family",), "nonsense")),
+    "B1-bool": (RUN4, (("B1",), True)),
+    "run8-B2-bool": (USABLE, (("run2", "B2"), bool(USABLE["run2"]["B2"]))),
+    "run8-family": (USABLE, (("run1", "family"), "nonsense")),
+    "usable-as-unusable": (USABLE, (("usable",), False), (("L",), None)),
+    "unusable-as-usable": (UNUSABLE, (("usable",), True), (("L",), 0)),
+    "L-str": (USABLE, (("L",), str(USABLE["L"]))),
+    "L-other": (USABLE, (("L",), (USABLE["L"] + 1) % 8)),
+    "usable-yes": (USABLE, (("usable",), "yes")),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHES.values(), ids=MISMATCHES.keys())
+def test_changed_derived_field_is_a_mismatch(tmp_path, case):
+    base, *edits = case
+    report = _replay(tmp_path / "runs.jsonl", _edited(base, *edits))
+    assert report.verified_runs == 0
+    assert len(report.mismatches) == 1
+
+
+UNREADABLE = {
+    "s1-plus-2": (USABLE, (("s1",), USABLE["s1"] + 2)),
+    "s1-str": (USABLE, (("s1",), str(USABLE["s1"]))),
+    "s2-bool": (USABLE, (("s2",), bool(USABLE["s2"]))),
+    "y-ints": (RUN4, (("y",), [int(v) for v in RUN4["y"]])),
+    "y-floats": (RUN4, (("y",), [int(v) + 0.9 for v in RUN4["y"]])),
+    "y-leading-space": (RUN4, (("y",), [" " + v for v in RUN4["y"]])),
+    "b-int-list": (RUN4, (("b",), [int(ch) for ch in RUN4["b"]])),
+    "b-bool-list": (RUN4, (("b",), [ch == "1" for ch in RUN4["b"]])),
+    "variant-bogus": (RUN4, (("variant",), "bogus")),
+    "run8-variants-swapped": (
+        USABLE,
+        (("run1", "variant"), p4.ROTATED),
+        (("run2", "variant"), p4.PLAIN),
+    ),
+    "seed-float": (RUN4, (("seeds", "run"), 1.5)),
+    "run8-seed-float": (USABLE, (("run2", "seeds", "run"), 1.5)),
+    "plant-e-float": (RUN4, (("trapdoor", "t", "z0", "e"), [0.5] * TOY_MICRO.m)),
+    "d0-bool": (RUN4, (("trapdoor", "t", "d0"), bool(RUN4["trapdoor"]["t"]["d0"]))),
+    "key-version-bool": (RUN4, (("key_msg", "version"), True)),
+    "trapdoor-version-float": (RUN4, (("trapdoor", "version"), 1.0)),
+    "missing-s1": (USABLE, (("s1",), DELETE)),
+    "missing-run2": (USABLE, (("run2",), DELETE)),
+    "missing-y": (RUN4, (("y",), DELETE)),
+    "kind-run9": (RUN4, (("kind",), "run9")),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_field_is_a_transcript_error(tmp_path, case):
+    base, *edits = case
+    with pytest.raises(transcripts.TranscriptError):
+        _replay(tmp_path / "runs.jsonl", _edited(base, *edits))
+
+
+@pytest.mark.parametrize("body", [[RUN4], "run4", 5, None], ids=["list", "str", "int", "null"])
+def test_non_object_body_is_a_transcript_error(tmp_path, body):
+    with pytest.raises(transcripts.TranscriptError):
+        _replay(tmp_path / "runs.jsonl", body)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: one field at any depth replaced by an arbitrary JSON value
+
+_SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+)
+_JSON = (
+    _SCALAR
+    | st.lists(_SCALAR, max_size=3)
+    | st.dictionaries(st.text(max_size=4), _SCALAR, max_size=3)
+)
+
+
+def _paths(node, prefix=()):
+    """The path of every field and list entry in a JSON value, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [p for k, v in items for p in [prefix + (k,), *_paths(v, prefix + (k,))]]
+
+
+_BASES = [(base, _paths(base)) for base in (RUN4, USABLE, UNUSABLE)]
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_replay_of_a_replaced_field_is_a_report_or_a_transcript_error(tmp_path_factory, data):
+    base, paths = data.draw(st.sampled_from(_BASES), label="base")
+    path = data.draw(st.sampled_from(paths), label="path")
+    value = data.draw(_JSON, label="value")
+    old = base
+    for key in path:
+        old = old[key]
+    try:
+        report = _replay(tmp_path_factory.getbasetemp() / "fuzz.jsonl", _edited(base, (path, value)))
+    except transcripts.TranscriptError:
+        return
+    assert report.records == 1
+    if path[-1] in DERIVED and repr(value) != repr(old):
+        assert report.verified_runs == 0 and len(report.mismatches) == 1

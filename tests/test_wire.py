@@ -604,3 +604,21 @@ def test_run8_transcript_replay(tmp_path):
     assert report.records == 4
     assert report.mismatches == []
     assert report.verified_runs == 4
+
+
+@pytest.mark.parametrize("line", ["5", "null", '"run4"', "[1, 2]"])
+def test_read_records_rejects_a_line_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "runs.jsonl"
+    _write_runs(path, TOY_MICRO, 1, seed=37)
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(transcripts.TranscriptError, match="not a JSON object"):
+        transcripts.read_records(path)
+
+
+def test_test_plan_run_ids_are_integers_only():
+    chan = wire.local_session(5)
+    wire.run8_over_channel(chan, TOY_MICRO, 5, 0)
+    plan = {"indices": ["0"], "measurements": [3]}
+    with pytest.raises(wire.WireError):
+        chan.session.handle(wire.WireMessage("test_plan", 0, plan))
+    assert (0, "merged") in chan.session.held
