@@ -62,9 +62,10 @@ def cmd_run4(args) -> int:
     accepted = 0
     basis_ones = 0
     for run_id in range(args.runs):
+        seed = derive_seed(args.seed, "run4", run_id)
         res = p4.run_protocol4(
             params,
-            derive_seed(args.seed, "run4", run_id),
+            seed,
             backend=_backend(args.backend),
             variant=p4.ROTATED if args.rotated else p4.PLAIN,
         )
@@ -72,7 +73,7 @@ def cmd_run4(args) -> int:
         basis_ones += res.out.B1
         rows.append({"run_id": run_id, "accepted": res.out.accepted})
         if writer:
-            writer.append(transcripts.run4_record(res, run_id, args.seed))
+            writer.append(transcripts.run4_record(res, run_id, seed))
     if writer:
         writer.close()
     lo, hi = wilson_interval(accepted, args.runs)

@@ -275,11 +275,10 @@ def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
         # a cross-d collision would force |e_0 - e'_0| = q/2, impossible.
         R[0, :] = 0
         cap = _column_weight_cap(params)
-        for col in range(w):
+        for col in np.flatnonzero(R.sum(axis=0) > cap):
             ones = np.flatnonzero(R[:, col])
-            if len(ones) > cap:
-                drop = rng.choice(ones, size=len(ones) - cap, replace=False)
-                R[drop, col] = 0
+            drop = rng.choice(ones, size=len(ones) - cap, replace=False)
+            R[drop, col] = 0
         weights = R.sum(axis=0)
         wide = box + params.mu_prime
         err_lo = -(weights + 1) * wide

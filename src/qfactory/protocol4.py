@@ -32,6 +32,7 @@ from .sim import (
     StateVector,
     analytic_stage2,
     draw_row,
+    pack_record,
     record_parity,
     sample_b,
     top_qubit_rows,
@@ -261,11 +262,11 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
     z, zp = preimages
     if lwe.h(z) == lwe.h(zp):
         return OutputIndex4(0, lwe.h(z), TWO_PREIMAGES, COMPUTATIONAL)
-    xb = lwe.encode(params, z)
-    xpb = lwe.encode(params, zp)
-    beta = record_parity(b, tuple(a ^ c for a, c in zip(xb, xpb)))
+    # packed bit j is qubit j in both encode_int and pack_record
+    x, xp = lwe.encode_int(params, z), lwe.encode_int(params, zp)
+    beta = record_parity(pack_record(b), x ^ xp)
     if variant == ROTATED:
-        delta = sum(xpb) - sum(xb)
+        delta = xp.bit_count() - x.bit_count()
         k = ((2 * lwe.h(z) - 1) * delta + 2 * beta) % 4
         b1 = k & 1
         b2 = ((k - b1) // 2) & 1
@@ -285,12 +286,18 @@ def _check_y(params: ParamSet, y) -> tuple[int, ...]:
 
 
 def _check_b(params: ParamSet, b) -> tuple[int, ...]:
-    b = tuple(b)
-    if len(b) != params.total_bits:
+    """The record b as a tuple of ints, each entry read by its integer value:
+    an int, numpy integer or bool in {0, 1}; ValueError otherwise."""
+    try:
+        # tuple() first: bytes() of an array would read its raw memory
+        raw = bytes(tuple(b))
+    except (TypeError, ValueError) as exc:  # not iterable, not integers, not in range(256)
+        raise ValueError("measurement record entries must be 0 or 1") from exc
+    if len(raw) != params.total_bits:
         raise ValueError("measurement record has the wrong length")
-    if any(v not in (0, 1) for v in b):
+    if raw.translate(None, b"\x00\x01"):
         raise ValueError("measurement record entries must be 0 or 1")
-    return tuple(int(v) for v in b)
+    return tuple(raw)
 
 
 def _no_preimage_output(client: ClientState4, y, b, always_output: bool) -> OutputIndex4:
@@ -332,10 +339,9 @@ def run_client(
         params, variant, run_seed(master_seed, run_id, variant, "client")
     )
     reply = exchange(key_msg)
-    out = finalize(client, reply.y, reply.b)
-    transcript = Transcript4(
-        y=tuple(int(v) for v in reply.y), b=tuple(int(v) for v in reply.b), variant=variant
-    )
+    y, b = _check_y(params, reply.y), _check_b(params, reply.b)
+    out = finalize(client, y, b)
+    transcript = Transcript4(y=y, b=b, variant=variant)
     return Protocol4Result(out=out, transcript=transcript, held=reply.held, client=client)
 
 

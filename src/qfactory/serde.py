@@ -39,12 +39,22 @@ def zq_entries(values, length: int, q: int) -> list[int]:
     return ints
 
 
+_RECORD_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_RECORD_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def record_bits(text, length: int) -> tuple[int, ...]:
     """A measurement record of exactly `length` characters from {0, 1}, as
     bits; ValueError otherwise."""
-    if not isinstance(text, str) or len(text) != length or not set(text) <= {"0", "1"}:
+    # strip("01") leaves every other character, so it is empty exactly on a 0/1 string
+    if not isinstance(text, str) or len(text) != length or text.strip("01"):
         raise ValueError(f"record must be exactly {length} characters from {{0, 1}}")
-    return tuple(map(int, text))
+    return tuple(text.encode("ascii").translate(_RECORD_BITS))
+
+
+def record_text(bits: tuple[int, ...]) -> str:
+    """The text form of a record of 0/1 ints, as `record_bits` reads it."""
+    return bytes(bits).translate(_RECORD_TEXT).decode("ascii")
 
 
 def bit(value, name: str) -> int:

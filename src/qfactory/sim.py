@@ -214,7 +214,7 @@ def draw_row(rows: np.ndarray, rng: np.random.Generator):
     """
     k = len(rows).bit_length() - 1
     bits = _draw((np.abs(rows) ** 2).sum(axis=1).reshape((2,) * k).T, rng)
-    return bits, QubitDescription(rows[sum(b << j for j, b in enumerate(bits))])
+    return bits, QubitDescription(rows[pack_record(bits)])
 
 
 def _draw(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
@@ -299,9 +299,18 @@ def fidelity(a, b) -> float:
 # analytic two-branch evaluation of the honest stage-2 output
 
 
-def record_parity(b: tuple[int, ...], diff: tuple[int, ...]) -> int:
-    """<b, diff> mod 2: the record's parity over the positions where two branches differ."""
-    return sum(bi & di for bi, di in zip(b, diff)) & 1
+_RECORD_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def pack_record(bits) -> int:
+    """A record of 0/1 ints packed as an integer, bit j = bits[j] (qubit j's outcome)."""
+    return int(bytes(bits)[::-1].translate(_RECORD_DIGITS), 2)
+
+
+def record_parity(b: int, diff: int) -> int:
+    """<b, diff> mod 2 on packed records: the record's parity over the
+    positions where two branches differ."""
+    return (b & diff).bit_count() & 1
 
 
 def analytic_stage2(x, x_prime, b, theta: float):
@@ -328,7 +337,7 @@ def analytic_stage2(x, x_prime, b, theta: float):
     if len(b) != len(x):
         raise ValueError("b length mismatch")
     delta = sum(x_prime) - sum(x)
-    beta = record_parity(b, tuple(a ^ c for a, c in zip(x, x_prime)))
+    beta = record_parity(pack_record(b), pack_record(x) ^ pack_record(x_prime))
     amps = np.zeros(2, dtype=complex)
     amps[x[-2]] += 1.0
     amps[x_prime[-2]] += cmath.exp(-1j * theta * delta) * (-1) ** beta
@@ -363,7 +372,7 @@ def sample_b(x, x_prime, theta: float, rng: np.random.Generator) -> tuple[int, .
     n = len(x)
     b = [int(v) for v in rng.integers(0, 2, size=n)]
     diff, parity = stage2_b_support(x, x_prime, theta)
-    if diff is not None and record_parity(tuple(b), diff) != parity:
+    if diff is not None and record_parity(pack_record(b), pack_record(diff)) != parity:
         flip = next(i for i, dv in enumerate(diff) if dv)
         b[flip] ^= 1
     return tuple(b)

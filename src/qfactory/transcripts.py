@@ -1,12 +1,15 @@
 """Tamper-evident experiment records: JSON lines with a SHA-256 chain.
 
-Each line carries {"seq", "prev", "body", "hash"} where hash covers the
-previous hash and the canonical body encoding.  Replay re-derives each
-record's client-derived fields (accepted, B1, B2, family; run8 adds usable
-and L) by the live client's rules: the `serde` readers of y, b and the merge
-outcomes, `protocol4.finalize`, `protocol8.eight_index` and the field
-builders the records are written with.  Fields are compared by type and
-value; a record not readable with its exact meaning is a TranscriptError.
+Each line is the compact canonical encoding (sorted keys, no spaces) of
+{"seq", "prev", "body", "hash"}, where hash covers the previous hash and the
+canonical body encoding; the reader takes any JSON layout and re-derives the
+hash.  Replay re-derives each record's client-derived fields (accepted, B1,
+B2, family; run8 adds usable and L) by the live client's rules: the `serde`
+readers of y, b and the merge outcomes, `protocol4.finalize`,
+`protocol8.eight_index` and the field builders the records are written with.
+Fields are compared by type and value; a record not readable with its exact
+meaning, identity fields (run id, seeds, sub-record kind) included, is a
+TranscriptError.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ def _canonical(body: dict) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
-def _chain_hash(prev: str, body: dict) -> str:
-    return hashlib.sha256((prev + _canonical(body)).encode("utf-8")).hexdigest()
+def _chain_hash(prev: str, canon: str) -> str:
+    """The hash of a record: SHA-256 of the previous hash and the canonical body."""
+    return hashlib.sha256((prev + canon).encode("utf-8")).hexdigest()
 
 
 class TranscriptWriter:
@@ -43,14 +47,13 @@ class TranscriptWriter:
         self._fh = self.path.open("w", encoding="utf-8")
 
     def append(self, body: dict):
-        record = {
-            "seq": self._seq,
-            "prev": self._prev,
-            "body": body,
-            "hash": _chain_hash(self._prev, body),
-        }
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._prev = record["hash"]
+        """Write the record as `_canonical` writes it, with the body encoded once."""
+        canon = _canonical(body)
+        digest = _chain_hash(self._prev, canon)
+        self._fh.write(
+            f'{{"body":{canon},"hash":"{digest}","prev":"{self._prev}","seq":{self._seq}}}\n'
+        )
+        self._prev = digest
         self._seq += 1
 
     def close(self):
@@ -83,7 +86,7 @@ def read_records(path) -> list[dict]:
                     raise TranscriptError(f"line {lineno}: missing field {field!r}")
             if rec["prev"] != prev:
                 raise TranscriptError(f"line {lineno}: chain break")
-            if rec["hash"] != _chain_hash(prev, rec["body"]):
+            if rec["hash"] != _chain_hash(prev, _canonical(rec["body"])):
                 raise TranscriptError(f"line {lineno}: hash mismatch")
             prev = rec["hash"]
             records.append(rec)
@@ -110,7 +113,7 @@ def run4_record(result: p4.Protocol4Result, run_id: int, seed: int) -> dict:
         "key_msg": serde.key_to_obj(result.client.pk),
         "trapdoor": serde.trapdoor_to_obj(result.client.trapdoor),
         "y": [str(int(v)) for v in result.transcript.y],
-        "b": "".join(str(v) for v in result.transcript.b),
+        "b": serde.record_text(result.transcript.b),
         **_run4_fields(result.out),
         "seeds": {"run": seed},
     }
@@ -135,14 +138,22 @@ class ReplayReport:
     mismatches: list
 
 
+def _identity(body: dict) -> tuple:
+    """A record's run id and seeds; ValueError unless the run id and the run
+    seed are ints (a bool does not count)."""
+    run_id, seeds = body["run_id"], body["seeds"]
+    if type(run_id) is not int or type(seeds["run"]) is not int:
+        raise ValueError(f"run id {run_id!r} and run seed in {seeds!r} must be integers")
+    return run_id, seeds
+
+
 def _finalize(body: dict) -> p4.OutputIndex4:
     """`finalize` on a run4 body's key material, y and b, each read by the
-    rule the wire client reads it with."""
+    rule the wire client reads it with; the body's seeds are read by
+    `_identity` first."""
     pk = serde.key_from_obj(body["key_msg"])
-    seed = body["seeds"]["run"]
-    if type(seed) is not int:
-        raise ValueError(f"run seed {seed!r} is not an integer")
     td = serde.trapdoor_from_obj(body["trapdoor"], pk.params)
+    seed = body["seeds"]["run"]
     client = p4.ClientState4(pk=pk, trapdoor=td, variant=body["variant"], seed=seed)
     y = serde.zq_entries(body["y"], pk.params.m, pk.params.q)
     b = serde.record_bits(body["b"], pk.params.total_bits)
@@ -152,13 +163,19 @@ def _finalize(body: dict) -> p4.OutputIndex4:
 def _derived(body: dict) -> dict:
     """The client-derived fields of a record, re-derived and built as the
     live client builds them."""
+    identity = _identity(body)
     if body["kind"] == "run4":
         return _run4_fields(_finalize(body))
     if body["kind"] != "run8":
         raise ValueError(f"unknown record kind {body['kind']!r}")
-    if (body["run1"]["variant"], body["run2"]["variant"]) != (p4.PLAIN, p4.ROTATED):
+    run1, run2 = body["run1"], body["run2"]
+    # run8_record writes both sub-records with the record's own run id and seeds
+    for sub in (run1, run2):
+        if sub["kind"] != "run4" or repr(_identity(sub)) != repr(identity):
+            raise ValueError("a run8 sub-record is a run4 record of the same run id and seeds")
+    if (run1["variant"], run2["variant"]) != (p4.PLAIN, p4.ROTATED):
         raise ValueError("a run8 record merges a plain run and a rotated run")
-    out1, out2 = _finalize(body["run1"]), _finalize(body["run2"])
+    out1, out2 = _finalize(run1), _finalize(run2)
     s1, s2 = (serde.bit(body[k], "merge outcome " + k) for k in ("s1", "s2"))
     return {
         "run1": _run4_fields(out1),

@@ -185,7 +185,7 @@ class ServerSession:
             self._hold(msg.run_id, variant, reply.held)
             return [
                 WireMessage("image", msg.run_id, {"y": [str(int(v)) for v in reply.y]}),
-                WireMessage("meas", msg.run_id, {"b": "".join(str(v) for v in reply.b)}),
+                WireMessage("meas", msg.run_id, {"b": serde.record_text(reply.b)}),
             ]
         if msg.kind == "merge":
             in1 = self.held.get((msg.run_id, p4.PLAIN))

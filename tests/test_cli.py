@@ -54,6 +54,23 @@ def test_run4(capsys, tmp_path):
     assert rep["mismatches"] == []
 
 
+def test_run4_transcript_names_the_seed_of_each_run(capsys, tmp_path):
+    from qfactory import protocol4 as p4, transcripts
+    from qfactory.params import TOY_MICRO
+
+    tfile = tmp_path / "t.jsonl"
+    argv = ["run4", "--params", "toy-micro", "--seed", "7", "--runs", "3"]
+    rc, _ = _run([*argv, "--transcripts", str(tfile)], capsys)
+    assert rc == 0
+    records = transcripts.read_records(tfile)
+    assert len({rec["body"]["seeds"]["run"] for rec in records}) == 3
+    for rec in records:
+        body = rec["body"]
+        again = p4.run_protocol4(TOY_MICRO, body["seeds"]["run"])
+        rebuilt = transcripts.run4_record(again, body["run_id"], body["seeds"]["run"])
+        assert transcripts._canonical(rebuilt) == transcripts._canonical(body)
+
+
 def test_run8(capsys):
     rc, obj = _run(["run8", "--params", "toy-micro", "--seed", "2", "--runs", "5"], capsys)
     assert rc == 0

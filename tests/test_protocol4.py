@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfactory import lwe, protocol4 as p4, protocol8 as p8
-from qfactory.params import TOY_GADGET, TOY_MICRO, TOY_REG, TOY_WIDE
+from qfactory.params import TOY_GADGET, TOY_MICRO, TOY_REG, TOY_WIDE, toy_params
 from qfactory.seeds import derive_seed
 from qfactory.sim import QubitDescription, analytic_stage2, fidelity, sample_b
 
@@ -93,6 +93,54 @@ def test_finalize_rejects_non_binary_record():
     client, _ = p4.client_init(TOY_MICRO, p4.PLAIN, seed=2)
     with pytest.raises(ValueError):
         p4.finalize(client, client.pk.y0, (0,) * (TOY_MICRO.total_bits - 1) + (2,))
+
+
+# one record in each form finalize reads by value: bit j is qubit j's outcome
+_RECORD = (1, 0, 1, 1, 0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [tuple, list, lambda b: np.array(b, dtype=np.int64), lambda b: tuple(map(bool, b))],
+    ids=["tuple", "list", "int64-array", "bools"],
+)
+def test_finalize_reads_record_entries_by_value(form):
+    client = _key_with_d0(TOY_MICRO, 1)
+    y = _find_y(client.pk, client.trapdoor, 1)
+    out = p4.finalize(client, y, form(_RECORD))
+    assert out == p4.finalize(client, y, _RECORD)
+    assert out.family == p4.PAULI_X  # the record's parity decides B2
+
+
+_N = TOY_MICRO.total_bits
+# an entry of 2 and a short record are tested above
+_BAD_RECORDS = {
+    "minus-one": (0,) * (_N - 1) + (-1,),
+    "half": (0.5,) + (0,) * (_N - 1),
+    "float-one": (0,) * 3 + (1.0,) + (0,) * (_N - 4),
+    "str-one": (0,) * (_N - 1) + ("1",),
+    "none": (None,) + (0,) * (_N - 1),
+    "str": "0" * _N,
+    "long": (0,) * (_N + 1),
+}
+
+
+@pytest.mark.parametrize("b", _BAD_RECORDS.values(), ids=_BAD_RECORDS.keys())
+def test_finalize_rejects_a_record_not_of_0_1_ints(b):
+    client, _ = p4.client_init(TOY_MICRO, p4.PLAIN, seed=2)
+    with pytest.raises(ValueError):
+        p4.finalize(client, client.pk.y0, b)
+
+
+def test_finalize_reads_an_int64_array_by_value_not_as_memory():
+    params = toy_params(n=1, q=8, m=3, mu=1)
+    client, _ = p4.client_init(params, p4.PLAIN, seed=0)
+    # one entry whose eight raw bytes are each 0 or 1: read as memory it
+    # would pass for a record of total_bits = 8 bits
+    b = np.array([0x0101010100010000], dtype=np.int64)
+    assert len(b.tobytes()) == params.total_bits
+    with pytest.raises(ValueError):
+        p4.finalize(client, client.pk.y0, b)
 
 
 def test_strategy_image_outside_range_is_rejected():

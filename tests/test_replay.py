@@ -6,12 +6,13 @@ record replay cannot read with its exact meaning is a TranscriptError.
 """
 
 import copy
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfactory import protocol4 as p4, protocol8 as p8, transcripts
-from qfactory.params import TOY_MICRO
+from qfactory import lwe, protocol4 as p4, protocol8 as p8, transcripts
+from qfactory.params import TOY_MICRO, paper_params
 
 # TOY_MICRO records with fixed seeds: run 0 of seed 0 has B1 = 1; seed 1
 # gives a usable run8 (L = 7), seed 0 an unusable one.
@@ -97,6 +98,14 @@ UNREADABLE = {
     "missing-run2": (USABLE, (("run2",), DELETE)),
     "missing-y": (RUN4, (("y",), DELETE)),
     "kind-run9": (RUN4, (("kind",), "run9")),
+    "run4-run-id-bool": (RUN4, (("run_id",), False)),
+    "run8-sub-kind": (USABLE, (("run1", "kind"), "nonsense")),
+    "run8-run-id-float": (USABLE, (("run_id",), 1.5)),
+    "run8-run-id-object": (USABLE, (("run_id",), {"a": 1})),
+    "run8-sub-run-id": (USABLE, (("run2", "run_id"), USABLE["run_id"] + 1)),
+    "run8-seeds-empty": (USABLE, (("seeds",), {})),
+    "run8-seed-bool": (USABLE, (("seeds", "run"), True)),
+    "run8-sub-seed-other": (USABLE, (("run1", "seeds", "run"), USABLE["seeds"]["run"] + 1)),
 }
 
 
@@ -105,6 +114,53 @@ def test_unreadable_field_is_a_transcript_error(tmp_path, case):
     base, *edits = case
     with pytest.raises(transcripts.TranscriptError):
         _replay(tmp_path / "runs.jsonl", _edited(base, *edits))
+
+
+def test_a_line_is_the_compact_canonical_record(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    _replay(path, RUN4, USABLE)
+    for line in path.read_text().splitlines():
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
+
+def test_a_file_in_the_spaced_layout_replays(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    _replay(path, RUN4, USABLE, UNUSABLE)
+    spaced = [json.dumps(json.loads(ln), sort_keys=True) for ln in path.read_text().splitlines()]
+    assert all('"body": {' in ln for ln in spaced)
+    path.write_text("\n".join(spaced) + "\n")
+    report = transcripts.replay(path)
+    assert (report.records, report.verified_runs, report.mismatches) == (3, 3, [])
+
+
+def _honest_image(key_msg, rng):
+    """The image of a sampled input and a uniform record, as the paper-size
+    benchmark client's server answers."""
+    params = key_msg.pk.params
+    y = lwe.f(key_msg.pk, lwe.sample_domain_element(params, rng))
+    b = rng.integers(0, 2, size=params.total_bits)
+    return p4.StrategyReply(y=tuple(y.tolist()), b=tuple(b.tolist()), held=None)
+
+
+@pytest.mark.parametrize(
+    "variant, seed", [(p4.PLAIN, 4), (p4.ROTATED, 2)], ids=[p4.PLAIN, p4.ROTATED]
+)
+def test_paper_size_record_replays(tmp_path, variant, seed):
+    params = paper_params(16)
+    res = p4.run_protocol4(params, seed, strategy=_honest_image, variant=variant)
+    # two preimages with opposite hardcore bits: the index is the record's parity,
+    # here against the bit-by-bit sums
+    z, zp = lwe.invert(res.client.trapdoor, res.client.pk, res.transcript.y)
+    x, xp = lwe.encode(params, z), lwe.encode(params, zp)
+    beta = sum(bi & (a ^ c) for bi, a, c in zip(res.transcript.b, x, xp)) % 2
+    if variant == p4.PLAIN:
+        want = (1, beta)
+    else:
+        k = ((2 * z.d - 1) * (sum(xp) - sum(x)) + 2 * beta) % 4
+        want = (k % 2, k // 2)
+    assert z.d != zp.d and (res.out.B1, res.out.B2) == want
+    report = _replay(tmp_path / "paper.jsonl", transcripts.run4_record(res, 0, seed))
+    assert (report.records, report.verified_runs, report.mismatches) == (1, 1, [])
 
 
 @pytest.mark.parametrize("body", [[RUN4], "run4", 5, None], ids=["list", "str", "int", "null"])

@@ -443,6 +443,23 @@ def test_client_rejects_non_binary_merge_outcome(s1):
         wire.run8_over_channel(_TamperingChannel(1, tamper), TOY_MICRO, 1, 0)
 
 
+def test_record_text_is_read_back_by_record_bits():
+    bits = (0, 1, 1, 0, 1, 0, 0)
+    assert serde.record_text(bits) == "0110100"
+    assert serde.record_bits("0110100", 7) == bits
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2110100", "011x100", "011010 ", "0110\uff1100"],
+    ids=["first", "inside", "last", "fullwidth-one"],
+)
+def test_record_bits_rejects_a_character_outside_0_1(text):
+    assert len(text) == 7
+    with pytest.raises(ValueError):
+        serde.record_bits(text, 7)
+
+
 # ---------------------------------------------------------------------------
 # transcripts and replay
 
@@ -474,13 +491,13 @@ def test_transcript_flipped_bit_is_flagged(tmp_path):
     b = rec["body"]["b"]
     rec["body"]["b"] = b[:-1] + ("1" if b[-1] == "0" else "0")
     # keep the chain consistent so only the semantic check can catch it
-    rec["hash"] = transcripts._chain_hash(rec["prev"], rec["body"])
+    rec["hash"] = transcripts._chain_hash(rec["prev"], transcripts._canonical(rec["body"]))
     lines[target] = json.dumps(rec, sort_keys=True)
     prev = rec["hash"]
     for i in range(target + 1, len(lines)):
         nxt = json.loads(lines[i])
         nxt["prev"] = prev
-        nxt["hash"] = transcripts._chain_hash(prev, nxt["body"])
+        nxt["hash"] = transcripts._chain_hash(prev, transcripts._canonical(nxt["body"]))
         prev = nxt["hash"]
         lines[i] = json.dumps(nxt, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
