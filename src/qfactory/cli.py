@@ -6,6 +6,7 @@ Every command is deterministic given --seed, and reports are versioned JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -23,11 +24,23 @@ REPORT_VERSION = 1
 
 def _emit(obj: dict, out: str | None):
     obj = {"report_version": REPORT_VERSION, **obj}
-    text = json.dumps(obj, indent=2, sort_keys=True, default=str)
+    text = json.dumps(obj, indent=2, sort_keys=True, default=str, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return int(text)
+
+
+def _open_fraction(text: str) -> float:
+    if not 0 < float(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} does not lie in (0, 1)")
+    return float(text)
 
 
 _SHARED_OPTIONS = {
@@ -213,14 +226,16 @@ def cmd_serve(args) -> int:
 
 def cmd_connect(args) -> int:
     params = params_by_name(args.params)
-    chan = wire.SocketChannel(*(args.endpoint or wire.endpoint_from_env()))
+    host, port = args.endpoint or wire.endpoint_from_env()
     accepted = 0
     try:
-        for run_id in range(args.runs):
-            res = wire.run4_over_channel(chan, params, args.seed, run_id)
-            accepted += res.out.accepted == p4.TWO_PREIMAGES
-    finally:
-        chan.close()
+        with contextlib.closing(wire.SocketChannel(host, port)) as chan:
+            for run_id in range(args.runs):
+                res = wire.run4_over_channel(chan, params, args.seed, run_id)
+                accepted += res.out.accepted == p4.TWO_PREIMAGES
+    except (OSError, wire.WireError) as exc:
+        print(f"qfactory connect: {host}:{port}: {exc}", file=sys.stderr)
+        return 2
     _emit({"runs": args.runs, "accept_rate": accepted / args.runs}, args.out)
     return 0
 
@@ -252,28 +267,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run4", help="run the 4-states protocol")
     _shared(sp, "--params", "--seed", "--backend", "--out")
-    sp.add_argument("--runs", type=int, default=20)
+    sp.add_argument("--runs", type=_positive_int, default=20)
     sp.add_argument("--rotated", action="store_true")
     sp.add_argument("--transcripts", default=None, help="write JSON-lines transcripts")
     sp.set_defaults(func=cmd_run4)
 
     sp = sub.add_parser("run8", help="run the 8-states protocol")
     _shared(sp, "--params", "--seed", "--backend", "--out")
-    sp.add_argument("--runs", type=int, default=20)
+    sp.add_argument("--runs", type=_positive_int, default=20)
     sp.set_defaults(func=cmd_run8)
 
     sp = sub.add_parser("run-abort", help="chunked abort-tolerant statistics")
     _shared(sp, "--params", "--seed", "--out")
-    sp.add_argument("--t_c", type=int, default=60)
-    sp.add_argument("--n_c", dest="n_c_chunks", type=int, default=1000)
+    sp.add_argument("--t_c", type=_positive_int, default=60)
+    sp.add_argument("--n_c", dest="n_c_chunks", type=_positive_int, default=1000)
     sp.add_argument("--p_a", type=float, default=None, help="override the analytic accept probability")
     sp.add_argument("--p_c", type=float, default=0.52)
     sp.set_defaults(func=cmd_run_abort)
 
     sp = sub.add_parser("run-verifiable", help="verification layer over the stack")
     _shared(sp, "--params", "--seed", "--backend", "--out")
-    sp.add_argument("--N", type=int, default=400)
-    sp.add_argument("--fraction", type=float, default=0.5)
+    sp.add_argument("--N", type=_positive_int, default=400)
+    sp.add_argument("--fraction", type=_open_fraction, default=0.5)
     sp.add_argument("--eps2", type=float, default=0.05)
     sp.add_argument("--server", default="honest", choices=["honest", "shift"])
     sp.set_defaults(func=cmd_run_verifiable)
@@ -281,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest", help="iid blind self-testing of a strategy file")
     _shared(sp, "--seed", "--out")
     sp.add_argument("--strategy", default=None, help="JSON strategy description")
-    sp.add_argument("--N", type=int, default=10_000)
+    sp.add_argument("--N", type=_positive_int, default=10_000)
     sp.add_argument("--eps2", type=float, default=0.05)
     sp.set_defaults(func=cmd_selftest)
 
     sp = sub.add_parser("oracle-check", help="closed forms against brute force")
     _shared(sp, "--params", "--seed", "--out")
-    sp.add_argument("--trials", type=int, default=400)
+    sp.add_argument("--trials", type=_positive_int, default=400)
     sp.set_defaults(func=cmd_oracle_check)
 
     sp = sub.add_parser("serve", help="host the honest server over TCP")
@@ -299,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("connect", help="drive protocol runs against a server")
     _shared(sp, "--params", "--seed", "--out")
     sp.add_argument("--endpoint", type=wire.parse_endpoint, help="host:port (or QFACTORY_ENDPOINT)")
-    sp.add_argument("--runs", type=int, default=10)
+    sp.add_argument("--runs", type=_positive_int, default=10)
     sp.set_defaults(func=cmd_connect)
 
     sp = sub.add_parser("replay", help="verify a transcript file")

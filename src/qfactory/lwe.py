@@ -85,6 +85,19 @@ def _as_vec(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+def check_image(params: ParamSet, y) -> tuple[int, ...]:
+    """The image rule: m entries, each an int or numpy integer (not a bool)
+    in [0, q), as a tuple of ints; ValueError otherwise."""
+    y = tuple(y)
+    kinds = set(map(type, y))  # one type test per distinct type
+    if len(y) != params.m or any(t is bool or not issubclass(t, (int, np.integer)) for t in kinds):
+        raise ValueError(f"image must be {params.m} integers")
+    y = tuple(map(int, y))
+    if not 0 <= min(y) <= max(y) < params.q:
+        raise ValueError("image entries must lie in [0, q)")
+    return y
+
+
 def e_range(params: ParamSet) -> tuple[int, int]:
     """Valid noise values: the box clipped to |e| <= mu."""
     box = params.noise_box
@@ -140,8 +153,54 @@ def is_valid(params: ParamSet, elem: DomainElement) -> bool:
     return all(0 <= x < params.q for x in elem.s) and all(lo <= x <= hi for x in elem.e)
 
 
+def shift_in_box(params: ParamSet, e, shift):
+    """The shifted-noise rule: whether e + shift stays in `e_range` on the
+    last axis, vectorized over the others.  With shift -e0 (c = 0) or +e0
+    (c = 1) it is the event that an input's partner preimage exists."""
+    lo, hi = e_range(params)
+    moved = np.asarray(e) + shift
+    return np.all((moved >= lo) & (moved <= hi), axis=-1)
+
+
 # ---------------------------------------------------------------------------
-# bit encoding (the string the quantum registers hold)
+# bit strings: bit j = qubit j, each entry 0 or 1
+
+_TEXT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BITS_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def check_bits(bits, length: int) -> tuple[int, ...]:
+    """The bit rule: `length` entries, each an int, numpy integer or bool of
+    value 0 or 1, as a tuple of ints; ValueError otherwise."""
+    try:
+        raw = bytes(tuple(bits))  # tuple() first: bytes() of an array reads its raw memory
+    except (TypeError, ValueError) as exc:  # not iterable, not integers, not in range(256)
+        raise ValueError("bit entries must be 0 or 1") from exc
+    if len(raw) != length or raw.translate(None, b"\x00\x01"):
+        raise ValueError(f"expected {length} bit entries, each 0 or 1")
+    return tuple(raw)
+
+
+def bits_text(bits) -> str:
+    """The 0/1 text of a checked bit-string, character j = bit j."""
+    return bytes(bits).translate(_BITS_TEXT).decode("ascii")
+
+
+def text_bits(text: str) -> tuple[int, ...]:
+    """Inverse of `bits_text` on a string of 0/1 characters."""
+    return tuple(text.encode("ascii").translate(_TEXT_BITS))
+
+
+def pack_bits(bits) -> int:
+    """A checked bit-string as an integer, bit j = bits[j]; inverse of `unpack_bits`."""
+    return int(bits_text(bits)[::-1], 2)
+
+
+def unpack_bits(params: ParamSet, value: int) -> tuple[int, ...]:
+    """The register bit-string of a packed pattern (bit j = qubit j)."""
+    n = params.total_bits
+    # one pass over the binary digits; shifting a paper-size int per bit is quadratic
+    return text_bits(format(value & ((1 << n) - 1), f"0{n}b")[::-1])
 
 
 def encode(params: ParamSet, elem: DomainElement) -> tuple[int, ...]:
@@ -168,41 +227,22 @@ def encode_int(params: ParamSet, elem: DomainElement) -> int:
 
 
 def decode(params: ParamSet, bits) -> DomainElement | None:
-    """Inverse of encode; returns None for out-of-range noise (the bot value)."""
-    bits = tuple(int(b) & 1 for b in bits)
-    if len(bits) != params.total_bits:
-        raise ValueError("wrong bit-string length")
-    box = params.noise_box
-    pos = 0
-    s = []
-    for _ in range(params.n):
-        s.append(sum(b << k for k, b in enumerate(bits[pos : pos + params.ell_q])))
-        pos += params.ell_q
-    e = []
-    for _ in range(params.m):
-        stored = sum(b << k for k, b in enumerate(bits[pos : pos + params.ell_e]))
-        e.append(stored - box)
-        pos += params.ell_e
-    d, c = bits[pos], bits[pos + 1]
-    elem = DomainElement(tuple(s), tuple(e), d, c)
-    if not is_valid(params, elem):
-        return None
-    return elem
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def unpack_bits(params: ParamSet, value: int) -> tuple[int, ...]:
-    """The register bit-string of a packed pattern (bit j = qubit j)."""
-    n = params.total_bits
-    # one pass over the binary digits; shifting a paper-size int per bit is quadratic
-    digits = format(value & ((1 << n) - 1), f"0{n}b")[::-1]
-    return tuple(digits.encode().translate(_BIT_BYTES))
+    """Inverse of encode on `check_bits`; None for out-of-range noise (bot)."""
+    return decode_int(params, pack_bits(check_bits(bits, params.total_bits)))
 
 
 def decode_int(params: ParamSet, value: int) -> DomainElement | None:
-    return decode(params, unpack_bits(params, value))
+    """Inverse of encode_int on [0, 2^total_bits); None for out-of-range noise."""
+    if not 0 <= value < 1 << params.total_bits:
+        raise ValueError("pattern wider than the register")
+    fields = []
+    for width in [params.ell_q] * params.n + [params.ell_e] * params.m:
+        fields.append(value % (1 << width))
+        value >>= width
+    c, d = divmod(value, 2)
+    e = tuple(stored - params.noise_box for stored in fields[params.n :])
+    elem = DomainElement(tuple(fields[: params.n]), e, d, c)
+    return elem if is_valid(params, elem) else None
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +418,8 @@ def _sector_hits(
 
 
 def invert(td: Trapdoor, pk: PublicKey, y) -> tuple[DomainElement, ...]:
-    """All valid preimages of y under f (0, 1 or 2 of them), in sector order.
+    """All valid preimages of y under f (0, 1 or 2 of them), in sector order;
+    ValueError unless y follows `check_image`.
 
     Sector (c, d) is scanned as k = 2c + d by the preimage rule of
     `_sector_hits`: the gadget decode of its target (or, for an
@@ -388,14 +429,9 @@ def invert(td: Trapdoor, pk: PublicKey, y) -> tuple[DomainElement, ...]:
     widened box, so there is at most one preimage per c and sector order is
     ascending `encode_int` order.
     """
-    params = pk.params
-    y = _as_vec(y)
-    if y.shape != (params.m,):
-        raise ValueError("image length mismatch")
-    lo, hi = e_range(params)
-    return tuple(
-        DomainElement(s, e, k & 1, k >> 1) for k, s, e in _sector_hits(pk, y, lo, hi, td.gadget)
-    )
+    lo, hi = e_range(pk.params)
+    hits = _sector_hits(pk, _as_vec(check_image(pk.params, y)), lo, hi, td.gadget)
+    return tuple(DomainElement(s, e, k & 1, k >> 1) for k, s, e in hits)
 
 
 def register_preimages(pk: PublicKey, packed_y: int) -> list[int]:
@@ -415,7 +451,7 @@ def register_preimages(pk: PublicKey, packed_y: int) -> list[int]:
     if not 0 <= packed_y < 1 << (params.m * params.ell_q):
         return []
     box = params.noise_box
-    hits = _sector_hits(pk, unpack_image(params, packed_y), -box, box - 1)
+    hits = _sector_hits(pk, _as_vec(unpack_image(params, packed_y)), -box, box - 1)
     return sorted(encode_int(params, DomainElement(s, e, k & 1, k >> 1)) for k, s, e in hits)
 
 
@@ -444,9 +480,9 @@ def domain_size(params: ParamSet, include_c: bool = True) -> int:
 
 
 def exhaustive_preimages(pk: PublicKey, y) -> tuple[DomainElement, ...]:
-    """Brute-force preimage set of y; the oracle invert() is checked against."""
-    y = _as_vec(y) % pk.params.q
-    return tuple(exhaustive_image_map(pk).get(tuple(y.tolist()), ()))
+    """Brute-force preimage set of y; the oracle invert() is checked against.
+    ValueError unless y follows `check_image`."""
+    return tuple(exhaustive_image_map(pk).get(check_image(pk.params, y), ()))
 
 
 def exhaustive_image_map(pk: PublicKey) -> dict[tuple[int, ...], list[DomainElement]]:
@@ -517,9 +553,9 @@ def pack_image(params: ParamSet, y) -> int:
     return out
 
 
-def unpack_image(params: ParamSet, packed: int) -> np.ndarray:
+def unpack_image(params: ParamSet, packed: int) -> tuple[int, ...]:
     mask = (1 << params.ell_q) - 1
-    return _as_vec([(packed >> (i * params.ell_q)) & mask for i in range(params.m)])
+    return tuple((packed >> (i * params.ell_q)) & mask for i in range(params.m))
 
 
 # ---------------------------------------------------------------------------
@@ -549,56 +585,43 @@ class Estimate:
     successes: int
 
 
-def _two_preimage_estimate(
-    trials: int, draw: Callable[[int], tuple[PublicKey, Trapdoor, np.random.Generator]]
-) -> Estimate:
-    """Fraction of trials whose sampled input's image has exactly two
-    preimages; draw(t) gives trial t's key, trapdoor and input generator."""
+def _estimate(trials: int, hit: Callable[[int], bool]) -> Estimate:
+    """The Monte-Carlo loop: the fraction of t in range(trials) with hit(t)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    hits = 0
-    for t in range(trials):
-        pk, td, rng = draw(t)
-        x = sample_domain_element(pk.params, rng)
-        if len(invert(td, pk, f(pk, x))) == 2:
-            hits += 1
+    hits = sum(bool(hit(t)) for t in range(trials))
     return Estimate(hits / trials, wilson_interval(hits, trials), trials, hits)
+
+
+def _two_preimages(pk: PublicKey, td: Trapdoor, rng: np.random.Generator) -> bool:
+    x = sample_domain_element(pk.params, rng)
+    return len(invert(td, pk, f(pk, x))) == 2
 
 
 def regularity_estimate(params: ParamSet, trials: int, seed: int) -> Estimate:
     """Fraction of sampled inputs whose image has exactly two preimages."""
-    def draw(t: int):
+    def hit(t: int) -> bool:
         pk, td = gen(params, derive_seed(seed, "regularity", t))
-        return pk, td, np.random.default_rng(derive_seed(seed, "regularity-x", t))
+        return _two_preimages(pk, td, np.random.default_rng(derive_seed(seed, "regularity-x", t)))
 
-    return _two_preimage_estimate(trials, draw)
+    return _estimate(trials, hit)
 
 
 def two_preimage_fraction(pk: PublicKey, td: Trapdoor, trials: int, seed: int) -> Estimate:
     """Same statistic for one fixed key."""
     rng = np.random.default_rng(seed)
-    return _two_preimage_estimate(trials, lambda t: (pk, td, rng))
+    return _estimate(trials, lambda t: _two_preimages(pk, td, rng))
 
 
 def homomorphy_estimate(params: ParamSet, trials: int, seed: int) -> Estimate:
-    """Probability that a fresh shift composes additively without leaving the box."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    hits = 0
-    for t in range(trials):
-        pk, td = gen(params, derive_seed(seed, "homomorphy", t))
+    """Probability that z + z0 keeps its noise in the box (`shift_in_box`)."""
+    def hit(t: int) -> bool:
+        _, td = gen(params, derive_seed(seed, "homomorphy", t))
         rng = np.random.default_rng(derive_seed(seed, "homomorphy-z", t))
         z = sample_domain_element(params, rng, include_c=False)
-        zsum = add_z(params, z, td.z0)
-        if not is_valid(params, zsum):
-            continue
-        lhs = (
-            g(params, pk.K, z.s, z.e, z.d) + g(params, pk.K, td.z0.s, td.z0.e, td.z0.d)
-        ) % params.q
-        rhs = g(params, pk.K, zsum.s, zsum.e, zsum.d)
-        if np.array_equal(lhs, rhs):
-            hits += 1
-    return Estimate(hits / trials, wilson_interval(hits, trials), trials, hits)
+        return shift_in_box(params, z.e, td.z0.e)
+
+    return _estimate(trials, hit)
 
 
 def analytic_homomorphy(params: ParamSet) -> float:
@@ -631,15 +654,14 @@ class GameResult:
 def hardcore_game(adversary: Adversary, params: ParamSet, trials: int, seed: int) -> GameResult:
     """Guess d0 from (K, y0).  The trapdoor is passed only so white-box
     baselines can be expressed; honest adversaries must ignore it."""
-    wins = 0
-    for t in range(trials):
+    def hit(t: int) -> bool:
         pk, td = gen(params, derive_seed(seed, "hardcore", t))
         rng = np.random.default_rng(derive_seed(seed, "hardcore-adv", t))
-        if adversary(pk, td, rng) == td.d0:
-            wins += 1
-    p = wins / trials
-    lo, hi = wilson_interval(wins, trials)
-    return GameResult(p, p - 0.5, (lo - 0.5, hi - 0.5), trials)
+        return adversary(pk, td, rng) == td.d0
+
+    est = _estimate(trials, hit)
+    lo, hi = est.interval
+    return GameResult(est.value, est.value - 0.5, (lo - 0.5, hi - 0.5), trials)
 
 
 def adv_random(pk: PublicKey, td: Trapdoor, rng: np.random.Generator) -> int:

@@ -75,14 +75,14 @@ def _formula_regressions(params: ParamSet, seed: int) -> tuple[int, int]:
     rng = np.random.default_rng(derive_seed(seed, "fy"))
     for packed_y in rng.choice(np.unique(table), size=12, replace=False):
         branches = [int(v) for v in np.flatnonzero(table == packed_y)]
-        y = tuple(int(v) for v in lwe.unpack_image(params, int(packed_y)))
+        y = lwe.unpack_image(params, int(packed_y))
         for theta, client in ((0.0, client_p), (np.pi / 2, client_r)):
             cols = p4.honest_output_table(client_p.pk, branches, theta)
             for bidx in range(1 << nbits):
                 col = cols[bidx]
                 if np.linalg.norm(col) < 1e-12:
                     continue
-                b = tuple((bidx >> j) & 1 for j in range(nbits))
+                b = lwe.unpack_bits(params, bidx)
                 out = p4.finalize(client, y, b)
                 cases += 1
                 if fidelity(out.qubit(), col) < 1 - 1e-9:

@@ -32,7 +32,6 @@ from .sim import (
     StateVector,
     analytic_stage2,
     draw_row,
-    pack_record,
     record_parity,
     sample_b,
     top_qubit_rows,
@@ -125,10 +124,6 @@ def client_init(params: ParamSet, variant: str, seed: int) -> tuple[ClientState4
 # honest server
 
 
-def _unpack_y(params: ParamSet, packed: int) -> tuple[int, ...]:
-    return tuple(int(v) for v in lwe.unpack_image(params, packed))
-
-
 def server_honest(key_msg: KeyMessage, backend: str, seed: int) -> StrategyReply:
     """Run the honest server on one of the two backends.
 
@@ -172,7 +167,7 @@ def _server_two_branch(key_msg: KeyMessage, seed: int) -> StrategyReply:
         xb = lwe.unpack_bits(params, branches[0])
         b = tuple(int(v) for v in rng.integers(0, 2, size=params.total_bits))
         held = QubitDescription.computational(xb[-2])
-    return StrategyReply(y=_unpack_y(params, packed_y), b=b, held=held)
+    return StrategyReply(y=lwe.unpack_image(params, packed_y), b=b, held=held)
 
 
 def _stage2_state(params: ParamSet, branch_bits: list[int]) -> StateVector:
@@ -209,16 +204,16 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
         )
         # bits[i] is the outcome of the i-th listed qubit
         ybits_out, _ = sv.measure(list(range(nbits, nbits + ybits)), rng)
-        packed_y = sum(bit << j for j, bit in enumerate(ybits_out))
+        packed_y = lwe.pack_bits(ybits_out)
         sv.apply_function_unitary([0, 1], controls=[nbits - 2], targets=[nbits + ybits])
         b, _ = xy_readout(sv, range(nbits), theta).measure(range(nbits), rng)
         held = QubitDescription(sv.qubit_state(nbits + ybits))
-        return StrategyReply(y=_unpack_y(params, packed_y), b=b, held=held)
+        return StrategyReply(y=lwe.unpack_image(params, packed_y), b=b, held=held)
 
     # projection route: draw y classically, then a row of honest_output_table
     packed_y, branches = _measured_image(pk, rng)
     b, held = draw_row(top_qubit_rows(_stage2_state(params, branches), theta), rng)
-    return StrategyReply(y=_unpack_y(params, packed_y), b=b, held=held)
+    return StrategyReply(y=lwe.unpack_image(params, packed_y), b=b, held=held)
 
 
 def fixed_reply_strategy(y, b) -> ServerStrategy:
@@ -252,8 +247,8 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
     """
     variant = check_variant(client.variant)
     params = client.pk.params
-    y = _check_y(params, y)
-    b = _check_b(params, b)
+    y = lwe.check_image(params, y)
+    b = lwe.check_bits(b, params.total_bits)
     preimages = lwe.invert(client.trapdoor, client.pk, y)
     if len(preimages) == 0:
         return _no_preimage_output(client, y, b, always_output)
@@ -262,9 +257,9 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
     z, zp = preimages
     if lwe.h(z) == lwe.h(zp):
         return OutputIndex4(0, lwe.h(z), TWO_PREIMAGES, COMPUTATIONAL)
-    # packed bit j is qubit j in both encode_int and pack_record
+    # packed bit j is qubit j in both encode_int and pack_bits
     x, xp = lwe.encode_int(params, z), lwe.encode_int(params, zp)
-    beta = record_parity(pack_record(b), x ^ xp)
+    beta = record_parity(lwe.pack_bits(b), x ^ xp)
     if variant == ROTATED:
         delta = xp.bit_count() - x.bit_count()
         k = ((2 * lwe.h(z) - 1) * delta + 2 * beta) % 4
@@ -275,37 +270,11 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
     return OutputIndex4(1, beta, TWO_PREIMAGES, PAULI_X)
 
 
-def _check_y(params: ParamSet, y) -> tuple[int, ...]:
-    y = tuple(y)
-    if len(y) != params.m:
-        raise ValueError("image has the wrong length")
-    for v in y:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < params.q:
-            raise ValueError(f"image entry {v!r} is not an integer in [0, q)")
-    return tuple(int(v) for v in y)
-
-
-def _check_b(params: ParamSet, b) -> tuple[int, ...]:
-    """The record b as a tuple of ints, each entry read by its integer value:
-    an int, numpy integer or bool in {0, 1}; ValueError otherwise."""
-    try:
-        # tuple() first: bytes() of an array would read its raw memory
-        raw = bytes(tuple(b))
-    except (TypeError, ValueError) as exc:  # not iterable, not integers, not in range(256)
-        raise ValueError("measurement record entries must be 0 or 1") from exc
-    if len(raw) != params.total_bits:
-        raise ValueError("measurement record has the wrong length")
-    if raw.translate(None, b"\x00\x01"):
-        raise ValueError("measurement record entries must be 0 or 1")
-    return tuple(raw)
-
-
 def _no_preimage_output(client: ClientState4, y, b, always_output: bool) -> OutputIndex4:
     if not always_output:
         return OutputIndex4(0, 0, NO_PREIMAGE, COMPUTATIONAL)
-    ybytes = ",".join(str(int(v)) for v in y)
-    bbytes = "".join(str(v) for v in b)
-    rng = np.random.default_rng(derive_seed(client.seed, "always-output", ybytes, bbytes))
+    labels = ",".join(map(str, y)), lwe.bits_text(b)
+    rng = np.random.default_rng(derive_seed(client.seed, "always-output", *labels))
     b1, b2 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
     family = PAULI_X if b1 else COMPUTATIONAL
     return OutputIndex4(b1, b2, NO_PREIMAGE, family)
@@ -339,7 +308,7 @@ def run_client(
         params, variant, run_seed(master_seed, run_id, variant, "client")
     )
     reply = exchange(key_msg)
-    y, b = _check_y(params, reply.y), _check_b(params, reply.b)
+    y, b = lwe.check_image(params, reply.y), lwe.check_bits(reply.b, params.total_bits)
     out = finalize(client, y, b)
     transcript = Transcript4(y=y, b=b, variant=variant)
     return Protocol4Result(out=out, transcript=transcript, held=reply.held, client=client)

@@ -11,13 +11,14 @@ from typing import Any
 
 import numpy as np
 
-from .lwe import DomainElement, GadgetData, PublicKey, Trapdoor
+from .lwe import DomainElement, GadgetData, PublicKey, Trapdoor, bits_text, text_bits
 from .params import ParamSet
 
 FORMAT_VERSION = 1
 
 
-def _vec_str(values) -> list[str]:
+def int_strings(values) -> list[str]:
+    """Integers as decimal strings: the text form of Z_q entries and noise vectors."""
     return [str(int(v)) for v in values]
 
 
@@ -39,22 +40,18 @@ def zq_entries(values, length: int, q: int) -> list[int]:
     return ints
 
 
-_RECORD_BITS = bytes.maketrans(b"01", b"\x00\x01")
-_RECORD_TEXT = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def record_bits(text, length: int) -> tuple[int, ...]:
     """A measurement record of exactly `length` characters from {0, 1}, as
     bits; ValueError otherwise."""
     # strip("01") leaves every other character, so it is empty exactly on a 0/1 string
     if not isinstance(text, str) or len(text) != length or text.strip("01"):
         raise ValueError(f"record must be exactly {length} characters from {{0, 1}}")
-    return tuple(text.encode("ascii").translate(_RECORD_BITS))
+    return text_bits(text)
 
 
 def record_text(bits: tuple[int, ...]) -> str:
     """The text form of a record of 0/1 ints, as `record_bits` reads it."""
-    return bytes(bits).translate(_RECORD_TEXT).decode("ascii")
+    return bits_text(bits)
 
 
 def bit(value, name: str) -> int:
@@ -94,7 +91,7 @@ def key_to_obj(pk: PublicKey) -> dict[str, Any]:
         "version": FORMAT_VERSION,
         "k": {
             "K": _mat_str(pk.K),
-            "y0": _vec_str(pk.y0),
+            "y0": int_strings(pk.y0),
             "params": params_to_obj(pk.params),
         },
     }
@@ -125,14 +122,14 @@ def trapdoor_to_obj(td: Trapdoor) -> dict[str, Any]:
     if td.gadget is not None:
         gadget = {
             "R": _mat_str(td.gadget.R),
-            "err_lo": _vec_str(td.gadget.err_lo),
-            "err_hi": _vec_str(td.gadget.err_hi),
+            "err_lo": int_strings(td.gadget.err_lo),
+            "err_hi": int_strings(td.gadget.err_hi),
         }
     return {
         "version": FORMAT_VERSION,
         "t": {
             "gadget": gadget,
-            "z0": {"s": _vec_str(td.z0.s), "e": _vec_str(td.z0.e)},
+            "z0": {"s": int_strings(td.z0.s), "e": int_strings(td.z0.e)},
             "d0": td.d0,
         },
     }

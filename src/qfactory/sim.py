@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from . import lwe
+
 # Widest statevector; StateVector raises above it.
 MAX_QUBITS = 16
 ATOL = 1e-9
@@ -214,7 +216,7 @@ def draw_row(rows: np.ndarray, rng: np.random.Generator):
     """
     k = len(rows).bit_length() - 1
     bits = _draw((np.abs(rows) ** 2).sum(axis=1).reshape((2,) * k).T, rng)
-    return bits, QubitDescription(rows[pack_record(bits)])
+    return bits, QubitDescription(rows[lwe.pack_bits(bits)])
 
 
 def _draw(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
@@ -299,14 +301,6 @@ def fidelity(a, b) -> float:
 # analytic two-branch evaluation of the honest stage-2 output
 
 
-_RECORD_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def pack_record(bits) -> int:
-    """A record of 0/1 ints packed as an integer, bit j = bits[j] (qubit j's outcome)."""
-    return int(bytes(bits)[::-1].translate(_RECORD_DIGITS), 2)
-
-
 def record_parity(b: int, diff: int) -> int:
     """<b, diff> mod 2 on packed records: the record's parity over the
     positions where two branches differ."""
@@ -320,24 +314,20 @@ def analytic_stage2(x, x_prime, b, theta: float):
     bit.  The target qubit holds the next-to-last bit of each branch (the
     hardcore bit).  After the XY-plane measurements at theta the x' branch
     carries the relative amplitude exp(-i theta (wt(x') - wt(x))) (-1)^<b, x
-    xor x'>.  Only theta in {0, pi/2} is supported.  Raises on a measurement
-    record b of probability zero.
+    xor x'>.  Only theta in {0, pi/2} is supported.  x, x' and b follow
+    `lwe.check_bits`, all of the length of x.  Raises on a measurement record
+    b of probability zero.
     """
     if not (abs(theta) < 1e-12 or abs(theta - math.pi / 2) < 1e-12):
         raise ValueError("only theta in {0, pi/2} is supported")
-    x = tuple(int(v) & 1 for v in x)
-    x_prime = tuple(int(v) & 1 for v in x_prime)
+    n = len(x)
+    x, x_prime, b = (lwe.check_bits(v, n) for v in (x, x_prime, b))
     if x == x_prime:
         raise ValueError("the two branches must differ")
-    if len(x) != len(x_prime):
-        raise ValueError("branch length mismatch")
     if x[-1] == x_prime[-1]:
         raise ValueError("branches must differ in the last bit")
-    b = tuple(int(v) & 1 for v in b)
-    if len(b) != len(x):
-        raise ValueError("b length mismatch")
     delta = sum(x_prime) - sum(x)
-    beta = record_parity(pack_record(b), pack_record(x) ^ pack_record(x_prime))
+    beta = record_parity(lwe.pack_bits(b), lwe.pack_bits(x) ^ lwe.pack_bits(x_prime))
     amps = np.zeros(2, dtype=complex)
     amps[x[-2]] += 1.0
     amps[x_prime[-2]] += cmath.exp(-1j * theta * delta) * (-1) ** beta
@@ -351,12 +341,11 @@ def stage2_b_support(x, x_prime, theta: float):
 
     Returns (None, None) when every b is equally likely, else (diff, parity)
     restricting records to <b, diff> = parity.  Interference can only kill
-    records when both branches carry the same output value.
+    records when both branches carry the same output value.  x and x' follow
+    `lwe.check_bits`, both of the length of x.
     """
-    x = tuple(int(v) & 1 for v in x)
-    x_prime = tuple(int(v) & 1 for v in x_prime)
-    hidx = len(x) - 2
-    if x[hidx] != x_prime[hidx]:
+    x, x_prime = lwe.check_bits(x, len(x)), lwe.check_bits(x_prime, len(x))
+    if x[-2] != x_prime[-2]:
         return None, None
     diff = tuple(a ^ bb for a, bb in zip(x, x_prime))
     if abs(theta) < 1e-12:
@@ -369,10 +358,9 @@ def stage2_b_support(x, x_prime, theta: float):
 
 def sample_b(x, x_prime, theta: float, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw a measurement record from the honest two-branch distribution."""
-    n = len(x)
-    b = [int(v) for v in rng.integers(0, 2, size=n)]
+    b = rng.integers(0, 2, size=len(x)).tolist()
     diff, parity = stage2_b_support(x, x_prime, theta)
-    if diff is not None and record_parity(pack_record(b), pack_record(diff)) != parity:
+    if diff is not None and record_parity(lwe.pack_bits(b), lwe.pack_bits(diff)) != parity:
         flip = next(i for i, dv in enumerate(diff) if dv)
         b[flip] ^= 1
     return tuple(b)

@@ -112,7 +112,7 @@ def run4_record(result: p4.Protocol4Result, run_id: int, seed: int) -> dict:
         "variant": result.transcript.variant,
         "key_msg": serde.key_to_obj(result.client.pk),
         "trapdoor": serde.trapdoor_to_obj(result.client.trapdoor),
-        "y": [str(int(v)) for v in result.transcript.y],
+        "y": serde.int_strings(result.transcript.y),
         "b": serde.record_text(result.transcript.b),
         **_run4_fields(result.out),
         "seeds": {"run": seed},

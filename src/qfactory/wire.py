@@ -184,7 +184,7 @@ class ServerSession:
                 raise WireError(f"key cannot be served: {exc}") from exc
             self._hold(msg.run_id, variant, reply.held)
             return [
-                WireMessage("image", msg.run_id, {"y": [str(int(v)) for v in reply.y]}),
+                WireMessage("image", msg.run_id, {"y": serde.int_strings(reply.y)}),
                 WireMessage("meas", msg.run_id, {"b": serde.record_text(reply.b)}),
             ]
         if msg.kind == "merge":

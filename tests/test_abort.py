@@ -128,6 +128,13 @@ def test_beta_below_threshold_uniform_bit():
     assert 0.3 < sum(bits) / len(bits) < 0.7
 
 
+def test_beta_rejects_an_image_outside_zq():
+    cfg = abort.ChunkConfig(t_c=1, n_c=1, p_a=Fraction(1, 1), p_c=Fraction(2, 3))
+    pk, td = lwe.gen(TOY_MICRO, seed=3)
+    with pytest.raises(ValueError):
+        abort.beta([td], [pk], [(14, 2)], cfg, seed=1)
+
+
 def test_beta_agrees_with_combine_basis():
     """On accepted chunks both reductions produce the same basis bit."""
     params = TOY_MICRO
@@ -204,12 +211,17 @@ def test_simulated_chunks_meet_chernoff_bound():
     p_b = p_a - 0.12
     t_c = 60
     chunks = 2000
-    rate, _ = abort.simulate_honest_chunks(
-        params, t_c, chunks, p_b, seed=12, invert_check_chunks=2
-    )
+    rate, _ = abort.simulate_honest_chunks(params, t_c, chunks, p_b, seed=12)
     bound = abort.chernoff_success_bound(p_a, p_b, t_c)
     sigma = math.sqrt(bound * (1 - bound) / chunks)
     assert rate >= bound - 3 * sigma
+
+
+def test_simulated_chunks_keep_their_values():
+    params = TOY_REG
+    p_b = lwe.analytic_homomorphy(params) - 0.12
+    rate, accepted = abort.simulate_honest_chunks(params, 60, 2000, p_b, seed=12)
+    assert rate == 0.975 and int(accepted.sum()) == 1950
 
 
 # ---------------------------------------------------------------------------

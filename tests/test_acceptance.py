@@ -146,9 +146,7 @@ def test_criterion_05_chunk_success_probability():
     p_b = p_a_hat - 0.12
     t_c = 60
     chunks = 10_000
-    rate, _ = abort.simulate_honest_chunks(
-        params, t_c, chunks, p_b, seed=506, invert_check_chunks=2
-    )
+    rate, _ = abort.simulate_honest_chunks(params, t_c, chunks, p_b, seed=506)
     bound = abort.chernoff_success_bound(p_a_hat, p_b, t_c)
     sigma = math.sqrt(bound * (1 - bound) / chunks)
     ok = rate >= bound - 3 * sigma

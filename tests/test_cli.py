@@ -211,3 +211,48 @@ def test_replay_with_a_mismatch_exits_1(capsys, tmp_path):
     assert rc == 1
     assert rep["records"] == 2 and rep["verified_runs"] == 1
     assert [m["seq"] for m in rep["mismatches"]] == [0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run4", "--runs", "0"],
+        ["run8", "--runs", "-1"],
+        ["run-abort", "--n_c", "0"],
+        ["run-abort", "--t_c", "0"],
+        ["run-verifiable", "--fraction", "1.5"],
+        ["run-verifiable", "--fraction", "0"],
+        ["run-verifiable", "--N", "0"],
+        ["selftest", "--N", "0"],
+        ["oracle-check", "--trials", "0"],
+        ["connect", "--runs", "0"],
+        ["run4", "--runs", "two"],
+    ],
+)
+def test_an_out_of_range_count_or_fraction_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: argument" in captured.err and "Traceback" not in captured.err
+
+
+def test_emit_refuses_a_nan_rather_than_write_invalid_json(capsys):
+    with pytest.raises(ValueError):
+        cli._emit({"rate": float("nan")}, None)
+    assert capsys.readouterr().out == ""
+
+
+def test_connect_to_a_closed_port_is_one_stderr_line(capsys):
+    import socket
+
+    with socket.socket() as sock:  # a port nobody listens on once it is closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    rc = cli.main(["connect", "--params", "toy-micro", "--endpoint", f"127.0.0.1:{port}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"qfactory connect: 127.0.0.1:{port}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -122,8 +122,16 @@ def test_g_shift():
     assert tuple(lwe.g(params, K, [3], [1, -1], 1)) == (0, 5)
 
 
-def test_g_homomorphy_spot():
-    params = TOY_REG
+# the five presets the shifted-noise rule is pinned on
+_RULE_PRESETS = [TOY_MICRO, TOY_GADGET, TOY_REG, TOY_WIDE, paper_params(2)]
+_RULE_IDS = ["micro", "gadget", "reg", "wide", "paper2"]
+
+
+# Two noise vectors drawn over the whole range rarely sum into it at paper
+# size ((3/4)^56 for paper_params(2)), so the paper preset is covered by the
+# planted-shift test below instead.
+@pytest.mark.parametrize("params", _RULE_PRESETS[:4], ids=_RULE_IDS[:4])
+def test_g_homomorphy_spot(params):
     pk, _ = lwe.gen(params, seed=5)
     rng = _rng(2)
     hits = 0
@@ -139,6 +147,45 @@ def test_g_homomorphy_spot():
         ) % params.q
         assert np.array_equal(lhs, lwe.g(params, pk.K, zsum.s, zsum.e, zsum.d))
     assert hits > 0
+
+
+@pytest.mark.parametrize("params", _RULE_PRESETS, ids=_RULE_IDS)
+def test_g_homomorphy_on_the_planted_shift(params):
+    """z + z0 is a valid input exactly when `shift_in_box` holds, and then
+    g(z) + g(z0) = g(z + z0)."""
+    hits = 0
+    for t in range(120):
+        pk, td = lwe.gen(params, seed=1000 + t)
+        z = lwe.sample_domain_element(params, _rng(t), include_c=False)
+        zsum = lwe.add_z(params, z, td.z0)
+        assert lwe.shift_in_box(params, z.e, td.z0.e) == lwe.is_valid(params, zsum)
+        if lwe.is_valid(params, zsum):
+            hits += 1
+            lhs = (lwe.g(params, pk.K, z.s, z.e, z.d) + pk.y0) % params.q
+            assert np.array_equal(lhs, lwe.g(params, pk.K, zsum.s, zsum.e, zsum.d))
+    assert hits > 0
+
+
+@pytest.mark.parametrize("params", _RULE_PRESETS, ids=_RULE_IDS)
+def test_shift_in_box_is_the_two_preimage_rule(params):
+    """An input's image has two preimages exactly when its noise shifted by
+    -e0 (c = 0) or +e0 (c = 1) stays in the box, on fresh keys and inputs."""
+    two = 0
+    for t in range(120):
+        pk, td = lwe.gen(params, seed=2000 + t)
+        x = lwe.sample_domain_element(params, _rng(t))
+        shift = [(2 * x.c - 1) * v for v in td.z0.e]
+        want = len(lwe.invert(td, pk, lwe.f(pk, x))) == 2
+        assert lwe.shift_in_box(params, x.e, shift) == want
+        two += want
+    assert two > 0
+
+
+def test_shift_in_box_is_vectorized_over_leading_axes():
+    params = TOY_REG  # e in [-2, 1]
+    e = np.array([[[1, 0, -2], [0, 0, 0]]])
+    shift = np.array([[[1, 0, 0], [1, 1, -1]]])
+    assert lwe.shift_in_box(params, e, shift).tolist() == [[False, True]]
 
 
 def test_f_c0_equals_g():
@@ -218,6 +265,16 @@ def test_invert_matches_exhaustive_on_uniform_y(params):
         want = lwe.exhaustive_preimages(pk, y)
         assert got == want
         assert len(got) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("y", [(14, 2), (6, -6), (-2, 2), (6, 10)], ids=["+q", "-q", "neg", "+q2"])
+def test_invert_and_exhaustive_reject_an_image_outside_zq(y):
+    pk, td = lwe.gen(TOY_MICRO, seed=3)
+    assert lwe.invert(td, pk, (6, 2)) == lwe.exhaustive_preimages(pk, (6, 2))
+    with pytest.raises(ValueError, match=r"\[0, q\)"):
+        lwe.invert(td, pk, y)
+    with pytest.raises(ValueError, match=r"\[0, q\)"):
+        lwe.exhaustive_preimages(pk, y)
 
 
 def test_invert_y0_recovers_plant():
@@ -415,6 +472,27 @@ def test_decode_out_of_box_noise_is_bot():
     assert lwe.decode(params, bits) is None
 
 
+def test_decode_rejects_a_non_bit_entry():
+    # masked to bits this would read as s = 0, e = (0, 0), d = 0, c = 0
+    with pytest.raises(ValueError):
+        lwe.decode(TOY_MICRO, (2, 0, 0, 1, 0, 1, 0))
+
+
+@pytest.mark.parametrize("value", [-1, 1 << TOY_MICRO.total_bits])
+def test_decode_int_rejects_a_pattern_outside_the_register(value):
+    with pytest.raises(ValueError):
+        lwe.decode_int(TOY_MICRO, value)
+
+
+@pytest.mark.parametrize("params", [TOY_REG, paper_params(2)], ids=["reg", "paper2"])
+def test_pack_bits_inverts_unpack_bits(params):
+    n = params.total_bits
+    rng = _rng(11)
+    for value in [0, 1, (1 << n) - 1, *(int(v) for v in rng.integers(0, 1 << min(n, 62), size=5))]:
+        bits = lwe.unpack_bits(params, value)
+        assert len(bits) == n and lwe.pack_bits(bits) == value
+
+
 # ---------------------------------------------------------------------------
 # estimators
 
@@ -482,6 +560,28 @@ def test_hardcore_random_adversary_no_advantage():
 def test_hardcore_trapdoor_adversary_wins():
     res = lwe.hardcore_game(lwe.adv_trapdoor, TOY_GADGET, trials=60, seed=89)
     assert res.p_correct == 1.0
+
+
+def test_estimators_reject_zero_trials():
+    pk, td = lwe.gen(TOY_MICRO, seed=3)
+    for call in (
+        lambda: lwe.regularity_estimate(TOY_MICRO, 0, 1),
+        lambda: lwe.two_preimage_fraction(pk, td, 0, 1),
+        lambda: lwe.homomorphy_estimate(TOY_MICRO, 0, 1),
+        lambda: lwe.hardcore_game(lwe.adv_random, TOY_MICRO, 0, 1),
+    ):
+        with pytest.raises(ValueError, match="trials"):
+            call()
+
+
+def test_estimators_keep_their_values():
+    """Success counts of the estimators, unchanged since they shared one loop."""
+    assert lwe.regularity_estimate(TOY_REG, 400, 61).successes == 225
+    assert lwe.homomorphy_estimate(TOY_WIDE, 2000, 71).successes == 1163
+    assert lwe.homomorphy_estimate(TOY_REG, 1500, 79).successes == 871
+    assert lwe.two_preimage_fraction(*lwe.gen(TOY_REG, 59), 200, 59).successes == 102
+    assert lwe.hardcore_game(lwe.adv_random, TOY_MICRO, 800, 83).p_correct == 0.495
+    assert lwe.hardcore_game(lwe.adv_trapdoor, TOY_GADGET, 60, 89).p_correct == 1.0
 
 
 def test_hardcore_bruteforce_breaks_toy_scale():

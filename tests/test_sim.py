@@ -294,6 +294,22 @@ def test_stage2_rejects_equal_branches():
         analytic_stage2((0, 1), (0, 1), (0, 0), 0.0)
 
 
+def test_stage2_rejects_a_non_bit_entry():
+    # masked to bits the record would read as (0, 1, 0)
+    with pytest.raises(ValueError):
+        analytic_stage2((0, 0, 1), (0, 1, 0), (2, 3, 0), 0.0)
+
+
+@pytest.mark.parametrize(
+    "x, xp",
+    [((0, 2, 0, 1), (1, 1, 0, 0)), ((0, 1, 0, 1), (1, -1, 0, 0)), ((0, 1, 0, 1), (1, 1, 0))],
+    ids=["x", "x-prime", "short"],
+)
+def test_stage2_b_support_rejects_a_non_bit_branch(x, xp):
+    with pytest.raises(ValueError):
+        stage2_b_support(x, xp, 0.0)
+
+
 def _two_branch_statevector(x, xp, theta):
     """Reference pipeline: explicit superposition, CNOT to the target, rotate,
     and tabulate the output qubit per measurement record."""
