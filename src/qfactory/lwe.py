@@ -209,13 +209,18 @@ def encode(params: ParamSet, elem: DomainElement) -> tuple[int, ...]:
 
 
 def encode_int(params: ParamSet, elem: DomainElement) -> int:
-    """The encoded bit-string as an integer (bit j = qubit j)."""
+    """The encoded bit-string as an integer (bit j = qubit j); ValueError for
+    an s entry outside [0, q), e outside the box, or d or c not 0 or 1."""
     if elem.c is None:
         raise ValueError("encode needs the c component")
+    if elem.d not in (0, 1) or elem.c not in (0, 1):
+        raise ValueError("d and c must be 0 or 1")
     box = params.noise_box
     value = pos = 0
-    for x in elem.s:
-        value |= (int(x) & (params.q - 1)) << pos
+    for x in map(int, elem.s):
+        if not 0 <= x < params.q:
+            raise ValueError("s entries must lie in [0, q)")
+        value |= x << pos
         pos += params.ell_q
     for x in elem.e:
         stored = int(x) + box
@@ -223,7 +228,7 @@ def encode_int(params: ParamSet, elem: DomainElement) -> int:
             raise ValueError("e outside the representable box")
         value |= stored << pos
         pos += params.ell_e
-    return value | (elem.d & 1) << pos | (elem.c & 1) << (pos + 1)
+    return value | int(elem.d) << pos | int(elem.c) << (pos + 1)
 
 
 def decode(params: ParamSet, bits) -> DomainElement | None:

@@ -1,12 +1,17 @@
 """Versioned JSON serialization for keys and trapdoors.
 
-Z_q entries travel as decimal strings because the modulus can exceed 2^53 and
-the files must survive JSON number parsing anywhere.
+Format version 2 writes each array as base64 of its bytes, shaped by the key's
+params: R as `np.packbits` of each row, every other array as little-endian
+int64.  Readers take only that exact text, Z_q entries in [0, q) and zero pad
+bits, and raise ValueError on anything else, other versions included; nothing
+is reduced mod q.  The image y stays decimal strings (`int_strings`).
 """
 
 from __future__ import annotations
 
+import binascii
 import json
+import struct
 from typing import Any
 
 import numpy as np
@@ -14,16 +19,12 @@ import numpy as np
 from .lwe import DomainElement, GadgetData, PublicKey, Trapdoor, bits_text, text_bits
 from .params import ParamSet
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def int_strings(values) -> list[str]:
-    """Integers as decimal strings: the text form of Z_q entries and noise vectors."""
+    """Integers as decimal strings: the text form of an image y."""
     return [str(int(v)) for v in values]
-
-
-def _mat_str(mat) -> list[list[str]]:
-    return [[str(v) for v in row] for row in mat.tolist()]
 
 
 def zq_entries(values, length: int, q: int) -> list[int]:
@@ -86,62 +87,61 @@ def params_from_obj(obj: dict[str, Any]) -> ParamSet:
     return ParamSet(q=int(q), profile=profile, **dims)
 
 
+def _text(buf) -> str:
+    return binascii.b2a_base64(buf, newline=False).decode("ascii")
+
+
+def _int64_text(values) -> str:
+    """The text of an int64 array, vector or tuple: base64 of its `<i8` bytes."""
+    return _text(np.ascontiguousarray(values, dtype="<i8"))
+
+
+def _raw(text, nbytes: int, name: str) -> bytes:
+    """The `nbytes` bytes of their base64 text exactly as `_text` writes it, else
+    ValueError: strict mode alone lets '=' follow a full group and pad bits vary."""
+    if not isinstance(text, str) or len(text) != 4 * -(-nbytes // 3):
+        raise ValueError(f"{name} must be the base64 text of {nbytes} bytes")
+    raw = binascii.a2b_base64(text, strict_mode=True)  # binascii.Error is a ValueError
+    if len(raw) != nbytes or (nbytes % 3 and _text(raw[-(nbytes % 3) :]) != text[-4:]):
+        raise ValueError(f"{name} must be the canonical base64 text of {nbytes} bytes")
+    return raw
+
+
+def _check_version(obj: dict[str, Any], what: str) -> None:
+    if type(obj.get("version")) is not int or obj["version"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported {what} format version {obj.get('version')!r}")
+
+
 def key_to_obj(pk: PublicKey) -> dict[str, Any]:
     return {
         "version": FORMAT_VERSION,
-        "k": {
-            "K": _mat_str(pk.K),
-            "y0": int_strings(pk.y0),
-            "params": params_to_obj(pk.params),
-        },
+        "k": {"K": _int64_text(pk.K), "y0": _int64_text(pk.y0), "params": params_to_obj(pk.params)},
     }
-
-
-def _zq_matrix(rows, n_rows: int, n_cols: int, q: int) -> np.ndarray:
-    """An n_rows x n_cols int64 matrix from rows of decimal strings in [0, q),
-    all checked before the array is built; else ValueError."""
-    if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == n_cols for r in rows)):
-        raise ValueError(f"expected a list of rows of {n_cols} entries")
-    flat = zq_entries([v for row in rows for v in row], n_rows * n_cols, q)
-    return np.array(flat, dtype=np.int64).reshape(n_rows, n_cols)
 
 
 def key_from_obj(obj: dict[str, Any]) -> PublicKey:
     """The public key of a key object whose K (m x n) and y0 (m) entries are
-    all in [0, q); ValueError otherwise, checked before any array is built."""
-    if type(obj.get("version")) is not int or obj["version"] != FORMAT_VERSION:
-        raise ValueError("unsupported key format version")
+    all in [0, q); ValueError otherwise, checked before the key is built."""
+    _check_version(obj, "key")
     params = params_from_obj(obj["k"]["params"])
-    y0 = zq_entries(obj["k"]["y0"], params.m, params.q)
-    K = _zq_matrix(obj["k"]["K"], params.m, params.n, params.q)
-    return PublicKey(K=K, y0=np.array(y0, dtype=np.int64), params=params)
+    m, n = params.m, params.n
+    # one reduction over K and y0, in unsigned form so that a negative entry is >= 2^63
+    raw = _raw(obj["k"]["K"], 8 * m * n, "K") + _raw(obj["k"]["y0"], 8 * m, "y0")
+    if np.frombuffer(raw, "<u8").max() >= params.q:
+        raise ValueError("K and y0 entries must be in [0, q)")
+    flat = np.frombuffer(raw, "<i8")
+    return PublicKey(K=flat[: m * n].reshape(m, n), y0=flat[m * n :], params=params)
 
 
 def trapdoor_to_obj(td: Trapdoor) -> dict[str, Any]:
-    gadget = None
-    if td.gadget is not None:
-        gadget = {
-            "R": _mat_str(td.gadget.R),
-            "err_lo": int_strings(td.gadget.err_lo),
-            "err_hi": int_strings(td.gadget.err_hi),
-        }
-    return {
-        "version": FORMAT_VERSION,
-        "t": {
-            "gadget": gadget,
-            "z0": {"s": int_strings(td.z0.s), "e": int_strings(td.z0.e)},
-            "d0": td.d0,
-        },
+    gd = td.gadget
+    gadget = None if gd is None else {
+        "R": _text(np.packbits(gd.R, axis=1)),
+        "err_lo": _int64_text(gd.err_lo),
+        "err_hi": _int64_text(gd.err_hi),
     }
-
-
-def _int_vec(values, length: int) -> np.ndarray:
-    """A list of `length` signed decimal strings, as int64; else ValueError."""
-    if not (isinstance(values, list) and len(values) == length) or not all(
-        isinstance(v, str) and v.isascii() and v.removeprefix("-").isdigit() for v in values
-    ):
-        raise ValueError(f"expected a list of {length} signed decimal strings")
-    return np.array([int(v) for v in values], dtype=np.int64)
+    z0 = {"s": _int64_text(td.z0.s), "e": _int64_text(td.z0.e)}
+    return {"version": FORMAT_VERSION, "t": {"gadget": gadget, "z0": z0, "d0": td.d0}}
 
 
 def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
@@ -150,8 +150,7 @@ def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
     matrix and n*ell_q entries in each of err_lo and err_hi, a plant with n
     entries of s in [0, q) and m entries of e, and d0 in {0, 1}; ValueError
     otherwise."""
-    if type(obj.get("version")) is not int or obj["version"] != FORMAT_VERSION:
-        raise ValueError("unsupported trapdoor format version")
+    _check_version(obj, "trapdoor")
     t = obj["t"]
     w = params.n * params.ell_q
     m_bar = params.m - w
@@ -159,19 +158,20 @@ def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
         raise ValueError("a trapdoor has a gadget exactly when m > n*ell_q")
     gadget = None
     if t["gadget"] is not None:
-        gd = t["gadget"]
-        gadget = GadgetData(
-            R=_zq_matrix(gd["R"], m_bar, w, 2),
-            err_lo=_int_vec(gd["err_lo"], w),
-            err_hi=_int_vec(gd["err_hi"], w),
-        )
-    z0 = DomainElement(
-        s=tuple(zq_entries(t["z0"]["s"], params.n, params.q)),
-        e=tuple(_int_vec(t["z0"]["e"], params.m).tolist()),
-        d=bit(t["d0"], "d0"),
-        c=None,
-    )
-    return Trapdoor(gadget=gadget, z0=z0)
+        gd, width = t["gadget"], -(-w // 8)
+        raw = _raw(gd["R"], m_bar * width, "R")
+        pad = (1 << (-w % 8)) - 1  # the pad bits at the end of each row of R
+        if pad and any(last & pad for last in raw[width - 1 :: width]):
+            raise ValueError("R pad bits must be zero")
+        R = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(m_bar, width), axis=1, count=w)
+        err = [np.frombuffer(_raw(gd[k], 8 * w, k), "<i8") for k in ("err_lo", "err_hi")]
+        gadget = GadgetData(R=R.astype(np.int64), err_lo=err[0], err_hi=err[1])
+    # struct, not numpy: numpy's cost per call would dominate at toy size
+    s = struct.unpack(f"<{params.n}Q", _raw(t["z0"]["s"], 8 * params.n, "s"))
+    if max(s) >= params.q:  # unsigned, as for K
+        raise ValueError("s entries must be in [0, q)")
+    e = struct.unpack(f"<{params.m}q", _raw(t["z0"]["e"], 8 * params.m, "e"))
+    return Trapdoor(gadget=gadget, z0=DomainElement(s=s, e=e, d=bit(t["d0"], "d0"), c=None))
 
 
 def keypair_to_json(pk: PublicKey, td: Trapdoor) -> str:

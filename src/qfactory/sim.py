@@ -153,10 +153,10 @@ class StateVector:
         """Project onto the given computational outcome; returns its probability."""
         qubits = list(qubits)
         self._check(*qubits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("outcome bits must be 0 or 1")
-        sel = sum(1 << qb for qb in qubits)
-        want = sum(int(b) << qb for qb, b in zip(qubits, bits))
+        sel_bits, want_bits = [0] * self.n, [0] * self.n
+        for qb, b in zip(qubits, lwe.check_bits(bits, len(qubits))):
+            sel_bits[qb], want_bits[qb] = 1, b
+        sel, want = lwe.pack_bits(sel_bits), lwe.pack_bits(want_bits)
         drop = (_index(self.n) & sel) != want
         prob = 1.0 - float(np.sum(np.abs(self.amps[drop]) ** 2))
         self.amps[drop] = 0.0

@@ -1,5 +1,8 @@
 """Function-family tests, built around exhaustive enumeration oracles."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -478,6 +481,22 @@ def test_decode_rejects_a_non_bit_entry():
         lwe.decode(TOY_MICRO, (2, 0, 0, 1, 0, 1, 0))
 
 
+@pytest.mark.parametrize(
+    "elem",
+    [
+        lwe.DomainElement((9,), (0, 0), 2, 1),  # masked, this encodes as s = 1, d = 0
+        lwe.DomainElement((8,), (0, 0), 0, 1),
+        lwe.DomainElement((-1,), (0, 0), 0, 1),
+        lwe.DomainElement((1,), (0, 0), 0, 2),
+        lwe.DomainElement((1,), (0, 0), -1, 0),
+    ],
+    ids=["s-9-d-2", "s-q", "s-minus-1", "c-2", "d-minus-1"],
+)
+def test_encode_int_rejects_instead_of_masking(elem):
+    with pytest.raises(ValueError):
+        lwe.encode_int(TOY_MICRO, elem)
+
+
 @pytest.mark.parametrize("value", [-1, 1 << TOY_MICRO.total_bits])
 def test_decode_int_rejects_a_pattern_outside_the_register(value):
     with pytest.raises(ValueError):
@@ -608,9 +627,13 @@ def test_keypair_json_round_trip():
 
 
 def test_paper_profile_serde_uses_strings():
+    # K travels as one base64 string of its little-endian int64 entries, not as
+    # JSON numbers, which lose entries above 2^53 in some parsers
     params = paper_params(4)
     pk, td = lwe.gen(params, seed=103)
-    obj = serde.key_to_obj(pk)
-    assert isinstance(obj["k"]["K"][0][0], str)
+    obj = json.loads(json.dumps(serde.key_to_obj(pk)))
+    K = np.frombuffer(base64.b64decode(obj["k"]["K"], validate=True), "<i8")
+    assert np.array_equal(K.reshape(params.m, params.n), pk.K)
+    assert obj["k"]["params"]["q"] == str(params.q)
     pk2 = serde.key_from_obj(obj)
     assert np.array_equal(pk.K, pk2.K)

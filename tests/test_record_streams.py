@@ -3,6 +3,8 @@
 The digest covers run8 records and plain and rotated run4 records for the four
 toy presets, on both backends, for seeds 0-2.  The chain hashes of a fixed
 transcript file and the key and trapdoor JSON of `gen` are pinned as well.
+The raw arrays `gen` gives are pinned apart from any text form, so a change
+of the key format re-pins the JSON digests and leaves `RAW` unchanged.
 An intentional stream change updates the pinned values and gives its reason
 in CHANGES.md.
 """
@@ -10,18 +12,19 @@ in CHANGES.md.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from qfactory import lwe, protocol4 as p4, protocol8 as p8, serde, transcripts
 from qfactory.params import TOY_GADGET, TOY_MICRO, TOY_REG, TOY_WIDE, paper_params, toy_params
 
-DIGEST = "96085399b7f17ac731926e08029a4a7dc33a5ff0423b7401e45a065500d2f237"
+DIGEST = "59595ba22fe50a04e473607bfbbf31bfb20bf4682f85107cd80763eeb459a83b"
 
 # TOY_MICRO plain run4 (seed 0), rotated run4 (seed 3) and run8 (seed 1)
 CHAIN = [
-    "57e646b1a5662ef9ad1a0a113cf13bf0e60ce5fd1581a54c037f665921a00445",
-    "683a9170ec4a28574daf479514b300e33065ab0730a48c4e985bb1cf07fe493f",
-    "25cec032b1f72d836c5cac00a517644ff34c9713ca86671ea2376fcb0cf673fa",
+    "d485ad8a0a62bb81beb1142c39e1f07739b292b3ee38d018958e6cfc22e8bd76",
+    "3e3feaf74c2c472da98d708093a638f9fbd3e5245a091791a5bf8f06916c1bf2",
+    "7fb542de98ebc3a7b745cff2cd5ce7b181129df0571bff0731cd47896391efdb",
 ]
 
 # SHA-256 of serde.keypair_to_json(*gen(params, seed)).  No preset drops a bit
@@ -29,12 +32,23 @@ CHAIN = [
 CAPPED = toy_params(n=1, q=8, m=7, mu=1)
 PAPER16 = paper_params(16)
 KEYS = {
-    "gadget-0": (TOY_GADGET, 0, "88abcc20c195e0369c79f0856c533d9f7dd26139d39cdb86f415936455bef18e"),
-    "gadget-1": (TOY_GADGET, 1, "df9dff936835e865c62e87fddcca2b5b2a7e5a5c75141764d579b156eec98fc1"),
-    "capped-0": (CAPPED, 0, "956395f45afc6db2ce120807c40bb318ac265ef0f4d428601f3b07b1f3f771c6"),
-    "capped-1": (CAPPED, 1, "240ce9a0f5a4e38747587c999063484b0fa0777da320bee7d7678ac4f4e3a83d"),
-    "paper16-0": (PAPER16, 0, "eb92be203a32bed78274a12f2fbbcd75d3b9892225d4eb69743ed2792079addc"),
-    "paper16-1": (PAPER16, 1, "980c0d36e17fcd0a5a85521caf99092d8b2656a5a690e78d891a4b86ea16d47f"),
+    "gadget-0": (TOY_GADGET, 0, "6de12456e4d12e2933605ce4535deed1468ab658136fe60b6b1366587e9eda33"),
+    "gadget-1": (TOY_GADGET, 1, "25758c164abf18762f46c0511323d49e65b06e338199dabe4bf8c4857c45f818"),
+    "capped-0": (CAPPED, 0, "527e5a5ee1289cd3e219821dd5c16254c3e68f38cf6635ac53708d7a8aefa533"),
+    "capped-1": (CAPPED, 1, "2c798e9ffac5610aabb07bc28e9aaa6ac5760d7b02248f34c9899b68075e1955"),
+    "paper16-0": (PAPER16, 0, "dda2ba39d37be5e3941e29ceb44def64e2ccbb6ff2c027e2d33960ba1831987e"),
+    "paper16-1": (PAPER16, 1, "fa339609cd4b4d97ed41f317d14693a3189d218a12c55b36f9e235ada7cf4e61"),
+}
+
+# SHA-256 of the little-endian int64 bytes of K, y0, R, err_lo, err_hi, s, e
+# and d0 of gen(params, seed), in that order, for the KEYS entries.
+RAW = {
+    "gadget-0": "b37f610d5e11aa4177cd98cf4512ba7ca9b0276d0eb3fc9b5df68e7831a677b1",
+    "gadget-1": "2a210f8990d5320958971d29ffd023b5f6008012d80f06d8f2ffa25267cc03c5",
+    "capped-0": "4f4932499a27e7f9ed1ff5f3375fb481e11527d6886bd4b6f80e579761fa9cc8",
+    "capped-1": "3e1c537d125acd27e0a1805bcb61d91662aea204321420dd25d050e80ee02e06",
+    "paper16-0": "84f3dacf51c92fbce9029e04f9fa1d0f0e2a8ea0afd4e035632db4765ff69657",
+    "paper16-1": "af4efd274abc4cc0b196f6c1285ea43b2574693d9ea56bffc3a226d98fe407d4",
 }
 
 
@@ -72,3 +86,14 @@ def test_chain_hashes_are_pinned(tmp_path):
 def test_gen_output_is_pinned(params, seed, digest):
     text = serde.keypair_to_json(*lwe.gen(params, seed))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", KEYS.keys())
+def test_gen_arrays_are_pinned(name):
+    params, seed, _ = KEYS[name]
+    pk, td = lwe.gen(params, seed)
+    gd = td.gadget
+    digest = hashlib.sha256()
+    for part in (pk.K, pk.y0, gd.R, gd.err_lo, gd.err_hi, td.z0.s, td.z0.e, [td.d0]):
+        digest.update(np.asarray(part, dtype="<i8").tobytes())
+    assert digest.hexdigest() == RAW[name]

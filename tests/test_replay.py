@@ -163,6 +163,13 @@ def test_paper_size_record_replays(tmp_path, variant, seed):
     assert (report.records, report.verified_runs, report.mismatches) == (1, 1, [])
 
 
+def test_paper_size_record_is_at_most_180_kb():
+    # format 2 writes K as base64 of int64 bytes and R as packed bits (310 KB as decimal text)
+    res = p4.run_protocol4(paper_params(16), 4, strategy=_honest_image)
+    body = transcripts.run4_record(res, 0, 4)
+    assert len(json.dumps(body, sort_keys=True, separators=(",", ":")).encode()) <= 180_000
+
+
 @pytest.mark.parametrize("body", [[RUN4], "run4", 5, None], ids=["list", "str", "int", "null"])
 def test_non_object_body_is_a_transcript_error(tmp_path, body):
     with pytest.raises(transcripts.TranscriptError):

@@ -46,6 +46,18 @@ def test_cz_then_measure_first_qubit():
     assert fidelity(sv.qubit_state(1), [1, 0]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "bits",
+    [(1.0, True), (1,), (0, 1, 0), (0, 2)],
+    ids=["float-entry", "one-bit-short", "one-bit-long", "entry-2"],
+)
+def test_postselect_reads_outcome_by_the_bit_rule(bits):
+    sv = StateVector(2).h(0).h(1)
+    with pytest.raises(ValueError):
+        sv.postselect([0, 1], bits)
+    assert np.allclose(sv.amps, 0.5)
+
+
 def test_norm_preserved_random_circuit():
     rng = np.random.default_rng(1)
     sv = StateVector(5)

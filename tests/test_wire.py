@@ -1,11 +1,14 @@
 """Wire protocol, transcripts and replay tests."""
 
+import base64
 import json
 import socket
+import string
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfactory import lwe, protocol4 as p4, serde, transcripts, wire
 from qfactory.params import TOY_GADGET, TOY_MICRO, ParamSet, paper_params
@@ -182,9 +185,33 @@ def _without(obj, field):
     return {k: v for k, v in obj.items() if k != field}
 
 
+def _b64_text(raw):
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _b64_raw(text):
+    return base64.b64decode(text, validate=True)
+
+
+def _int64s(text):
+    """The entries of a format-2 int64 array text, as a writable flat array."""
+    return np.frombuffer(_b64_raw(text), "<i8").copy()
+
+
+def _int64_text(values):
+    return _b64_text(np.asarray(values, "<i8").tobytes())
+
+
+def _with_entry(text, index, value):
+    """A format-2 int64 array text with flat entry `index` set to `value`."""
+    entries = _int64s(text)
+    entries[index] = value
+    return _int64_text(entries)
+
+
 def _key_entry(value):
     payload = _key_payload()
-    payload["key"]["k"]["K"][0][0] = value
+    payload["key"]["k"]["K"] = _with_entry(payload["key"]["k"]["K"], 0, value)
     return payload
 
 
@@ -200,15 +227,15 @@ def _key_modulus(q):
         _without(_key_payload(), "key"),
         {**_key_payload(), "key": _without(_key_payload()["key"], "k")},
         _key_payload(paper_params(4)),
-        _key_entry(str(2**70)),
-        _key_entry("-1"),
+        _key_entry(2**63 - 1),
+        _key_entry(-1),
         _key_modulus(2**63),
     ],
     ids=[
         "no-key-field",
         "key-without-k",
         "paper-profile-key",
-        "entry-2^70",
+        "entry-2^63-1",
         "entry-minus-1",
         "modulus-2^63",
     ],
@@ -534,7 +561,7 @@ def test_transcript_unparsable_key_structured_error(tmp_path, part):
     res = p4.run_protocol4(TOY_MICRO, 36)
     body = transcripts.run4_record(res, 0, 36)
     if part == "key_msg":
-        body["key_msg"]["k"]["K"][0][0] = str(2**70)
+        body["key_msg"]["k"]["K"] = _with_entry(body["key_msg"]["k"]["K"], 0, 2**63 - 1)
     else:
         body["trapdoor"]["t"]["z0"] = None
     with transcripts.TranscriptWriter(path) as w:
@@ -544,15 +571,26 @@ def test_transcript_unparsable_key_structured_error(tmp_path, part):
 
 
 def _cut_err_lo(t):
-    t["gadget"]["err_lo"] = t["gadget"]["err_lo"][:1]
+    t["gadget"]["err_lo"] = _int64_text(_int64s(t["gadget"]["err_lo"])[:1])
+
+
+def _r_rows(t):
+    """The rows of the trapdoor's R, each `np.packbits` of a TOY_GADGET row."""
+    packed = np.frombuffer(_b64_raw(t["gadget"]["R"]), np.uint8)
+    w = TOY_GADGET.n * TOY_GADGET.ell_q
+    return np.unpackbits(packed.reshape(TOY_GADGET.m - w, -1), axis=1, count=w)
 
 
 def _drop_r_row(t):
-    t["gadget"]["R"] = t["gadget"]["R"][1:]
+    R = _r_rows(t)[1:]
+    t["gadget"]["R"] = _b64_text(np.packbits(R, axis=1).tobytes())
 
 
 def _r_entry_two(t):
-    t["gadget"]["R"][1][0] = "2"
+    # R's bit packing cannot hold a 2: the entry comes as an int64 matrix
+    R = _r_rows(t).astype(np.int64)
+    R[1][0] = 2
+    t["gadget"]["R"] = _int64_text(R)
 
 
 def _no_gadget(t):
@@ -560,15 +598,15 @@ def _no_gadget(t):
 
 
 def _short_s(t):
-    t["z0"]["s"] = t["z0"]["s"][:-1]
+    t["z0"]["s"] = _int64_text(_int64s(t["z0"]["s"])[:-1])
 
 
 def _s_is_q(t):
-    t["z0"]["s"][0] = str(TOY_GADGET.q)
+    t["z0"]["s"] = _with_entry(t["z0"]["s"], 0, TOY_GADGET.q)
 
 
 def _short_e(t):
-    t["z0"]["e"] = t["z0"]["e"][:-1]
+    t["z0"]["e"] = _int64_text(_int64s(t["z0"]["e"])[:-1])
 
 
 def _d0_two(t):
@@ -597,6 +635,173 @@ def test_trapdoor_gadget_only_for_gadget_sized_keys():
     assert serde.trapdoor_to_obj(serde.trapdoor_from_obj(obj, TOY_GADGET)) == obj
     with pytest.raises(ValueError, match="gadget"):
         serde.trapdoor_from_obj(obj, TOY_MICRO)
+
+
+# ---------------------------------------------------------------------------
+# format-2 key and trapdoor readers: every malformed array text is a typed error
+
+_B64 = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+def _pad_bits_set(text):
+    """The text with the lowest bit under its '=' pad set: the same bytes to a
+    lenient decoder, but not the text the writer gives."""
+    data = text.rstrip("=")
+    assert data != text
+    return data[:-1] + _B64[_B64.index(data[-1]) + 1] + text[len(data) :]
+
+
+def _missing_pad(text):
+    assert text.endswith("=")
+    return text[:-1]
+
+
+_MALFORMED_TEXT = {
+    "non-base64-char": lambda text: "!" + text[1:],
+    "missing-pad": _missing_pad,
+    "pad-bits-set": _pad_bits_set,
+    "one-byte-short": lambda text: _b64_text(_b64_raw(text)[:-1]),
+    "one-byte-long": lambda text: _b64_text(_b64_raw(text) + b"\0"),
+    "non-str": lambda text: _int64s(text).tolist(),
+}
+
+
+def _edit(*path, edit):
+    """A tamper that replaces the field at `path` by `edit` of its value."""
+
+    def tamper(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = edit(obj[path[-1]])
+
+    return tamper
+
+
+def _v1_key(key):
+    K = _int64s(key["k"]["K"]).reshape(TOY_GADGET.m, TOY_GADGET.n)
+    key["version"] = 1
+    key["k"]["K"] = [[str(v) for v in row] for row in K.tolist()]
+    key["k"]["y0"] = [str(v) for v in _int64s(key["k"]["y0"]).tolist()]
+
+
+def _v1_trapdoor(trapdoor):
+    t = trapdoor["t"]
+    trapdoor["version"] = 1
+    t["gadget"]["R"] = [[str(v) for v in row] for row in _r_rows(t).tolist()]
+    for part, field in (("gadget", "err_lo"), ("gadget", "err_hi"), ("z0", "s"), ("z0", "e")):
+        t[part][field] = [str(v) for v in _int64s(t[part][field]).tolist()]
+
+
+# TOY_GADGET texts: K and e are 40 bytes, so they end in "=="
+_KEY_CASES = {
+    **{name: _edit("k", "K", edit=edit) for name, edit in _MALFORMED_TEXT.items()},
+    "entry-q": _edit("k", "K", edit=lambda text: _with_entry(text, 0, TOY_GADGET.q)),
+    "negative-entry": _edit("k", "K", edit=lambda text: _with_entry(text, 0, -1)),
+    "v1-decimal-lists": _v1_key,
+}
+_TRAPDOOR_CASES = {
+    **{name: _edit("t", "z0", "e", edit=edit) for name, edit in _MALFORMED_TEXT.items()},
+    "s-entry-q": _edit("t", "z0", "s", edit=lambda text: _with_entry(text, 0, TOY_GADGET.q)),
+    "negative-s-entry": _edit("t", "z0", "s", edit=lambda text: _with_entry(text, 0, -1)),
+    "r-pad-bit": _edit("t", "gadget", "R", edit=lambda text: _b64_text(bytes([1]) + _b64_raw(text)[1:])),
+    # err_lo is 24 bytes, a full last group: strict base64 still reads one more '='
+    "pad-after-full-group": _edit("t", "gadget", "err_lo", edit=lambda text: text + "="),
+    "v1-decimal-lists": _v1_trapdoor,
+}
+
+
+def _replay_fails(path, body):
+    with transcripts.TranscriptWriter(path) as w:
+        w.append(body)
+    with pytest.raises(transcripts.TranscriptError):
+        transcripts.replay(path)
+
+
+@pytest.mark.parametrize("tamper", _KEY_CASES.values(), ids=_KEY_CASES.keys())
+def test_malformed_key_text_is_a_typed_error_at_the_wire_and_at_replay(tmp_path, tamper):
+    payload = _key_payload(TOY_GADGET)
+    wire.ServerSession(master_seed=1).handle(wire.WireMessage("key", 0, payload))
+    tamper(payload["key"])
+    session = wire.ServerSession(master_seed=1)
+    with pytest.raises(wire.WireError):
+        session.handle(wire.WireMessage("key", 0, payload))
+    assert session.held == {}
+
+    body = transcripts.run4_record(p4.run_protocol4(TOY_GADGET, 3), 0, 3)
+    tamper(body["key_msg"])
+    _replay_fails(tmp_path / "runs.jsonl", body)
+
+
+@pytest.mark.parametrize("tamper", _TRAPDOOR_CASES.values(), ids=_TRAPDOOR_CASES.keys())
+def test_malformed_trapdoor_text_is_a_typed_error_at_replay(tmp_path, tamper):
+    # the trapdoor stays with the client, so replay is the only reader outside serde
+    body = transcripts.run4_record(p4.run_protocol4(TOY_GADGET, 3), 0, 3)
+    tamper(body["trapdoor"])
+    _replay_fails(tmp_path / "runs.jsonl", body)
+
+
+def test_a_format_1_object_is_rejected_by_its_version():
+    pk, td = lwe.gen(TOY_GADGET, 3)
+    key, trapdoor = serde.key_to_obj(pk), serde.trapdoor_to_obj(td)
+    _v1_key(key)
+    _v1_trapdoor(trapdoor)
+    with pytest.raises(ValueError, match="key format version 1"):
+        serde.key_from_obj(key)
+    with pytest.raises(ValueError, match="trapdoor format version 1"):
+        serde.trapdoor_from_obj(trapdoor, TOY_GADGET)
+
+
+_FUZZ_PATHS = {
+    "key": [("k", "K"), ("k", "y0"), ("version",)],
+    "trapdoor": [
+        ("t", "gadget", "R"),
+        ("t", "gadget", "err_lo"),
+        ("t", "gadget", "err_hi"),
+        ("t", "z0", "s"),
+        ("t", "z0", "e"),
+        ("t", "d0"),
+        ("version",),
+    ],
+}
+_NON_TEXT = st.sampled_from([0, 1, 2, -1, True, 1.0, "1", None, [1]])
+
+
+def _mutated(data, value):
+    """A str with up to two bits of its bytes flipped, then up to two
+    characters replaced, deleted or inserted; any other value, or sometimes a
+    str, replaced by a value of another type."""
+    if not isinstance(value, str) or data.draw(st.integers(0, 9)) == 0:
+        return data.draw(_NON_TEXT)
+    raw = bytearray(_b64_raw(value))
+    for _ in range(data.draw(st.integers(0, 2))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    text = _b64_text(bytes(raw))
+    for _ in range(data.draw(st.integers(0, 2))):
+        at, cut = data.draw(st.integers(0, len(text))), data.draw(st.integers(0, 1))
+        text = text[:at] + data.draw(st.text(_B64 + "=!-_ \n\u00e9", max_size=1)) + text[at + cut :]
+    return text
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_format_2_readers_reject_or_read_back_exactly(data):
+    """A mutated key or trapdoor object is a ValueError, or it reads as the
+    key or trapdoor that the writer writes as exactly that object: no entry
+    is reduced mod q or masked, and no text has a second reading."""
+    pk, td = lwe.gen(TOY_GADGET, 3)
+    which = data.draw(st.sampled_from(["key", "trapdoor"]))
+    obj = serde.key_to_obj(pk) if which == "key" else serde.trapdoor_to_obj(td)
+    paths = st.lists(st.sampled_from(_FUZZ_PATHS[which]), min_size=1, max_size=2, unique=True)
+    for path in data.draw(paths):
+        _edit(*path, edit=lambda value: _mutated(data, value))(obj)
+    try:
+        if which == "key":
+            back = serde.key_to_obj(serde.key_from_obj(obj))
+        else:
+            back = serde.trapdoor_to_obj(serde.trapdoor_from_obj(obj, TOY_GADGET))
+    except ValueError:
+        return
+    assert back == obj
 
 
 def test_transcript_truncated_line_structured_error(tmp_path):
