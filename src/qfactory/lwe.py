@@ -118,9 +118,8 @@ def g_bar(params: ParamSet, K: np.ndarray, s, e) -> np.ndarray:
 
 
 def g(params: ParamSet, K: np.ndarray, s, e, d: int) -> np.ndarray:
-    out = g_bar(params, K, s, e)
+    out = g_bar(params, K, s, e)  # a new array
     if d:
-        out = out.copy()
         out[0] = (out[0] + params.q // 2) % params.q
     return out
 
@@ -286,16 +285,10 @@ def _wide_injective(params: ParamSet, K: np.ndarray) -> bool:
     if D >= q // 2:
         return False
     ds = _s_grid(q, params.n)[:, 1:]  # drop ds = 0
-    t = (K @ ds) % q  # (m, q^n - 1)
-    for delta in (0, 1):
-        tt = t.copy()
-        if delta:
-            tt[0] = (tt[0] + q // 2) % q
-        centered = np.where(tt >= q // 2, tt - q, tt)
-        bad = np.all(np.abs(centered) <= D, axis=0)
-        if np.any(bad):
-            return False
-    return True
+    # t centred into [-q/2, q/2) is in [-D, D] iff (t + D) mod q <= 2D; rows 0
+    # and 1 of `_sector_dv` are the shifts d = 0, 1, so one pass checks both
+    u = (K @ ds + D + _sector_dv(params)[:2, :, None]) & (q - 1)  # (2, m, q^n - 1)
+    return bool(u.max(axis=1).min() > 2 * D)
 
 
 def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
@@ -349,8 +342,8 @@ def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
     s0 = rng.integers(0, q, size=n)
     e0 = rng.integers(-params.mu_prime, params.mu_prime + 1, size=m)
     d0 = int(rng.integers(0, 2))
-    z0 = DomainElement(tuple(int(x) for x in s0), tuple(int(x) for x in e0), d0, None)
-    y0 = g(params, K, z0.s, z0.e, d0)
+    z0 = DomainElement(tuple(s0.tolist()), tuple(e0.tolist()), d0, None)
+    y0 = g(params, K, s0, e0, d0)
     return PublicKey(K=K, y0=y0, params=params), Trapdoor(gadget=gadget, z0=z0)
 
 
@@ -379,7 +372,7 @@ def _gadget_decode(gd: GadgetData, params: ParamSet, targets: np.ndarray) -> np.
     return s.T
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _s_grid(q: int, n: int) -> np.ndarray:
     """Every s in Z_q^n as a column of an (n, q^n) array, in product order."""
     grid = np.indices((q,) * n).reshape(n, -1)
@@ -387,12 +380,17 @@ def _s_grid(q: int, n: int) -> np.ndarray:
     return grid
 
 
-def _sector_targets(pk: PublicKey, y: np.ndarray) -> np.ndarray:
-    """(4, m) array whose row 2c + d is y - c y0 - d v mod q."""
-    q = pk.params.q
-    targets = np.array([y, y, y - pk.y0, y - pk.y0])
-    targets[1::2, 0] -= q // 2
-    return targets % q
+_SECTOR_C = np.array([[0], [0], [1], [1]])  # c of sector row k = 2c + d, read-only
+_SECTOR_C.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_dv(params: ParamSet) -> np.ndarray:
+    """(4, m) read-only array whose row 2c + d is d v."""
+    dv = np.zeros((4, params.m), dtype=np.int64)
+    dv[1::2, 0] = params.q // 2
+    dv.flags.writeable = False
+    return dv
 
 
 def _sector_hits(
@@ -407,15 +405,17 @@ def _sector_hits(
     f(x) = y holds by construction and only the range of e is checked.
     """
     params = pk.params
-    targets = _sector_targets(pk, y)
+    # row k is y - c y0 - d v, unreduced: each use reduces it mod q
+    targets = y - _SECTOR_C * pk.y0 - _sector_dv(params)
     if gadget is None:
         cands, tried = _s_grid(params.q, params.n), True  # every s in every sector
     else:
         # column k is sector k's own decode; it is tried only there
         cands, tried = _gadget_decode(gadget, params, targets), np.eye(4, dtype=bool)
     # [lo, hi] sits inside [-q/2, q/2), so e is in it iff (e - lo) mod q <= hi - lo
-    u = (targets[:, :, None] - lo - pk.K @ cands) % params.q
-    ks, js = np.nonzero((u.max(axis=1) <= hi - lo) & tried)
+    # (the mask q - 1 is mod q, as q is a power of two)
+    u = ((targets - lo)[:, :, None] - pk.K @ cands) & (params.q - 1)
+    ks, js = ((u.max(axis=1) <= hi - lo) & tried).nonzero()
     return [
         (k, tuple(cands[:, j].tolist()), tuple((u[k, :, j] + lo).tolist()))
         for k, j in zip(ks.tolist(), js.tolist())
@@ -434,8 +434,13 @@ def invert(td: Trapdoor, pk: PublicKey, y) -> tuple[DomainElement, ...]:
     widened box, so there is at most one preimage per c and sector order is
     ascending `encode_int` order.
     """
+    return _invert(td, pk, check_image(pk.params, y))
+
+
+def _invert(td: Trapdoor, pk: PublicKey, y: tuple[int, ...]) -> tuple[DomainElement, ...]:
+    """`invert` of a y that `check_image` has already returned."""
     lo, hi = e_range(pk.params)
-    hits = _sector_hits(pk, _as_vec(check_image(pk.params, y)), lo, hi, td.gadget)
+    hits = _sector_hits(pk, _as_vec(y), lo, hi, td.gadget)
     return tuple(DomainElement(s, e, k & 1, k >> 1) for k, s, e in hits)
 
 
@@ -571,8 +576,8 @@ def sample_domain_element(
     params: ParamSet, rng: np.random.Generator, include_c: bool = True
 ) -> DomainElement:
     lo, hi = e_range(params)
-    s = tuple(int(x) for x in rng.integers(0, params.q, size=params.n))
-    e = tuple(int(x) for x in rng.integers(lo, hi + 1, size=params.m))
+    s = tuple(rng.integers(0, params.q, size=params.n).tolist())
+    e = tuple(rng.integers(lo, hi + 1, size=params.m).tolist())
     d = int(rng.integers(0, 2))
     c = int(rng.integers(0, 2)) if include_c else None
     return DomainElement(s, e, d, c)

@@ -165,7 +165,7 @@ def _server_two_branch(key_msg: KeyMessage, seed: int) -> StrategyReply:
         held = analytic_stage2(xb, xpb, b, theta)
     else:
         xb = lwe.unpack_bits(params, branches[0])
-        b = tuple(int(v) for v in rng.integers(0, 2, size=params.total_bits))
+        b = tuple(rng.integers(0, 2, size=params.total_bits).tolist())
         held = QubitDescription.computational(xb[-2])
     return StrategyReply(y=lwe.unpack_image(params, packed_y), b=b, held=held)
 
@@ -249,7 +249,7 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
     params = client.pk.params
     y = lwe.check_image(params, y)
     b = lwe.check_bits(b, params.total_bits)
-    preimages = lwe.invert(client.trapdoor, client.pk, y)
+    preimages = lwe._invert(client.trapdoor, client.pk, y)  # y is checked
     if len(preimages) == 0:
         return _no_preimage_output(client, y, b, always_output)
     if len(preimages) == 1:

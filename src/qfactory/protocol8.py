@@ -97,10 +97,13 @@ def merge_branches(in1: QubitDescription, in2: QubitDescription):
     return out
 
 
+_ANCILLA = np.array([1, np.exp(1j * math.pi / 4)], dtype=complex) / math.sqrt(2)
+_ANCILLA.flags.writeable = False
+
+
 def _merge_state(in1: QubitDescription, in2: QubitDescription) -> StateVector:
     # qubit 0 = ancilla |+_{pi/4}>, qubit 1 = in1, qubit 2 = in2
-    anc = np.array([1, np.exp(1j * math.pi / 4)], dtype=complex) / math.sqrt(2)
-    return cz_gadget([anc, in1.vec, in2.vec], [(0, 1), (1, 2)])
+    return cz_gadget([_ANCILLA, in1.vec, in2.vec], [(0, 1), (1, 2)])
 
 
 # ---------------------------------------------------------------------------

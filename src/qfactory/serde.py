@@ -10,6 +10,7 @@ is reduced mod q.  The image y stays decimal strings (`int_strings`).
 from __future__ import annotations
 
 import binascii
+import functools
 import json
 import struct
 from typing import Any
@@ -20,6 +21,8 @@ from .lwe import DomainElement, GadgetData, PublicKey, Trapdoor, bits_text, text
 from .params import ParamSet
 
 FORMAT_VERSION = 2
+# one shared ParamSet per accepted field tuple, bounded; a ValueError is not cached
+_param_set = functools.lru_cache(maxsize=32)(ParamSet)
 
 
 def int_strings(values) -> list[str]:
@@ -84,7 +87,7 @@ def params_from_obj(obj: dict[str, Any]) -> ParamSet:
         raise ValueError(f"q must be a decimal string, not {q!r}")
     if not isinstance(profile, str):
         raise ValueError(f"profile must be a string, not {profile!r}")
-    return ParamSet(q=int(q), profile=profile, **dims)
+    return _param_set(q=int(q), profile=profile, **dims)
 
 
 def _text(buf) -> str:

@@ -102,8 +102,8 @@ class StateVector:
 
     def cz(self, a: int, b: int) -> "StateVector":
         self._check(a, b)
-        both = (1 << a) | (1 << b)
-        self.amps[(_index(self.n) & both) == both] *= -1
+        lo, hi = sorted((a, b))  # axes 1 and 3 of the view are qubits hi and lo
+        self.amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)[:, 1, :, 1] *= -1
         return self
 
     def apply_function_unitary(self, table, controls, targets) -> "StateVector":
@@ -191,10 +191,18 @@ def xy_readout(sv: StateVector, qubits, theta: float) -> StateVector:
     listed qubit, by one fused H R(-theta) gate per qubit, in place."""
     qubits = list(qubits)
     sv._check(*qubits)
-    readout = _H @ _r(-theta)
+    readout = _readout(theta)
     for qb in qubits:
         sv._apply_1q(readout, qb)
     return sv
+
+
+@functools.lru_cache(maxsize=16)
+def _readout(theta: float) -> np.ndarray:
+    """The read-only fused readout gate H R(-theta)."""
+    mat = _H @ _r(-theta)
+    mat.flags.writeable = False
+    return mat
 
 
 def top_qubit_rows(sv: StateVector, theta: float) -> np.ndarray:
@@ -221,9 +229,9 @@ def draw_row(rows: np.ndarray, rng: np.random.Generator):
 
 def _draw(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
     """Inverse-CDF draw from a (2,)*k outcome table, axis 0 most significant."""
-    cdf = np.cumsum(probs.reshape(-1))
+    cdf = probs.reshape(-1).cumsum()
     k = len(cdf).bit_length() - 1
-    outcome = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+    outcome = min(int(cdf.searchsorted(rng.random(), side="right")), len(cdf) - 1)
     return tuple((outcome >> (k - 1 - i)) & 1 for i in range(k))
 
 
@@ -231,7 +239,8 @@ def cz_gadget(vecs, edges) -> StateVector:
     """The product state with the complex 2-vector vecs[j] on qubit j, then a
     CZ on each edge (a, b)."""
     sv = StateVector(len(vecs))
-    sv.amps = functools.reduce(np.kron, vecs[::-1])  # kron's first factor takes the high bits
+    # np.kron's products in its order: the first factor takes the high bits
+    sv.amps = functools.reduce(np.multiply.outer, vecs[::-1]).ravel()
     for a, b in edges:
         sv.cz(a, b)
     return sv

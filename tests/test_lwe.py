@@ -244,6 +244,52 @@ def test_g_injective_exhaustive():
         seen.add(img)
 
 
+def _two_pass_wide_injective(params, K):
+    """The injectivity test as one loop pass per d-shift: the reference for
+    the single vectorized pass of `lwe._wide_injective`."""
+    q = params.q
+    D = 2 * (params.noise_box + params.mu_prime) - 1
+    if D >= q // 2:
+        return False
+    ds = lwe._s_grid(q, params.n)[:, 1:]  # drop ds = 0
+    t = (K @ ds) % q  # (m, q^n - 1)
+    for delta in (0, 1):
+        tt = t.copy()
+        if delta:
+            tt[0] = (tt[0] + q // 2) % q
+        centered = np.where(tt >= q // 2, tt - q, tt)
+        bad = np.all(np.abs(centered) <= D, axis=0)
+        if np.any(bad):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("params", [TOY_MICRO, TOY_REG, TOY_WIDE], ids=["micro", "reg", "wide"])
+def test_wide_injective_matches_the_two_pass_loop(params):
+    rng = _rng(41)
+    verdicts = []
+    for _ in range(2000):
+        K = rng.integers(0, params.q, size=(params.m, params.n))
+        want = _two_pass_wide_injective(params, K)
+        assert lwe._wide_injective(params, K) is want
+        verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+
+
+@pytest.mark.parametrize(
+    "K, injective",
+    [
+        ([[1], [1]], False),  # ds = 1 gives K ds = (1, 1): a collision at d = 0 only
+        ([[3], [1]], False),  # ds = 1 gives (3 + q/2, 1) = (-1, 1): at d = 1 only
+        ([[2], [1]], True),
+    ],
+)
+def test_wide_injective_on_hand_built_collisions(K, injective):
+    K = np.array(K)
+    assert _two_pass_wide_injective(TOY_MICRO, K) is injective
+    assert lwe._wide_injective(TOY_MICRO, K) is injective
+
+
 # ---------------------------------------------------------------------------
 # invert
 

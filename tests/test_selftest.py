@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qfactory import selftest as stt
+from qfactory import protocol8, selftest as stt
 from qfactory.params import TOY_MICRO
 from qfactory.seeds import derive_seed
 
@@ -216,3 +216,19 @@ def test_run_verifiable_deterministic():
     assert a.unmeasured == b.unmeasured
     assert a.accept == b.accept
     assert a.table.cells == b.table.cells
+
+
+def test_run_verifiable_calls_run_protocol8_by_module_attribute(monkeypatch):
+    """The tb-verifiable benchmark workload times attempts and collects records
+    by wrapping `protocol8.run_protocol8`; every attempt must go through it."""
+    calls = []
+    inner = protocol8.run_protocol8
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(protocol8, "run_protocol8", counted)
+    res = stt.run_verifiable(TOY_MICRO, N=40, f=0.5, eps2=0.05, seed=17)
+    assert res.attempts > 40  # some attempts are unusable
+    assert len(calls) == res.attempts

@@ -1,16 +1,18 @@
 """Statevector backend and analytic two-branch evaluator tests."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from qfactory import lwe
-from qfactory.params import TOY_MICRO
+from qfactory import lwe, protocol8, serde, sim
+from qfactory.params import TOY_MICRO, TOY_WIDE
 from qfactory.sim import (
     QubitDescription,
     StateVector,
     analytic_stage2,
+    cz_gadget,
     draw_row,
     fidelity,
     sample_b,
@@ -80,6 +82,47 @@ def test_norm_preserved_random_circuit():
 def test_index_convention_little_endian():
     sv = StateVector(3).x(1)
     assert sv.amps[0b010] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_cz_negates_exactly_the_amplitudes_with_both_bits_set(n):
+    sv = _random_state(n, np.random.default_rng(n))
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                want = sv.amps.copy()
+                both = (1 << a) | (1 << b)
+                want[(np.arange(1 << n) & both) == both] *= -1
+                assert np.array_equal(sv.cz(a, b).amps, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cz_gadget_equals_the_kron_build_exactly(n):
+    rng = np.random.default_rng(n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for _ in range(20):
+        vecs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(n)]
+        edges = [pairs[i] for i in rng.permutation(len(pairs))[: rng.integers(0, len(pairs) + 1)]]
+        want = functools.reduce(np.kron, vecs[::-1])  # kron's first factor: high bits
+        for a, b in edges:
+            both = (1 << a) | (1 << b)
+            want[(np.arange(1 << n) & both) == both] *= -1
+        assert np.array_equal(cz_gadget([v.copy() for v in vecs], edges).amps, want)
+
+
+def test_cached_constants_are_read_only_and_bounded():
+    arrays = [
+        sim._index(3),
+        sim._readout(0.0),
+        sim._readout(math.pi / 2),
+        lwe._s_grid(TOY_WIDE.q, TOY_WIDE.n),
+        lwe._sector_dv(TOY_WIDE),
+        lwe._SECTOR_C,
+        protocol8._ANCILLA,
+    ]
+    assert all(not a.flags.writeable for a in arrays)
+    for cache in (sim._readout, lwe._s_grid, lwe._sector_dv, serde._param_set):
+        assert cache.cache_info().maxsize is not None
 
 
 def test_gate_index_out_of_range():

@@ -283,6 +283,16 @@ def test_key_params_are_not_coerced(tmp_path, field, value):
         transcripts.replay(path)
 
 
+def test_key_params_share_one_paramset_per_field_tuple():
+    params = serde.params_to_obj(TOY_MICRO)
+    first = serde.params_from_obj(params)
+    assert first == TOY_MICRO
+    assert serde.params_from_obj(dict(params)) is first
+    for _ in range(2):  # a failed profile check is not cached
+        with pytest.raises(ValueError):
+            serde.params_from_obj({**params, "mu_prime": 1})  # toy needs mu_prime < mu
+
+
 def _uniform_micro_key():
     """A TOY_MICRO key with K and y0 uniform (the third draw of seed 0): not injective."""
     rng = np.random.default_rng(0)
