@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -217,6 +218,8 @@ def cmd_serve(args) -> int:
         (args.host, args.port), master_seed=args.seed, backend=_backend(args.backend)
     )
     print(f"serving on {server.server_address[0]}:{server.server_address[1]}", file=sys.stderr)
+    wire.log.addHandler(logging.StreamHandler(sys.stderr))
+    wire.log.setLevel(logging.INFO)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -127,10 +127,15 @@ def client_init(params: ParamSet, variant: str, seed: int) -> tuple[ClientState4
 def server_honest(key_msg: KeyMessage, backend: str, seed: int) -> StrategyReply:
     """Run the honest server on one of the two backends.
 
-    The statevector backend materializes the image register when the whole
-    circuit fits under the qubit cap, and otherwise samples y classically and
-    prepares the post-measurement state directly (the image measurement
-    commutes with everything that follows, so the two routes agree exactly).
+    The statevector backend runs the literal circuit when register, image
+    and target together fit under the qubit cap, and otherwise samples y
+    classically and prepares the post-measurement state directly (the image
+    measurement commutes with everything that follows, so the two routes
+    agree exactly).  The literal circuit keeps only the qubits alive at each
+    gate: the H layer acts on the register; the image qubits join in |0>
+    just before U_f and leave once measured, checked to hold the measured
+    bits; then the target joins for the hardcore copy, so the readout runs
+    on register and target.  Its widest state is register plus image.
     The projection route draws its record as a row of the table that
     `honest_output_table` enumerates.  A key the backend cannot serve raises
     ValueError: two-branch, an image with more than two preimages or two of
@@ -193,22 +198,22 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
         raise ValueError(f"register and target exceed the {MAX_QUBITS}-qubit statevector")
     theta = meas_theta(key_msg.variant)
     if nbits + ybits + 1 <= MAX_QUBITS:
-        # the literal circuit, the reference the projection route is tested against
-        sv = StateVector(nbits + ybits + 1)
+        # the literal circuit, the reference the projection route is tested
+        # against; each gate acts on the qubits alive at that point
+        sv = StateVector(nbits)
         for qb in range(nbits):
             sv.h(qb)
-        sv.apply_function_unitary(
-            lwe.f_bit_table(pk),
-            controls=list(range(nbits)),
-            targets=list(range(nbits, nbits + ybits)),
-        )
+        image = list(range(nbits, nbits + ybits))
+        sv.append_qubits(ybits)
+        sv.apply_function_unitary(lwe.f_bit_table(pk), controls=list(range(nbits)), targets=image)
         # bits[i] is the outcome of the i-th listed qubit
-        ybits_out, _ = sv.measure(list(range(nbits, nbits + ybits)), rng)
-        packed_y = lwe.pack_bits(ybits_out)
-        sv.apply_function_unitary([0, 1], controls=[nbits - 2], targets=[nbits + ybits])
+        ybits_out, _ = sv.measure(image, rng)
+        # the measured image is classical: it leaves, and the target takes qubit nbits
+        sv.drop_qubits(ybits_out).append_qubits(1)
+        sv.apply_function_unitary([0, 1], controls=[nbits - 2], targets=[nbits])
         b, _ = xy_readout(sv, range(nbits), theta).measure(range(nbits), rng)
-        held = QubitDescription(sv.qubit_state(nbits + ybits))
-        return StrategyReply(y=lwe.unpack_image(params, packed_y), b=b, held=held)
+        held = QubitDescription(sv.qubit_state(nbits))
+        return StrategyReply(y=lwe.unpack_image(params, lwe.pack_bits(ybits_out)), b=b, held=held)
 
     # projection route: draw y classically, then a row of honest_output_table
     packed_y, branches = _measured_image(pk, rng)

@@ -48,6 +48,37 @@ def _index(n: int) -> np.ndarray:
     return idx
 
 
+@functools.lru_cache(maxsize=32)
+def _control_index(n: int, controls: tuple[int, ...]) -> np.ndarray:
+    """The read-only truth-table index of every amplitude of an n-qubit
+    state: bit j is the value of qubit controls[j]."""
+    idx = _index(n)
+    cidx = np.zeros_like(idx)
+    for j, qb in enumerate(controls):
+        cidx |= ((idx >> qb) & 1) << j
+    cidx.flags.writeable = False
+    return cidx
+
+
+def _function_table(table, ncontrols: int, ntargets: int) -> np.ndarray:
+    """The table rule: 2^ncontrols entries, each an int or numpy integer (not
+    a bool) in [0, 2^ntargets), as int64; ValueError otherwise."""
+    if isinstance(table, np.ndarray):
+        ok = table.ndim == 1 and table.dtype.kind in "iu"
+    else:
+        table = tuple(table)
+        kinds = set(map(type, table))  # one type test per distinct type
+        ok = not any(t is bool or not issubclass(t, (int, np.integer)) for t in kinds)
+    if not ok:
+        raise ValueError("table entries must be integers")
+    if len(table) != 1 << ncontrols:
+        raise ValueError("table size must be 2^len(controls)")
+    table = np.asarray(table)
+    if not 0 <= table.min() <= table.max() < 1 << ntargets:
+        raise ValueError("table values exceed target width")
+    return table.astype(np.int64, copy=False)
+
+
 class StateVector:
     """Dense statevector over at most MAX_QUBITS qubits."""
 
@@ -108,24 +139,40 @@ class StateVector:
 
     def apply_function_unitary(self, table, controls, targets) -> "StateVector":
         """|x>|y> -> |x>|y xor f(x)| with f given as a truth table over the
-        control bits (little-endian in the listed order)."""
+        control bits (little-endian in the listed order); the table follows
+        `_function_table`."""
+        controls, targets = tuple(controls), tuple(targets)
         self._check(*controls, *targets)
-        table = np.asarray(table, dtype=np.int64)
-        if len(table) != 1 << len(controls):
-            raise ValueError("table size must be 2^len(controls)")
-        if np.any(table >> len(targets)):
-            raise ValueError("table values exceed target width")
-        idx = _index(self.n)
-        cidx = np.zeros_like(idx)
-        for j, qb in enumerate(controls):
-            cidx |= ((idx >> qb) & 1) << j
-        fv = table[cidx]
-        new_idx = idx.copy()
+        table = _function_table(table, len(controls), len(targets))
+        # each table entry's XOR mask on the amplitude index
+        mask = np.zeros_like(table)
         for j, qb in enumerate(targets):
-            new_idx ^= ((fv >> j) & 1) << qb
-        out = np.empty_like(self.amps)
-        out[new_idx] = self.amps
-        self.amps = out
+            mask |= ((table >> j) & 1) << qb
+        # the targets are not controls, so the map is its own inverse and one
+        # gather applies it
+        self.amps = self.amps[_index(self.n) ^ mask[_control_index(self.n, controls)]]
+        return self
+
+    def append_qubits(self, k: int) -> "StateVector":
+        """Add k qubits in |0> above the others, as qubits n .. n+k-1."""
+        if k < 1 or self.n + k > MAX_QUBITS:
+            raise ValueError(f"can add 1 to {MAX_QUBITS - self.n} qubits, not {k}")
+        amps = np.zeros(1 << (self.n + k), dtype=complex)
+        amps[: 1 << self.n] = self.amps
+        self.amps, self.n = amps, self.n + k
+        return self
+
+    def drop_qubits(self, bits) -> "StateVector":
+        """Remove the top len(bits) qubits, which must hold the computational
+        state `bits` (bits[i] on qubit n - len(bits) + i, by the bit rule)."""
+        bits = tuple(bits)
+        k = len(bits)
+        if not 1 <= k < self.n:
+            raise ValueError(f"can drop 1 to {self.n - 1} qubits, not {k}")
+        keep = self.amps.reshape(1 << k, -1)[lwe.pack_bits(lwe.check_bits(bits, k))]
+        if np.vdot(self.amps, self.amps).real - np.vdot(keep, keep).real > 1e-12:
+            raise ValueError("dropped qubits are not in the stated computational state")
+        self.amps, self.n = keep.copy(), self.n - k
         return self
 
     def norm(self) -> float:

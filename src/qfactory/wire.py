@@ -14,6 +14,7 @@ loopback transcripts bit-identical to in-process ones.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import socket
 import socketserver
@@ -32,6 +33,9 @@ from .sim import QubitDescription
 WIRE_VERSION = 1
 MAX_FRAME = 1 << 20
 ENDPOINT_ENV = "QFACTORY_ENDPOINT"
+
+# one line per ended server session: the peer and why it ended, no payload values
+log = logging.getLogger("qfactory.wire")
 
 KIND_SCHEMAS = {
     "key": {"key", "variant", "hardcore_tag"},
@@ -64,6 +68,10 @@ PRIVATE_FIELDS = {
 
 class WireError(Exception):
     pass
+
+
+class PeerClosed(WireError):
+    """The peer closed the connection between frames."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +150,10 @@ def _read_exact(sock: socket.socket, size: int) -> bytes:
 
 
 def read_frame(sock: socket.socket) -> WireMessage:
-    header = _read_exact(sock, 4)
+    start = sock.recv(4)
+    if not start:
+        raise PeerClosed("connection closed")
+    header = start + _read_exact(sock, 4 - len(start))
     (length,) = struct.unpack(">I", header)
     if length > MAX_FRAME:
         raise WireError("oversized frame rejected")
@@ -359,6 +370,11 @@ def local_session(master_seed: int, backend: str = "two_branch") -> LocalChannel
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
+        host, port = self.client_address[:2]
+        log.info("session ended: peer %s:%s, %s", host, port, self._serve())
+
+    def _serve(self) -> str:
+        """Answer requests until the session ends; returns why it ended."""
         session = ServerSession(
             master_seed=self.server.master_seed, backend=self.server.backend
         )
@@ -367,16 +383,21 @@ class _Handler(socketserver.BaseRequestHandler):
             while True:
                 try:
                     msg = read_frame(self.request)
+                except PeerClosed:
+                    return "peer closed"
                 except WireError:
-                    return
+                    return "malformed frame"
                 try:
                     replies = session.handle(msg)
                 except WireError:
-                    return
+                    # read_frame validated the kind, so it is a known name
+                    return f"rejected {msg.kind} request"
                 for reply in replies:
                     write_frame(self.request, reply)
-        except (ConnectionError, socket.timeout):
-            return
+        except socket.timeout:
+            return "timeout"
+        except ConnectionError as exc:
+            return f"connection error ({type(exc).__name__})"
 
 
 class ProtocolServer(socketserver.ThreadingTCPServer):

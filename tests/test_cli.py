@@ -1,6 +1,13 @@
 """CLI smoke tests: every command runs, is seeded, and emits valid JSON."""
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +174,38 @@ def test_serve_and_connect(capsys):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _wait_for(path: Path, text: str, timeout: float = 30.0) -> str:
+    deadline = time.monotonic() + timeout
+    while text not in path.read_text() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return path.read_text()
+
+
+def test_serve_logs_each_ended_session_to_stderr(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    log = tmp_path / "serve.log"
+    with log.open("w") as fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qfactory.cli", "serve", "--port", "0"],
+            stdout=subprocess.DEVNULL, stderr=fh, env=dict(os.environ, PYTHONPATH=src),
+        )
+    try:
+        text = _wait_for(log, "serving on")
+        port = int(text.split("serving on", 1)[1].split()[0].rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            peer_port = sock.getsockname()[1]
+        text = _wait_for(log, "session ended")
+    finally:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    ended = [line for line in text.splitlines() if line.startswith("session ended")]
+    assert ended == [f"session ended: peer 127.0.0.1:{peer_port}, peer closed"]
 
 
 def test_endpoint_env_override(monkeypatch):

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from qfactory import lwe, protocol4 as p4, protocol8 as p8
-from qfactory.params import TOY_GADGET, TOY_MICRO, TOY_REG, TOY_WIDE, toy_params
+from qfactory.params import TOY_GADGET, TOY_MICRO, TOY_REG, TOY_WIDE, params_by_name, toy_params
 from qfactory.seeds import derive_seed
-from qfactory.sim import QubitDescription, analytic_stage2, fidelity, sample_b
+from qfactory.sim import (
+    QubitDescription,
+    StateVector,
+    analytic_stage2,
+    fidelity,
+    sample_b,
+    xy_readout,
+)
 
 
 def _pair(params, preimages):
@@ -367,3 +374,55 @@ def test_servers_run_without_the_truth_table(monkeypatch):
         assert fidelity(res8.run1.held, res8.run1.out.qubit()) >= 1 - 1e-9
         res4 = p4.run_protocol4(TOY_WIDE, seed, backend="statevector")
         assert fidelity(res4.held, res4.out.qubit()) >= 1 - 1e-9
+
+
+def _full_width_statevector(key_msg, seed):
+    """The literal circuit with every qubit live throughout: register, image
+    and target in one (nbits + ybits + 1)-qubit state from the start."""
+    pk = key_msg.pk
+    params = pk.params
+    rng = np.random.default_rng(derive_seed(seed, "server"))
+    nbits, ybits = params.total_bits, params.m * params.ell_q
+    sv = StateVector(nbits + ybits + 1)
+    for qb in range(nbits):
+        sv.h(qb)
+    image = list(range(nbits, nbits + ybits))
+    sv.apply_function_unitary(lwe.f_bit_table(pk), controls=list(range(nbits)), targets=image)
+    ybits_out, _ = sv.measure(image, rng)
+    sv.apply_function_unitary([0, 1], controls=[nbits - 2], targets=[nbits + ybits])
+    b, _ = xy_readout(sv, range(nbits), p4.meas_theta(key_msg.variant)).measure(range(nbits), rng)
+    y = lwe.unpack_image(params, lwe.pack_bits(ybits_out))
+    return y, b, QubitDescription(sv.qubit_state(nbits + ybits))
+
+
+@pytest.mark.parametrize("variant", [p4.PLAIN, p4.ROTATED])
+def test_live_width_circuit_matches_the_full_width_build(variant):
+    for seed in range(50):
+        _, key_msg = p4.client_init(TOY_MICRO, variant, seed=seed)
+        reply = p4.server_honest(key_msg, "statevector", seed)
+        y, b, held = _full_width_statevector(key_msg, seed)
+        assert (reply.y, reply.b) == (y, b)
+        assert np.allclose(reply.held.vec, held.vec, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, route",
+    [("toy-micro", "literal"), ("toy", "projection"), ("toy-reg", "projection"),
+     ("toy-wide", "projection"), ("paper", None)],
+)
+def test_statevector_route_per_preset(monkeypatch, name, route):
+    # only the literal circuit builds the truth table; only the projection
+    # route draws the image classically
+    taken = []
+    table, measured = lwe.f_bit_table, p4._measured_image
+    monkeypatch.setattr(lwe, "f_bit_table", lambda pk: taken.append("literal") or table(pk))
+    monkeypatch.setattr(
+        p4, "_measured_image", lambda pk, rng: taken.append("projection") or measured(pk, rng)
+    )
+    _, key_msg = p4.client_init(params_by_name(name), p4.PLAIN, seed=0)
+    if route is None:
+        with pytest.raises(ValueError, match="statevector"):
+            p4.server_honest(key_msg, "statevector", 0)
+    else:
+        p4.server_honest(key_msg, "statevector", 0)
+    assert taken == ([route] if route else [])

@@ -113,6 +113,7 @@ def test_cz_gadget_equals_the_kron_build_exactly(n):
 def test_cached_constants_are_read_only_and_bounded():
     arrays = [
         sim._index(3),
+        sim._control_index(5, (3, 0, 2)),
         sim._readout(0.0),
         sim._readout(math.pi / 2),
         lwe._s_grid(TOY_WIDE.q, TOY_WIDE.n),
@@ -121,7 +122,7 @@ def test_cached_constants_are_read_only_and_bounded():
         protocol8._ANCILLA,
     ]
     assert all(not a.flags.writeable for a in arrays)
-    for cache in (sim._readout, lwe._s_grid, lwe._sector_dv, serde._param_set):
+    for cache in (sim._control_index, sim._readout, lwe._s_grid, lwe._sector_dv, serde._param_set):
         assert cache.cache_info().maxsize is not None
 
 
@@ -234,6 +235,89 @@ def test_function_unitary_involution():
     sv.apply_function_unitary(table, controls=[0, 1, 2], targets=[3, 4])
     sv.apply_function_unitary(table, controls=[0, 1, 2], targets=[3, 4])
     assert np.allclose(sv.amps, before)
+
+
+def _scatter_function_unitary(amps, table, controls, targets, n):
+    """The per-bit scatter form: |x>|y> goes to the index with y xor f(x)."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    cidx = np.zeros_like(idx)
+    for j, qb in enumerate(controls):
+        cidx |= ((idx >> qb) & 1) << j
+    fv = np.asarray(table, dtype=np.int64)[cidx]
+    new_idx = idx.copy()
+    for j, qb in enumerate(targets):
+        new_idx ^= ((fv >> j) & 1) << qb
+    out = np.empty_like(amps)
+    out[new_idx] = amps
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 7, 13])
+def test_function_unitary_gather_equals_the_scatter_loop(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        qubits = [int(q) for q in rng.permutation(n)]
+        nc = int(rng.integers(1, n))
+        nt = int(rng.integers(1, n - nc + 1))
+        controls, targets = qubits[:nc], qubits[nc : nc + nt]
+        table = rng.integers(0, 1 << nt, size=1 << nc)
+        sv = _random_state(n, rng)
+        want = _scatter_function_unitary(sv.amps, table, controls, targets, n)
+        assert np.array_equal(sv.apply_function_unitary(table, controls, targets).amps, want)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[0.0, 1.7], ["1", 0], [True, False], np.array([0.0, 1.0]), np.array([True, False]),
+     [0, 2], [-1, 0], [1 << 70, 0], np.array([[0, 1]]), [0, 1, 0]],
+    ids=["float", "str", "bool", "float-array", "bool-array", "too-wide", "negative",
+         "huge", "2d-array", "wrong-size"],
+)
+def test_function_unitary_rejects_a_table_outside_the_table_rule(table):
+    sv = StateVector(2).h(0)
+    with pytest.raises(ValueError):
+        sv.apply_function_unitary(table, controls=[0], targets=[1])
+    assert np.allclose(sv.amps, [SQ2, SQ2, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "table", [[0, 1], (np.int8(0), np.uint64(1)), np.array([0, 1], dtype=np.uint16)],
+    ids=["ints", "numpy-scalars", "uint-array"],
+)
+def test_function_unitary_takes_int_and_numpy_integer_tables(table):
+    sv = StateVector(2).h(0)
+    sv.apply_function_unitary(table, controls=[0], targets=[1])
+    assert np.allclose(sv.amps, [SQ2, 0, 0, SQ2])
+
+
+def test_append_and_drop_qubits_keep_the_state():
+    rng = np.random.default_rng(4)
+    sv = _random_state(3, rng)
+    before = sv.amps.copy()
+    sv.append_qubits(2).x(4)
+    assert sv.n == 5 and np.array_equal(sv.amps[16:24], before)
+    assert np.array_equal(sv.drop_qubits((0, 1)).amps, before)
+    assert sv.n == 3
+
+
+def test_append_qubits_above_the_width_cap_raises():
+    sv = StateVector(sim.MAX_QUBITS - 2)
+    with pytest.raises(ValueError):
+        sv.append_qubits(3)
+    with pytest.raises(ValueError):
+        sv.append_qubits(0)
+    assert sv.n == sim.MAX_QUBITS - 2
+
+
+@pytest.mark.parametrize("bits", [(0,), (0, 1), (1, 1)], ids=["other-value", "entangled-0", "entangled-1"])
+def test_drop_qubits_not_in_the_stated_state_raises(bits):
+    # qubit 2 holds |1>; qubit 1 is entangled with qubit 0
+    sv = StateVector(3).h(0).x(2)
+    sv.apply_function_unitary([0, 1], controls=[0], targets=[1])
+    before = sv.amps.copy()
+    with pytest.raises(ValueError, match="not in the stated"):
+        sv.drop_qubits(bits)
+    assert sv.n == 3 and np.array_equal(sv.amps, before)
 
 
 def test_function_unitary_matches_toy_truth_table():

@@ -2,9 +2,11 @@
 
 import base64
 import json
+import logging
 import socket
 import string
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -150,6 +152,47 @@ def test_loopback_protocol8():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _wire_records(caplog, count: int, timeout: float = 5.0) -> list:
+    """The qfactory.wire log records, once `count` have arrived or at the timeout."""
+    deadline = time.monotonic() + timeout
+    while True:
+        records = [r for r in caplog.records if r.name == "qfactory.wire"]
+        if len(records) >= count or time.monotonic() > deadline:
+            return records
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("ending", ["malformed-frame", "clean-close"])
+def test_server_logs_one_line_per_ended_session(caplog, ending):
+    caplog.set_level(logging.INFO, logger="qfactory.wire")
+    server = wire.serve("127.0.0.1", 0, master_seed=3)
+    host, port = server.server_address
+    try:
+        if ending == "malformed-frame":
+            with socket.create_connection((host, port), timeout=5) as sock:
+                peer_port = sock.getsockname()[1]
+                blob = b'{"y": [61,'  # cut-off JSON
+                sock.sendall(struct.pack(">I", len(blob)) + blob)
+                assert sock.recv(1) == b""  # the server ended the session
+            want = "malformed frame"
+        else:
+            chan = wire.SocketChannel(host, port)
+            peer_port = chan.sock.getsockname()[1]
+            wire.run4_over_channel(chan, TOY_MICRO, 3, 0)
+            chan.close()
+            want = "peer closed"
+        records = _wire_records(caplog, 1)
+        time.sleep(0.05)
+        records = _wire_records(caplog, 2, timeout=0.0)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(records) == 1
+    assert records[0].levelno == logging.INFO
+    line = records[0].getMessage()
+    assert line == f"session ended: peer 127.0.0.1:{peer_port}, {want}"
 
 
 def test_server_session_never_emits_private_fields():
