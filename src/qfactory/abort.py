@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import lwe
+from . import lwe, seeds
 from . import protocol4 as p4
 from .params import ParamSet
 from .seeds import derive_seed
@@ -153,7 +153,7 @@ def client_combine(chunked_records, config: ChunkConfig, s_pairs, seed: int) -> 
         raise ValueError("need one outcome pair per run")
     for ch in chunked_records:
         if sum(r.a for r in ch) < config.p_c * config.t_c:
-            rng = np.random.default_rng(derive_seed(seed, "combine-reject"))
+            rng = seeds.rng(derive_seed(seed, "combine-reject"))
             b1, b2 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
             return CombinedOutput(b1, b2, False, _family(b1))
     b1, b2 = combine_bits(flat, s_pairs)
@@ -171,7 +171,7 @@ def beta(trapdoors, pks, ys, config: ChunkConfig, seed: int) -> int:
         raise ValueError("need exactly t_c runs")
     a_bits = [1 if len(lwe.invert(td, pk, y)) == 2 else 0 for td, pk, y in zip(trapdoors, pks, ys)]
     if sum(a_bits) < config.p_c * config.t_c:
-        rng = np.random.default_rng(derive_seed(seed, "beta-reject"))
+        rng = seeds.rng(derive_seed(seed, "beta-reject"))
         return int(rng.integers(0, 2))
     out = 0
     for a, td in zip(a_bits, trapdoors):
@@ -223,7 +223,7 @@ def simulate_honest_chunks(params: ParamSet, t_c: int, n_chunks: int, threshold,
     which depends only on (e, e0, c): `lwe.shift_in_box` with shift -e0 for
     c = 0 and +e0 for c = 1.  Returns (accept_rate, per-chunk accept bits).
     """
-    rng = np.random.default_rng(derive_seed(seed, "chunks"))
+    rng = seeds.rng(derive_seed(seed, "chunks"))
     lo, hi = lwe.e_range(params)
     shape = (n_chunks, t_c, params.m)
     e = rng.integers(lo, hi + 1, size=shape)

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -42,6 +43,18 @@ def _open_fraction(text: str) -> float:
     if not 0 < float(text) < 1:
         raise argparse.ArgumentTypeError(f"{text} does not lie in (0, 1)")
     return float(text)
+
+
+def _by_rule(rule):
+    """An argparse type from a rule that raises ValueError, naming the value."""
+
+    def parse(text: str):
+        try:
+            return rule(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+
+    return parse
 
 
 _SHARED_OPTIONS = {
@@ -214,9 +227,13 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    server = wire.ProtocolServer(
-        (args.host, args.port), master_seed=args.seed, backend=_backend(args.backend)
-    )
+    try:
+        server = wire.ProtocolServer(
+            (args.host, args.port), master_seed=args.seed, backend=_backend(args.backend)
+        )
+    except OSError as exc:  # a busy port or an unresolvable host
+        print(f"qfactory serve: {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return 2
     print(f"serving on {server.server_address[0]}:{server.server_address[1]}", file=sys.stderr)
     wire.log.addHandler(logging.StreamHandler(sys.stderr))
     wire.log.setLevel(logging.INFO)
@@ -229,7 +246,11 @@ def cmd_serve(args) -> int:
 
 def cmd_connect(args) -> int:
     params = params_by_name(args.params)
-    host, port = args.endpoint or wire.endpoint_from_env()
+    try:
+        host, port = args.endpoint or wire.endpoint_from_env()
+    except ValueError as exc:
+        print(f"qfactory connect: {os.environ[wire.ENDPOINT_ENV]}: {exc}", file=sys.stderr)
+        return 2
     accepted = 0
     try:
         with contextlib.closing(wire.SocketChannel(host, port)) as chan:
@@ -311,12 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("serve", help="host the honest server over TCP")
     _shared(sp, "--seed", "--backend")
     sp.add_argument("--host", default="127.0.0.1")
-    sp.add_argument("--port", type=int, default=7801)
+    sp.add_argument("--port", type=_by_rule(wire.parse_port), default=7801)
     sp.set_defaults(func=cmd_serve)
 
     sp = sub.add_parser("connect", help="drive protocol runs against a server")
     _shared(sp, "--params", "--seed", "--out")
-    sp.add_argument("--endpoint", type=wire.parse_endpoint, help="host:port (or QFACTORY_ENDPOINT)")
+    sp.add_argument(
+        "--endpoint", type=_by_rule(wire.parse_endpoint), help="host:port (or QFACTORY_ENDPOINT)"
+    )
     sp.add_argument("--runs", type=_positive_int, default=10)
     sp.set_defaults(func=cmd_connect)
 

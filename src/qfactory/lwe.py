@@ -27,6 +27,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import seeds
 from .params import ParamSet
 from .seeds import derive_seed
 from .stats import wilson_interval
@@ -272,8 +273,12 @@ def _column_weight_cap(params: ParamSet) -> int:
     return max(0, (params.q // 2 - 1) // span - 1)
 
 
-def _wide_injective(params: ParamSet, K: np.ndarray) -> bool:
-    """Check injectivity of g over the mu'-widened noise box.
+_KEY_BATCH = 16  # toy key candidates drawn and checked per step
+
+
+def _wide_injective(params: ParamSet, K: np.ndarray) -> np.ndarray:
+    """Check injectivity of g over the mu'-widened noise box, for each key of a
+    (..., m, n) stack of keys; returns a boolean array of shape (...).
 
     g collides iff some nonzero s-difference lands K*ds inside the widened
     noise-difference cube, possibly shifted by the d-sector vector.  Checking
@@ -283,12 +288,12 @@ def _wide_injective(params: ParamSet, K: np.ndarray) -> bool:
     q = params.q
     D = 2 * (params.noise_box + params.mu_prime) - 1
     if D >= q // 2:
-        return False
+        return np.zeros(K.shape[:-2], dtype=bool)
     ds = _s_grid(q, params.n)[:, 1:]  # drop ds = 0
     # t centred into [-q/2, q/2) is in [-D, D] iff (t + D) mod q <= 2D; rows 0
     # and 1 of `_sector_dv` are the shifts d = 0, 1, so one pass checks both
-    u = (K @ ds + D + _sector_dv(params)[:2, :, None]) & (q - 1)  # (2, m, q^n - 1)
-    return bool(u.max(axis=1).min() > 2 * D)
+    u = ((K @ ds + D)[..., None, :, :] + _sector_dv(params)[:2, :, None]) & (q - 1)
+    return u.max(axis=-2).min(axis=(-2, -1)) > 2 * D  # u is (..., 2, m, q^n - 1)
 
 
 def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
@@ -298,7 +303,7 @@ def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
     resampled until exhaustively verified injective, and inversion falls back
     to enumeration.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeds.rng(seed)
     q, n, m = params.q, params.n, params.m
     w = n * params.ell_q
     box = params.noise_box
@@ -331,9 +336,13 @@ def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
         se_bits = n * params.ell_q + m * params.ell_e
         if se_bits > _ENUM_CAP_BITS:
             raise ValueError("m <= n*ell_q needs enumeration-scale parameters")
-        for _ in range(4096):
-            K = rng.integers(0, q, size=(m, n))
-            if _wide_injective(params, K):
+        # candidates come 16 at a time and the first injective one is kept, so
+        # K is uniform over injective keys; at most 4096 candidates are tried
+        for _ in range(4096 // _KEY_BATCH):
+            Ks = rng.integers(0, q, size=(_KEY_BATCH, m, n))
+            ok = _wide_injective(params, Ks)
+            if ok.any():
+                K = Ks[ok.argmax()].copy()  # a copy, so the stack is not kept alive
                 break
         else:
             raise ValueError("could not sample an injective toy key")
@@ -612,14 +621,14 @@ def regularity_estimate(params: ParamSet, trials: int, seed: int) -> Estimate:
     """Fraction of sampled inputs whose image has exactly two preimages."""
     def hit(t: int) -> bool:
         pk, td = gen(params, derive_seed(seed, "regularity", t))
-        return _two_preimages(pk, td, np.random.default_rng(derive_seed(seed, "regularity-x", t)))
+        return _two_preimages(pk, td, seeds.rng(derive_seed(seed, "regularity-x", t)))
 
     return _estimate(trials, hit)
 
 
 def two_preimage_fraction(pk: PublicKey, td: Trapdoor, trials: int, seed: int) -> Estimate:
     """Same statistic for one fixed key."""
-    rng = np.random.default_rng(seed)
+    rng = seeds.rng(seed)
     return _estimate(trials, lambda t: _two_preimages(pk, td, rng))
 
 
@@ -627,7 +636,7 @@ def homomorphy_estimate(params: ParamSet, trials: int, seed: int) -> Estimate:
     """Probability that z + z0 keeps its noise in the box (`shift_in_box`)."""
     def hit(t: int) -> bool:
         _, td = gen(params, derive_seed(seed, "homomorphy", t))
-        rng = np.random.default_rng(derive_seed(seed, "homomorphy-z", t))
+        rng = seeds.rng(derive_seed(seed, "homomorphy-z", t))
         z = sample_domain_element(params, rng, include_c=False)
         return shift_in_box(params, z.e, td.z0.e)
 
@@ -666,7 +675,7 @@ def hardcore_game(adversary: Adversary, params: ParamSet, trials: int, seed: int
     baselines can be expressed; honest adversaries must ignore it."""
     def hit(t: int) -> bool:
         pk, td = gen(params, derive_seed(seed, "hardcore", t))
-        rng = np.random.default_rng(derive_seed(seed, "hardcore-adv", t))
+        rng = seeds.rng(derive_seed(seed, "hardcore-adv", t))
         return adversary(pk, td, rng) == td.d0
 
     est = _estimate(trials, hit)

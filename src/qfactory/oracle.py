@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import lwe, protocol4 as p4, protocol8 as p8, abort
+from . import lwe, protocol4 as p4, protocol8 as p8, abort, seeds
 from .params import ParamSet
 from .seeds import derive_seed
 from .sim import QubitDescription, fidelity
@@ -44,7 +44,7 @@ def _invert_vs_enumeration(pk, td) -> tuple[int, int]:
             mismatches += 1
     # also probe images with no preimages
     params = pk.params
-    rng = np.random.default_rng(1)
+    rng = seeds.rng(1)
     for _ in range(50):
         y = tuple(int(v) for v in rng.integers(0, params.q, size=params.m))
         got = lwe.invert(td, pk, np.array(y))
@@ -72,7 +72,7 @@ def _formula_regressions(params: ParamSet, seed: int) -> tuple[int, int]:
     client_r = replace(client_p, variant=p4.ROTATED)
     table = lwe.f_bit_table(client_p.pk)
     nbits = params.total_bits
-    rng = np.random.default_rng(derive_seed(seed, "fy"))
+    rng = seeds.rng(derive_seed(seed, "fy"))
     for packed_y in rng.choice(np.unique(table), size=12, replace=False):
         branches = [int(v) for v in np.flatnonzero(table == packed_y)]
         y = lwe.unpack_image(params, int(packed_y))

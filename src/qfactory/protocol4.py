@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import lwe
+from . import lwe, seeds
 from .params import ParamSet
 from .seeds import derive_seed, run_seed
 from .sim import (
@@ -159,7 +159,7 @@ def _measured_image(pk: lwe.PublicKey, rng: np.random.Generator) -> tuple[int, l
 def _server_two_branch(key_msg: KeyMessage, seed: int) -> StrategyReply:
     pk = key_msg.pk
     params = pk.params
-    rng = np.random.default_rng(derive_seed(seed, "server"))
+    rng = seeds.rng(derive_seed(seed, "server"))
     packed_y, branches = _measured_image(pk, rng)
     if len(branches) > 2:
         raise ValueError(f"the image has {len(branches)} register preimages, not one or two")
@@ -191,7 +191,7 @@ def _stage2_state(params: ParamSet, branch_bits: list[int]) -> StateVector:
 def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
     pk = key_msg.pk
     params = pk.params
-    rng = np.random.default_rng(derive_seed(seed, "server"))
+    rng = seeds.rng(derive_seed(seed, "server"))
     nbits = params.total_bits
     ybits = params.m * params.ell_q
     if nbits + 1 > MAX_QUBITS:
@@ -279,7 +279,7 @@ def _no_preimage_output(client: ClientState4, y, b, always_output: bool) -> Outp
     if not always_output:
         return OutputIndex4(0, 0, NO_PREIMAGE, COMPUTATIONAL)
     labels = ",".join(map(str, y)), lwe.bits_text(b)
-    rng = np.random.default_rng(derive_seed(client.seed, "always-output", *labels))
+    rng = seeds.rng(derive_seed(client.seed, "always-output", *labels))
     b1, b2 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
     family = PAULI_X if b1 else COMPUTATIONAL
     return OutputIndex4(b1, b2, NO_PREIMAGE, family)
@@ -333,7 +333,7 @@ def run_protocol4(
     key message instead, drawing from the server's seed of that run.
     """
     if strategy is not None:
-        rng = np.random.default_rng(run_seed(seed, 0, variant))
+        rng = seeds.rng(run_seed(seed, 0, variant))
         return run_client(params, seed, 0, variant, lambda key_msg: strategy(key_msg, rng))
     from . import wire  # wire builds on this module
 

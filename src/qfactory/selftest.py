@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import protocol8 as p8
+from . import protocol8 as p8, seeds
 from .params import ParamSet
 from .seeds import derive_seed
 from .sim import QubitDescription, fidelity
@@ -47,7 +47,7 @@ class TestPlan:
 def plan_tests(N: int, f: float, seed: int) -> TestPlan:
     if not 0.0 < f < 1.0:
         raise ValueError("test fraction must lie in (0, 1)")
-    rng = np.random.default_rng(derive_seed(seed, "plan"))
+    rng = seeds.rng(derive_seed(seed, "plan"))
     k = math.ceil(f * N)
     chosen = np.sort(rng.choice(N, size=k, replace=False))
     ms = rng.integers(0, 8, size=k)
@@ -319,7 +319,7 @@ def selftest_iid(
 ) -> SelfTestResult:
     """Sample test statistics from the strategy's Born rule and, on accept,
     extract the isometry report."""
-    rng = np.random.default_rng(derive_seed(seed, "selftest"))
+    rng = seeds.rng(derive_seed(seed, "selftest"))
     Ls = rng.integers(0, 8, size=N)
     Ms = rng.integers(0, 8, size=N)
     born = np.array([[strategy.born_plus(L, M) for M in range(8)] for L in range(8)])
@@ -378,7 +378,7 @@ def run_verifiable(
             raise RuntimeError("usable-run yield too low")
     Ls = [r.index.L for r in runs]
     plan = plan_tests(N, f, derive_seed(seed, "vplan"))
-    rng = np.random.default_rng(derive_seed(seed, "voutcomes"))
+    rng = seeds.rng(derive_seed(seed, "voutcomes"))
     outcomes = {}
     for idx in plan.test_indices:
         M = plan.measurements[idx]

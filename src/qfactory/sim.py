@@ -200,16 +200,19 @@ class StateVector:
         """Project onto the given computational outcome; returns its probability."""
         qubits = list(qubits)
         self._check(*qubits)
-        sel_bits, want_bits = [0] * self.n, [0] * self.n
+        # the outcome is a view of the (2,)*n reshape: each measured qubit's
+        # axis takes its bit, every other axis is kept whole
+        view = [slice(None)] * self.n
         for qb, b in zip(qubits, lwe.check_bits(bits, len(qubits))):
-            sel_bits[qb], want_bits[qb] = 1, b
-        sel, want = lwe.pack_bits(sel_bits), lwe.pack_bits(want_bits)
-        drop = (_index(self.n) & sel) != want
-        prob = 1.0 - float(np.sum(np.abs(self.amps[drop]) ** 2))
-        self.amps[drop] = 0.0
+            view[self._axis(qb)] = b
+        t, view = self.amps.reshape((2,) * self.n), tuple(view)
+        kept = t[view]
+        prob = float(np.vdot(kept, kept).real)
         if prob <= 0.0:
             raise ValueError("postselected on a zero-probability branch")
-        self.amps /= math.sqrt(prob)
+        kept = kept / math.sqrt(prob)
+        self.amps[:] = 0.0
+        t[view] = kept
         return prob
 
     def qubit_state(self, qubit: int) -> np.ndarray:

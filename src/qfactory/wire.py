@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from . import lwe, protocol4 as p4, protocol8 as p8, serde
+from . import lwe, protocol4 as p4, protocol8 as p8, serde, seeds
 from .params import ParamSet
 from .seeds import run_seed
 from .sim import QubitDescription
@@ -205,7 +205,7 @@ class ServerSession:
                 raise WireError("merge requested before both runs completed")
             if self._runs[msg.run_id]:
                 raise WireError(f"run {msg.run_id} was already merged")
-            rng = np.random.default_rng(run_seed(self.master_seed, msg.run_id, "merge"))
+            rng = seeds.rng(run_seed(self.master_seed, msg.run_id, "merge"))
             res = p8.merge_gadget(in1, in2, rng)
             self._hold(msg.run_id, "merged", res.out)
             self._runs[msg.run_id] = True
@@ -220,7 +220,7 @@ class ServerSession:
             for run_id, m_idx in plan:
                 held = self.held.pop((run_id, "merged"))
                 p_plus = float(abs(np.vdot(QubitDescription.eight(m_idx).vec, held.vec)) ** 2)
-                rng = np.random.default_rng(run_seed(self.master_seed, run_id, "test"))
+                rng = seeds.rng(run_seed(self.master_seed, run_id, "test"))
                 results[str(run_id)] = int(rng.random() < p_plus)
             return [WireMessage("test_results", msg.run_id, {"results": results})]
         raise WireError(f"server cannot handle kind {msg.kind!r}")
@@ -419,10 +419,18 @@ def serve(host: str, port: int, master_seed: int, backend: str = "two_branch") -
     return server
 
 
+def parse_port(text: str) -> int:
+    """The port rule: a decimal integer in [0, 65535]; ValueError otherwise."""
+    if not (text.isascii() and text.isdigit() and int(text) <= 65535):
+        raise ValueError(f"port {text!r} is not a decimal integer in [0, 65535]")
+    return int(text)
+
+
 def parse_endpoint(text: str) -> tuple[str, int]:
-    """(host, port) of "host:port"; the host defaults to 127.0.0.1."""
+    """(host, port) of "host:port", the port by `parse_port`; the host
+    defaults to 127.0.0.1."""
     host, _, port = text.rpartition(":")
-    return host or "127.0.0.1", int(port)
+    return host or "127.0.0.1", parse_port(port)
 
 
 def endpoint_from_env(default: str = "127.0.0.1:7801") -> tuple[str, int]:

@@ -295,3 +295,70 @@ def test_connect_to_a_closed_port_is_one_stderr_line(capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"qfactory connect: 127.0.0.1:{port}: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def _one_error_line(capsys, prefix):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("text", ["localhost:abc", "localhost:99999", "localhost:-5", "localhost:"])
+def test_a_bad_endpoint_in_the_environment_is_one_stderr_line(capsys, monkeypatch, text):
+    from qfactory import wire
+
+    monkeypatch.setenv(wire.ENDPOINT_ENV, text)
+    assert cli.main(["connect", "--params", "toy-micro"]) == 2
+    assert "[0, 65535]" in _one_error_line(capsys, f"qfactory connect: {text}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["connect", "--endpoint", "127.0.0.1:99999"],
+        ["connect", "--endpoint", ":-5"],
+        ["connect", "--endpoint", "127.0.0.1:+80"],
+        ["connect", "--endpoint", "127.0.0.1: 80"],
+        ["serve", "--port", "99999"],
+        ["serve", "--port", "-1"],
+        ["serve", "--port", "0x50"],
+    ],
+)
+def test_a_port_outside_the_port_rule_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"argument {argv[1]}: {argv[2]}: port " in captured.err
+
+
+@pytest.mark.parametrize("text, want", [("7801", 7801), ("0", 0), ("65535", 65535), ("080", 80)])
+def test_the_port_rule_takes_decimal_ports_in_range(text, want):
+    from qfactory import wire
+
+    assert wire.parse_port(text) == want
+    assert wire.parse_endpoint(f"10.0.0.1:{text}") == ("10.0.0.1", want)
+
+
+def test_serve_on_a_busy_port_is_one_stderr_line(capsys):
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        assert cli.main(["serve", "--port", str(port)]) == 2
+    _one_error_line(capsys, f"qfactory serve: 127.0.0.1:{port}: ")
+
+
+def test_serve_on_an_unresolvable_host_is_one_stderr_line(capsys, monkeypatch):
+    from qfactory import wire
+
+    def unresolvable(address, **kwargs):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(wire, "ProtocolServer", unresolvable)  # no lookup leaves the host
+    assert cli.main(["serve", "--host", "no-such-host.invalid", "--port", "7801"]) == 2
+    err = _one_error_line(capsys, "qfactory serve: no-such-host.invalid:7801: ")
+    assert "Name or service not known" in err

@@ -11,20 +11,21 @@ in CHANGES.md.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qfactory import lwe, protocol4 as p4, protocol8 as p8, serde, transcripts
+from qfactory import lwe, protocol4 as p4, protocol8 as p8, seeds, serde, transcripts
 from qfactory.params import TOY_GADGET, TOY_MICRO, TOY_REG, TOY_WIDE, paper_params, toy_params
 
-DIGEST = "59595ba22fe50a04e473607bfbbf31bfb20bf4682f85107cd80763eeb459a83b"
+DIGEST = "0b5477df0020bd572d8c572e8c67ec4cce7840afdf4212a06349e6c84b66b20a"
 
 # TOY_MICRO plain run4 (seed 0), rotated run4 (seed 3) and run8 (seed 1)
 CHAIN = [
-    "d485ad8a0a62bb81beb1142c39e1f07739b292b3ee38d018958e6cfc22e8bd76",
-    "3e3feaf74c2c472da98d708093a638f9fbd3e5245a091791a5bf8f06916c1bf2",
-    "7fb542de98ebc3a7b745cff2cd5ce7b181129df0571bff0731cd47896391efdb",
+    "bc076a43d69c297a7119b1096cfff9eacab54d81ed0acef6c2b3d945aea4148e",
+    "885adc40ea66f3bdd2250fc2d1575cdb1d2a7ae6030f8e42af79b7d8c8df45fc",
+    "686c7d2854fd335b9ace2942416631090c8f148cf7e88b0897dc56a5d1eaa7e1",
 ]
 
 # SHA-256 of serde.keypair_to_json(*gen(params, seed)).  No preset drops a bit
@@ -97,3 +98,12 @@ def test_gen_arrays_are_pinned(name):
     for part in (pk.K, pk.y0, gd.R, gd.err_lo, gd.err_hi, td.z0.s, td.z0.e, [td.d0]):
         digest.update(np.asarray(part, dtype="<i8").tobytes())
     assert digest.hexdigest() == RAW[name]
+
+
+def test_every_generator_comes_from_seeds_rng():
+    src = Path(seeds.__file__).parent
+    assert [p.name for p in src.rglob("*.py") if "default_rng" in p.read_text("utf-8")] == []
+    for seed in (0, 1, 2**63 + 5, 2**64 - 1):
+        a, b = seeds.rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(a.integers(0, 1 << 62, size=64), b.integers(0, 1 << 62, size=64))
+        assert np.array_equal(a.random(64), b.random(64))

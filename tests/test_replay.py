@@ -6,6 +6,7 @@ record replay cannot read with its exact meaning is a TranscriptError.
 """
 
 import copy
+import itertools
 import json
 
 import pytest
@@ -14,11 +15,24 @@ from hypothesis import given, settings, strategies as st
 from qfactory import lwe, protocol4 as p4, protocol8 as p8, transcripts
 from qfactory.params import TOY_MICRO, paper_params
 
-# TOY_MICRO records with fixed seeds: run 0 of seed 0 has B1 = 1; seed 1
-# gives a usable run8 (L = 7), seed 0 an unusable one.
-RUN4 = transcripts.run4_record(p4.run_protocol4(TOY_MICRO, 0), 0, 0)
-USABLE = transcripts.run8_record(p8.run_protocol8(TOY_MICRO, 1), 1, 1)
-UNUSABLE = transcripts.run8_record(p8.run_protocol8(TOY_MICRO, 0), 0, 0)
+
+def _first(record, has):
+    """record(seed) at the first seed from 0 whose record has the property."""
+    return next(rec for rec in map(record, itertools.count()) if has(rec))
+
+
+def _run4(seed):
+    return transcripts.run4_record(p4.run_protocol4(TOY_MICRO, seed), seed, seed)
+
+
+def _run8(seed):
+    return transcripts.run8_record(p8.run_protocol8(TOY_MICRO, seed), seed, seed)
+
+
+# TOY_MICRO records at the first seed with each property; the run id is the seed
+RUN4 = _first(_run4, lambda r: r["B1"] == 1)
+USABLE = _first(_run8, lambda r: r["usable"])
+UNUSABLE = _first(_run8, lambda r: not r["usable"])
 
 DERIVED = {"accepted", "B1", "B2", "family", "usable", "L"}
 DELETE = object()

@@ -1,6 +1,7 @@
 """Statevector backend and analytic two-branch evaluator tests."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -58,6 +59,43 @@ def test_postselect_reads_outcome_by_the_bit_rule(bits):
     with pytest.raises(ValueError):
         sv.postselect([0, 1], bits)
     assert np.allclose(sv.amps, 0.5)
+
+
+def _mask_postselect(amps, n, qubits, bits):
+    """The mask form of postselect: zero every amplitude whose measured bits
+    differ from the outcome; the probability is 1 minus the dropped mass."""
+    sel = sum(1 << qb for qb in qubits)
+    want = sum(b << qb for qb, b in zip(qubits, bits))
+    drop = (np.arange(1 << n) & sel) != want
+    out = amps.copy()
+    prob = 1.0 - float(np.sum(np.abs(out[drop]) ** 2))
+    out[drop] = 0.0
+    return out / math.sqrt(prob), prob
+
+
+@pytest.mark.parametrize(
+    "n, qubits",
+    [(1, [0]), (3, [2, 0]), (3, [1, 2, 0]), (7, [5, 1, 3]), (7, [6, 0, 4, 2]),
+     (13, [11, 2, 7, 0, 9]), (13, [12, 10, 1])],
+)
+def test_postselect_view_equals_the_mask_formula(n, qubits):
+    sv = _random_state(n, np.random.default_rng(n + len(qubits)))
+    start = sv.amps.copy()
+    for bits in itertools.product((0, 1), repeat=len(qubits)):
+        want, want_prob = _mask_postselect(start, n, qubits, bits)
+        sv.amps = start.copy()
+        assert abs(sv.postselect(qubits, bits) - want_prob) <= 1e-12
+        assert np.max(np.abs(sv.amps - want)) <= 1e-12
+
+
+def test_postselect_on_a_zero_probability_outcome_raises_and_keeps_the_state():
+    sv = StateVector(3).h(0).h(2)  # qubit 1 holds |0>
+    before = sv.amps.copy()
+    with pytest.raises(ValueError, match="zero-probability"):
+        sv.postselect([2, 1], (0, 1))
+    with pytest.raises(ValueError):
+        sv.postselect([2, 1], (1.0, True))
+    assert np.array_equal(sv.amps, before)
 
 
 def test_norm_preserved_random_circuit():
