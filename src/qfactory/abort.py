@@ -128,18 +128,16 @@ def _gad_state(states) -> StateVector:
 
 
 def combine_bits(records, s_pairs) -> tuple[int, int]:
-    """The frozen closed form for the combined (B1, B2)."""
-    basis = [r.B1 & 1 for r in records]
-    values = [r.B2 & 1 for r in records]
+    """The frozen closed form for the combined (B1, B2); ValueError unless
+    every B1, B2 and outcome is a bit, with one outcome pair per record."""
+    basis = lwe.check_bits([r.B1 for r in records], len(records))
+    values = lwe.check_bits([r.B2 for r in records], len(records))
     T = sum(basis)
-    b1 = T & 1
-    b2 = (T // 2) & 1
-    for v in values:
-        b2 ^= v
-    for bi, (s1, s2) in zip(basis, s_pairs):
-        if bi:
-            b2 ^= s1 ^ s2
-    return b1, b2
+    b2 = (T // 2 + sum(values)) & 1
+    for bi, pair in zip(basis, s_pairs, strict=True):
+        s1, s2 = lwe.check_bits(pair, 2)
+        b2 ^= bi & (s1 ^ s2)
+    return T & 1, b2
 
 
 def client_combine(chunked_records, config: ChunkConfig, s_pairs, seed: int) -> CombinedOutput:

@@ -18,7 +18,7 @@ against it exhaustively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -328,18 +328,16 @@ def run_protocol4(
 ) -> Protocol4Result:
     """Run 0 of a local session with master seed `seed`.
 
-    The honest server answers through the wire session, and its simulated
-    held qubit is read back from it.  A custom `strategy` answers the typed
-    key message instead, drawing from the server's seed of that run.
+    The honest server answers through the wire session, whose local channel
+    hands over the simulated held qubit.  A custom `strategy` answers the
+    typed key message instead, drawing from the server's seed of that run.
     """
     if strategy is not None:
         rng = seeds.rng(run_seed(seed, 0, variant))
         return run_client(params, seed, 0, variant, lambda key_msg: strategy(key_msg, rng))
     from . import wire  # wire builds on this module
 
-    chan = wire.local_session(seed, backend)
-    res = wire.run4_over_channel(chan, params, seed, 0, variant)
-    return replace(res, held=chan.session.held[(0, variant)])
+    return wire.run4_over_channel(wire.local_session(seed, backend), params, seed, 0, variant)
 
 
 # ---------------------------------------------------------------------------

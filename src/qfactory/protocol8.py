@@ -24,7 +24,7 @@ half-turn digit; dropping it breaks 16 of the 64 (index, outcome) cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,20 +128,12 @@ def run_protocol8(params: ParamSet, seed: int, backend: str = "two_branch") -> P
     """Run 0 of a local session with master seed `seed`: two 4-states runs
     (plain + rotated) and the merge gadget.
 
-    The simulated held qubits, both inputs and the merged output, are read
-    back from the honest server session.
+    The honest server's local channel hands over the simulated held qubits,
+    both inputs and the merged output.
     """
     from . import wire  # wire builds on this module
 
-    chan = wire.local_session(seed, backend)
-    res = wire.run8_over_channel(chan, params, seed, 0)
-    held = chan.session.held
-    return replace(
-        res,
-        run1=replace(res.run1, held=held[(0, p4.PLAIN)]),
-        run2=replace(res.run2, held=held[(0, p4.ROTATED)]),
-        held=held[(0, "merged")],
-    )
+    return wire.run8_over_channel(wire.local_session(seed, backend), params, seed, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ One client engine and one honest server session serve every transport:
 `run_protocol4` / `run_protocol8` are run 0 of a `LocalChannel` session, and
 socket runs execute the same handler with the same derived seeds, which makes
 loopback transcripts bit-identical to in-process ones.
+
+The session holds each stage of a run once: `key` puts the plain or rotated
+state, `merge` takes both and puts the merged one, `test_plan` takes that.  A
+rejected request changes nothing.  Only a `LocalChannel` passes the simulated
+states on, to the client engine; over TCP they stay with the server.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import socketserver
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -169,7 +174,7 @@ def read_frame(sock: socket.socket) -> WireMessage:
 # server session (shared by local and socket transports)
 
 
-# States of at most this many runs are held per session; the oldest run goes first.
+# At most this many runs are remembered per session; the oldest is forgotten first.
 MAX_HELD_RUNS = 1024
 
 
@@ -179,9 +184,10 @@ class ServerSession:
 
     master_seed: int
     backend: str = "two_branch"
-    held: dict = field(default_factory=dict)  # (run_id, variant) -> QubitDescription
-    # held run ids, oldest first -> whether the run was merged
-    _runs: dict = field(default_factory=dict, init=False, repr=False)
+    # sees ((run id, stage), state) of every state put, for in-process callers
+    on_state: Callable[[tuple[int, str], QubitDescription], None] | None = None
+    # run id -> {stage: held state, or None once taken}, oldest run first
+    _held_runs: dict = field(default_factory=dict, init=False, repr=False)
 
     def handle(self, msg: WireMessage) -> list[WireMessage]:
         validate_message(msg)
@@ -193,47 +199,52 @@ class ServerSession:
                 reply = p4.server_honest(key_msg, self.backend, seed)
             except ValueError as exc:
                 raise WireError(f"key cannot be served: {exc}") from exc
-            self._hold(msg.run_id, variant, reply.held)
+            self._put(msg.run_id, variant, reply.held)
             return [
                 WireMessage("image", msg.run_id, {"y": serde.int_strings(reply.y)}),
                 WireMessage("meas", msg.run_id, {"b": serde.record_text(reply.b)}),
             ]
         if msg.kind == "merge":
-            in1 = self.held.get((msg.run_id, p4.PLAIN))
-            in2 = self.held.get((msg.run_id, p4.ROTATED))
-            if in1 is None or in2 is None:
-                raise WireError("merge requested before both runs completed")
-            if self._runs[msg.run_id]:
-                raise WireError(f"run {msg.run_id} was already merged")
+            in1, in2 = self._take((msg.run_id, p4.PLAIN), (msg.run_id, p4.ROTATED))
             rng = seeds.rng(run_seed(self.master_seed, msg.run_id, "merge"))
             res = p8.merge_gadget(in1, in2, rng)
-            self._hold(msg.run_id, "merged", res.out)
-            self._runs[msg.run_id] = True
+            self._put(msg.run_id, "merged", res.out)
             return [WireMessage("merge", msg.run_id, {"s1": res.s1, "s2": res.s2})]
         if msg.kind == "test_plan":
-            # a measurement consumes the merged state; a rejected plan consumes nothing
             plan = _test_plan(msg.payload)
-            for run_id, _ in plan:
-                if (run_id, "merged") not in self.held:
-                    raise WireError(f"no merged state for run {run_id}")
+            held = self._take(*((run_id, "merged") for run_id, _ in plan))
             results = {}
-            for run_id, m_idx in plan:
-                held = self.held.pop((run_id, "merged"))
-                p_plus = float(abs(np.vdot(QubitDescription.eight(m_idx).vec, held.vec)) ** 2)
+            for (run_id, m_idx), state in zip(plan, held):
+                p_plus = float(abs(np.vdot(QubitDescription.eight(m_idx).vec, state.vec)) ** 2)
                 rng = seeds.rng(run_seed(self.master_seed, run_id, "test"))
                 results[str(run_id)] = int(rng.random() < p_plus)
             return [WireMessage("test_results", msg.run_id, {"results": results})]
         raise WireError(f"server cannot handle kind {msg.kind!r}")
 
-    def _hold(self, run_id: int, tag: str, state: QubitDescription):
-        """Keep a run's state; past MAX_HELD_RUNS runs, drop the oldest run's."""
-        self._runs.setdefault(run_id, False)
-        if len(self._runs) > MAX_HELD_RUNS:
-            oldest = next(iter(self._runs))
-            del self._runs[oldest]
-            for old_tag in (p4.PLAIN, p4.ROTATED, "merged"):
-                self.held.pop((oldest, old_tag), None)
-        self.held[(run_id, tag)] = state
+    def _put(self, run_id: int, stage: str, state: QubitDescription):
+        """Hold a run's state of `stage`; WireError if the run had that stage
+        already.  A new run past MAX_HELD_RUNS forgets the oldest run."""
+        stages = self._held_runs.setdefault(run_id, {})
+        if stage in stages:
+            raise WireError(f"run {run_id} already had its {stage} state")
+        if len(self._held_runs) > MAX_HELD_RUNS:
+            del self._held_runs[next(iter(self._held_runs))]
+        stages[stage] = state
+        if self.on_state is not None:
+            self.on_state((run_id, stage), state)
+
+    def _take(self, *keys: tuple[int, str]) -> list[QubitDescription]:
+        """The held states of the (run id, stage) keys, each marked taken;
+        WireError, with nothing taken, unless every one is held."""
+        for run_id, stage in keys:
+            stages = self._held_runs.get(run_id, {})
+            if stages.get(stage) is None:
+                why = "was already taken" if stage in stages else "is not held"
+                raise WireError(f"run {run_id}'s {stage} state {why}")
+        held = [self._held_runs[run_id][stage] for run_id, stage in keys]
+        for run_id, stage in keys:
+            self._held_runs[run_id][stage] = None
+        return held
 
 
 def _decode_key(obj) -> lwe.PublicKey:
@@ -270,11 +281,18 @@ def _test_plan(payload: dict) -> list[tuple[int, int]]:
 
 
 class LocalChannel:
-    """In-process transport: the session handler invoked directly."""
+    """In-process transport: the session handler invoked directly.  Each state
+    the session puts waits here only until the client engine collects it."""
 
     def __init__(self, session: ServerSession):
         self.session = session
         self._queue: list[WireMessage] = []
+        self._states: dict[tuple[int, str], QubitDescription] = {}
+        session.on_state = self._states.__setitem__
+
+    def collect(self, run_id: int, stage: str) -> QubitDescription:
+        """The simulated state of the run's stage, handed over once."""
+        return self._states.pop((run_id, stage))
 
     def send(self, msg: WireMessage):
         self._queue.extend(self.session.handle(msg))
@@ -298,6 +316,9 @@ class SocketChannel:
     def recv(self) -> WireMessage:
         return read_frame(self.sock)
 
+    def collect(self, run_id: int, stage: str) -> None:
+        return None  # a remote server's states stay with it
+
     def close(self):
         self.sock.close()
 
@@ -306,36 +327,24 @@ class SocketChannel:
 # client engines (transport-independent)
 
 
-def _decode_reply(params: ParamSet, image: WireMessage, meas: WireMessage) -> p4.StrategyReply:
-    """The server's image y and record b, accepted only in canonical form."""
-    if image.kind != "image" or meas.kind != "meas":
-        raise WireError("unexpected reply sequence")
-    try:
-        y = serde.zq_entries(image.payload.get("y"), params.m, params.q)
-        b = serde.record_bits(meas.payload.get("b"), params.total_bits)
-    except ValueError as exc:
-        raise WireError(f"server reply: {exc}") from exc
-    return p4.StrategyReply(y=tuple(y), b=b, held=None)
-
-
 def run4_over_channel(
     chan, params: ParamSet, master_seed: int, run_id: int, variant: str = p4.PLAIN
 ) -> p4.Protocol4Result:
     def exchange(key_msg: p4.KeyMessage) -> p4.StrategyReply:
-        chan.send(
-            WireMessage(
-                "key",
-                run_id,
-                {
-                    "key": serde.key_to_obj(key_msg.pk),
-                    "variant": key_msg.variant,
-                    "hardcore_tag": key_msg.hardcore_tag,
-                },
-            )
-        )
-        image = chan.recv()
-        meas = chan.recv()
-        return _decode_reply(params, image, meas)
+        """The server's image y and record b, accepted only in canonical form,
+        with the held state if the channel hands one over."""
+        pk_obj = serde.key_to_obj(key_msg.pk)
+        payload = {"key": pk_obj, "variant": key_msg.variant, "hardcore_tag": key_msg.hardcore_tag}
+        chan.send(WireMessage("key", run_id, payload))
+        image, meas = chan.recv(), chan.recv()
+        if image.kind != "image" or meas.kind != "meas":
+            raise WireError("unexpected reply sequence")
+        try:
+            y = serde.zq_entries(image.payload.get("y"), params.m, params.q)
+            b = serde.record_bits(meas.payload.get("b"), params.total_bits)
+        except ValueError as exc:
+            raise WireError(f"server reply: {exc}") from exc
+        return p4.StrategyReply(y=tuple(y), b=b, held=chan.collect(run_id, variant))
 
     return p4.run_client(params, master_seed, run_id, variant, exchange)
 
@@ -344,7 +353,8 @@ def run8_over_channel(chan, params: ParamSet, master_seed: int, run_id: int):
     """Two 4-states runs (plain + rotated) followed by the merge gadget.
 
     The client classifies the run by `protocol8.eight_index`; the
-    classification never leaves the client.
+    classification never leaves the client.  The held states are the
+    simulated ones over a local channel and None over TCP.
     """
     r1 = run4_over_channel(chan, params, master_seed, run_id, p4.PLAIN)
     r2 = run4_over_channel(chan, params, master_seed, run_id, p4.ROTATED)
@@ -357,7 +367,8 @@ def run8_over_channel(chan, params: ParamSet, master_seed: int, run_id: int):
     except ValueError as exc:
         raise WireError(str(exc)) from exc
     index = p8.eight_index(r1.out, r2.out, s1, s2)
-    return p8.Protocol8Result(index=index, run1=r1, run2=r2, s1=s1, s2=s2, held=None)
+    held = chan.collect(run_id, "merged")
+    return p8.Protocol8Result(index=index, run1=r1, run2=r2, s1=s1, s2=s2, held=held)
 
 
 def local_session(master_seed: int, backend: str = "two_branch") -> LocalChannel:

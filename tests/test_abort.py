@@ -67,6 +67,26 @@ def test_gad_xor_sampled_matches_formula_t4():
         assert fidelity(out, QubitDescription.equatorial(b1 + 2 * b2)) >= 1 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "bits, s_pairs",
+    [
+        ([(1, 0)], [(2, 0)]),
+        ([(2, 0)], [(0, 0)]),
+        ([(0, -1)], [(0, 0)]),
+        ([(1, 0.0)], [(0, 0)]),
+        ([(1, 0)], [(0, 1, 1)]),
+        ([(1, 0)], [(0, 0), (0, 0)]),
+        ([(1, 0), (1, 1)], [(0, 0)]),
+    ],
+    ids=[
+        "s-bit-2", "B1-2", "B2-minus-1", "B2-float", "outcome-triple", "extra-pair", "missing-pair"
+    ],
+)
+def test_combine_bits_rejects_what_is_not_one_bit_pair_per_run(bits, s_pairs):
+    with pytest.raises(ValueError):
+        abort.combine_bits(_records(bits), s_pairs)
+
+
 # ---------------------------------------------------------------------------
 # client combine / beta
 

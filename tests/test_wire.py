@@ -1,5 +1,6 @@
 """Wire protocol, transcripts and replay tests."""
 
+import ast
 import base64
 import json
 import logging
@@ -7,14 +8,17 @@ import socket
 import string
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
-from qfactory import lwe, protocol4 as p4, serde, transcripts, wire
+from qfactory import lwe, protocol4 as p4, protocol8 as p8, serde, transcripts, wire
 from qfactory.params import TOY_GADGET, TOY_MICRO, ParamSet, paper_params
 from qfactory.seeds import derive_seed
+from qfactory.sim import QubitDescription, fidelity
 
 
 def test_message_schema_accepts_known_kinds():
@@ -147,6 +151,7 @@ def test_loopback_protocol8():
         local = wire.run8_over_channel(local_chan, params, master, 0)
         assert (remote.s1, remote.s2) == (local.s1, local.s2)
         assert remote.usable == local.usable
+        assert (remote.run1.held, remote.run2.held, remote.held) == (None, None, None)
         if remote.usable:
             assert remote.index.L == local.index.L
     finally:
@@ -216,12 +221,44 @@ def test_server_session_rejects_unknown_variant():
     key = {"key": serde.key_to_obj(client.pk), "variant": "diagonal", "hardcore_tag": "x"}
     with pytest.raises(wire.WireError):
         session.handle(wire.WireMessage("key", 0, key))
-    assert session.held == {}
+    _assert_keyable(session, 0, p4.PLAIN)
+    _assert_keyable(session, 0, p4.ROTATED)
 
 
 def _key_payload(params=TOY_MICRO, seed=1):
     client, _ = p4.client_init(params, p4.PLAIN, seed=derive_seed(seed, "c"))
     return {"key": serde.key_to_obj(client.pk), "variant": p4.PLAIN, "hardcore_tag": "x"}
+
+
+def _assert_keyable(session, run_id=0, variant=p4.PLAIN):
+    """The run has no state of `variant` yet: a valid key for it is served.
+    After a rejected key this shows that the key stored nothing."""
+    payload = {**_key_payload(), "variant": variant}
+    replies = session.handle(wire.WireMessage("key", run_id, payload))
+    assert [reply.kind for reply in replies] == ["image", "meas"]
+
+
+def _assert_measurable(session, run_id=0):
+    """The run's merged state is held: a valid test plan for it is answered
+    (and takes the state)."""
+    plan = {"indices": [run_id], "measurements": [3]}
+    (reply,) = session.handle(wire.WireMessage("test_plan", 0, plan))
+    assert set(reply.payload["results"]) == {str(run_id)}
+
+
+def _states_in(obj) -> list:
+    """The qubit states an object keeps in its own fields, looking through
+    dicts, lists and tuples but not into other objects."""
+    found, todo = [], list(vars(obj).values())
+    while todo:
+        node = todo.pop()
+        if isinstance(node, QubitDescription):
+            found.append(node)
+        elif isinstance(node, dict):
+            todo.extend(node.values())
+        elif isinstance(node, (list, tuple)):
+            todo.extend(node)
+    return found
 
 
 def _without(obj, field):
@@ -287,7 +324,7 @@ def test_server_session_rejects_unusable_key(payload):
     session = wire.ServerSession(master_seed=1)
     with pytest.raises(wire.WireError):
         session.handle(wire.WireMessage("key", 0, payload))
-    assert session.held == {}
+    _assert_keyable(session)
 
 
 _COERCED_PARAMS = [
@@ -315,7 +352,7 @@ def test_key_params_are_not_coerced(tmp_path, field, value):
     session = wire.ServerSession(master_seed=1)
     with pytest.raises(wire.WireError):
         session.handle(wire.WireMessage("key", 0, payload))
-    assert session.held == {}
+    _assert_keyable(session)
 
     path = tmp_path / "runs.jsonl"
     body = transcripts.run4_record(p4.run_protocol4(TOY_MICRO, 36), 0, 36)
@@ -355,7 +392,7 @@ def test_two_branch_session_rejects_image_it_cannot_serve(run_id, reason):
     session = wire.ServerSession(master_seed=0)
     with pytest.raises(wire.WireError, match=reason):
         session.handle(wire.WireMessage("key", run_id, _uniform_micro_key()))
-    assert session.held == {}
+    _assert_keyable(session, run_id)
 
 
 def test_statevector_session_rejects_register_wider_than_the_simulator():
@@ -364,7 +401,7 @@ def test_statevector_session_rejects_register_wider_than_the_simulator():
     session = wire.ServerSession(master_seed=0, backend="statevector")
     with pytest.raises(wire.WireError, match="statevector"):
         session.handle(wire.WireMessage("key", 0, _key_payload(params)))
-    assert session.held == {}
+    _assert_keyable(session)
 
 
 @pytest.mark.parametrize("measured", [False, True], ids=["held", "measured"])
@@ -375,9 +412,14 @@ def test_second_merge_of_a_run_is_rejected(measured):
     if measured:
         chan.send(wire.WireMessage("test_plan", 0, plan))
         assert set(chan.recv().payload["results"]) == {"0"}
-    with pytest.raises(wire.WireError, match="already merged"):
+    # the first merge took both inputs
+    with pytest.raises(wire.WireError, match="run 0's plain state was already taken"):
         chan.session.handle(wire.WireMessage("merge", 0, {}))
-    assert ((0, "merged") in chan.session.held) is not measured
+    if measured:
+        with pytest.raises(wire.WireError, match="run 0's merged state was already taken"):
+            _assert_measurable(chan.session)
+    else:
+        _assert_measurable(chan.session)
 
 
 @pytest.mark.parametrize(
@@ -400,8 +442,7 @@ def test_test_plan_consumes_the_merged_state():
     plan = {"indices": [0], "measurements": [3]}
     chan.send(wire.WireMessage("test_plan", 0, plan))
     assert set(chan.recv().payload["results"]) == {"0"}
-    assert (0, "merged") not in chan.session.held
-    with pytest.raises(wire.WireError):
+    with pytest.raises(wire.WireError, match="run 0's merged state was already taken"):
         chan.session.handle(wire.WireMessage("test_plan", 0, plan))
 
 
@@ -412,7 +453,7 @@ def test_rejected_test_plan_consumes_nothing(indices):
     plan = {"indices": indices, "measurements": [3, 3]}
     with pytest.raises(wire.WireError):
         chan.session.handle(wire.WireMessage("test_plan", 0, plan))
-    assert (0, "merged") in chan.session.held
+    _assert_measurable(chan.session)
 
 
 def test_test_outcome_depends_only_on_its_run():
@@ -438,16 +479,162 @@ def test_server_session_holds_a_bounded_number_of_runs():
     for run_id in range(1, extra + 1):
         chan.send(wire.WireMessage("key", run_id, key))
         chan.recv(), chan.recv()
-    held_runs = {run_id for run_id, _ in chan.session.held}
-    assert len(held_runs) == wire.MAX_HELD_RUNS
-    assert len(chan.session.held) <= wire.MAX_HELD_RUNS + 2  # run 0 alone held three states
-    assert min(held_runs) == extra - wire.MAX_HELD_RUNS + 1  # the oldest runs went first
+    # run 0, merged state and all, was forgotten with the other oldest runs
     with pytest.raises(wire.WireError):
         chan.session.handle(wire.WireMessage("merge", 0, {}))
     with pytest.raises(wire.WireError):
         chan.session.handle(
             wire.WireMessage("test_plan", 0, {"indices": [0], "measurements": [0]})
         )
+    oldest_kept = extra - wire.MAX_HELD_RUNS + 1
+    for run_id in range(oldest_kept, extra + 1):  # the newest MAX_HELD_RUNS runs are remembered
+        with pytest.raises(wire.WireError, match=f"run {run_id} already had its plain state"):
+            chan.session.handle(wire.WireMessage("key", run_id, key))
+    assert len(_states_in(chan.session)) == wire.MAX_HELD_RUNS
+    for run_id in range(oldest_kept):  # a forgotten run may be keyed again
+        _assert_keyable(chan.session, run_id)
+
+
+@pytest.mark.parametrize("variant", [p4.PLAIN, p4.ROTATED])
+def test_repeated_key_is_rejected_and_leaves_the_run_as_it_was(variant):
+    chan = wire.local_session(5)
+    wire.run8_over_channel(chan, TOY_MICRO, 5, 0)
+    with pytest.raises(wire.WireError, match=f"run 0 already had its {variant} state"):
+        _assert_keyable(chan.session, 0, variant)
+    _assert_measurable(chan.session)
+
+
+def test_run8_leaves_the_merged_state_in_the_session_and_none_in_the_channel():
+    chan = wire.local_session(5)
+    res = wire.run8_over_channel(chan, TOY_MICRO, 5, 0)
+    assert _states_in(chan) == []
+    (merged,) = _states_in(chan.session)
+    assert merged is res.held
+    _assert_measurable(chan.session)
+    requests = [
+        wire.WireMessage("merge", 0, {}),
+        wire.WireMessage("test_plan", 0, {"indices": [0], "measurements": [3]}),
+        wire.WireMessage("key", 0, _key_payload()),
+        wire.WireMessage("key", 0, {**_key_payload(), "variant": p4.ROTATED}),
+    ]
+    for _ in range(2):  # each rejection changes nothing, so the second round is the same
+        for msg in requests:
+            with pytest.raises(wire.WireError, match="already"):
+                chan.session.handle(msg)
+    assert _states_in(chan.session) == [] and _states_in(chan) == []
+
+
+def _held_fidelities(res) -> list:
+    """Each held state against the client's description of it, the merged one when usable."""
+    pairs = [(res.run1.held, res.run1.out.qubit()), (res.run2.held, res.run2.out.qubit())]
+    if res.usable:
+        pairs.append((res.held, res.index.qubit()))
+    return [fidelity(held, described) for held, described in pairs]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_local_run8_carries_the_held_states_of_run_protocol8(seed):
+    local = wire.run8_over_channel(wire.local_session(seed), TOY_MICRO, seed, 0)
+    ref = p8.run_protocol8(TOY_MICRO, seed)
+    assert _held_fidelities(local) == _held_fidelities(ref)
+    assert min(_held_fidelities(ref)) >= 1 - 1e-9
+    assert np.array_equal(local.held.vec, ref.held.vec)
+
+
+def test_only_wire_reads_a_channel_session():
+    """Client code gets held states from its channel, never from the session."""
+    root = Path(__file__).resolve().parents[1]
+    wire_py = root / "src" / "qfactory" / "wire.py"
+    found = []
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "perfbench").rglob("*.py")]):
+        if path == wire_py:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "session":
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+
+
+_RUN_IDS = st.sampled_from([-1, 0, 1, 2, 3])
+
+
+class _HeldStagesMachine(RuleBasedStateMachine):
+    """`key`, `merge` and `test_plan` against a reference model of the held
+    stages: run id -> {stage: True while held, False once taken}, oldest
+    run first, at most MAX_HELD_RUNS runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.model, self.want_puts, self.puts = {}, [], []
+        self.session = wire.ServerSession(master_seed=4, on_state=lambda k, _: self.puts.append(k))
+        self.key_payload = _key_payload()
+
+    def _handle(self, msg, accepted: bool):
+        """The session's answer agrees with the model; WireError is its only error."""
+        try:
+            self.session.handle(msg)
+        except wire.WireError:
+            assert not accepted, msg
+        else:
+            assert accepted, msg
+
+    def _put(self, run_id, stage):
+        self.model.setdefault(run_id, {})[stage] = True
+        if len(self.model) > wire.MAX_HELD_RUNS:
+            del self.model[next(iter(self.model))]
+        self.want_puts.append((run_id, stage))
+
+    @rule(run_id=_RUN_IDS, variant=st.sampled_from([p4.PLAIN, p4.ROTATED]))
+    def key(self, run_id, variant):
+        fresh = variant not in self.model.get(run_id, {})
+        payload = {**self.key_payload, "variant": variant}
+        self._handle(wire.WireMessage("key", run_id, payload), fresh)
+        if fresh:
+            self._put(run_id, variant)
+
+    @rule(run_id=_RUN_IDS)
+    def merge(self, run_id):
+        stages = self.model.get(run_id, {})
+        ready = stages.get(p4.PLAIN, False) and stages.get(p4.ROTATED, False)
+        self._handle(wire.WireMessage("merge", run_id, {}), ready)
+        if ready:
+            stages[p4.PLAIN] = stages[p4.ROTATED] = False
+            self._put(run_id, "merged")
+
+    @rule(run_id=_RUN_IDS)
+    def run8(self, run_id):
+        """A whole run's requests in a row, so that merged states are common."""
+        self.key(run_id, p4.PLAIN)
+        self.key(run_id, p4.ROTATED)
+        self.merge(run_id)
+
+    @rule(data=st.data(), m_idx=st.integers(0, 7))
+    def test_plan(self, data, m_idx):
+        merged = [run_id for run_id, stages in self.model.items() if stages.get("merged")]
+        ids = st.sampled_from(merged) | _RUN_IDS if merged else _RUN_IDS
+        run_ids = data.draw(st.lists(ids, max_size=3))
+        ready = len(set(run_ids)) == len(run_ids) and all(
+            self.model.get(run_id, {}).get("merged", False) for run_id in run_ids
+        )
+        plan = {"indices": run_ids, "measurements": [m_idx] * len(run_ids)}
+        self._handle(wire.WireMessage("test_plan", 0, plan), ready)
+        if ready:
+            for run_id in run_ids:
+                self.model[run_id]["merged"] = False
+
+    @invariant()
+    def holds_what_the_model_holds(self):
+        assert self.puts == self.want_puts  # a rejected request put nothing
+        held = sum(sum(stages.values()) for stages in self.model.values())
+        assert len(_states_in(self.session)) == held  # a taken or forgotten state is gone
+
+
+def test_held_stages_follow_the_reference_model(monkeypatch):
+    # three remembered runs, so that the five run ids also exercise forgetting
+    monkeypatch.setattr(wire, "MAX_HELD_RUNS", 3)
+    run_state_machine_as_test(
+        _HeldStagesMachine, settings=settings(max_examples=60, stateful_step_count=30)
+    )
 
 
 class _TamperingChannel(wire.LocalChannel):
@@ -778,7 +965,7 @@ def test_malformed_key_text_is_a_typed_error_at_the_wire_and_at_replay(tmp_path,
     session = wire.ServerSession(master_seed=1)
     with pytest.raises(wire.WireError):
         session.handle(wire.WireMessage("key", 0, payload))
-    assert session.held == {}
+    _assert_keyable(session)
 
     body = transcripts.run4_record(p4.run_protocol4(TOY_GADGET, 3), 0, 3)
     tamper(body["key_msg"])
@@ -896,4 +1083,4 @@ def test_test_plan_run_ids_are_integers_only():
     plan = {"indices": ["0"], "measurements": [3]}
     with pytest.raises(wire.WireError):
         chan.session.handle(wire.WireMessage("test_plan", 0, plan))
-    assert (0, "merged") in chan.session.held
+    _assert_measurable(chan.session)
