@@ -28,6 +28,7 @@ from .params import ParamSet
 from .seeds import derive_seed, run_seed
 from .sim import (
     MAX_QUBITS,
+    PLUS,
     QubitDescription,
     StateVector,
     analytic_stage2,
@@ -35,7 +36,6 @@ from .sim import (
     record_parity,
     sample_b,
     top_qubit_rows,
-    xy_readout,
 )
 
 TWO_PREIMAGES = "two_preimages"
@@ -132,12 +132,13 @@ def server_honest(key_msg: KeyMessage, backend: str, seed: int) -> StrategyReply
     classically and prepares the post-measurement state directly (the image
     measurement commutes with everything that follows, so the two routes
     agree exactly).  The literal circuit keeps only the qubits alive at each
-    gate: the H layer acts on the register; the image qubits join in |0>
-    just before U_f and leave once measured, checked to hold the measured
-    bits; then the target joins for the hardcore copy, so the readout runs
-    on register and target.  Its widest state is register plus image.
-    The projection route draws its record as a row of the table that
-    `honest_output_table` enumerates.  A key the backend cannot serve raises
+    gate: the H layer makes the register |+>^nbits; the image qubits join in
+    |0> just before U_f and leave once measured; then the target joins for
+    the hardcore copy, so the readout runs on register and target.  Its
+    widest state is register plus image.  Both routes end alike, drawing
+    the record as a row of the table that `honest_output_table` enumerates;
+    they differ only in how they build the state the rows are read from.
+    A key the backend cannot serve raises
     ValueError: two-branch, an image with more than two preimages or two of
     equal c; statevector, a register and target wider than `sim.MAX_QUBITS`.
     """
@@ -199,25 +200,22 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
     theta = meas_theta(key_msg.variant)
     if nbits + ybits + 1 <= MAX_QUBITS:
         # the literal circuit, the reference the projection route is tested
-        # against; each gate acts on the qubits alive at that point
-        sv = StateVector(nbits)
-        for qb in range(nbits):
-            sv.h(qb)
+        # against, run layer by layer on the qubits alive at each layer: the
+        # H layer on |0...0> is the product state |+>^nbits
+        sv = StateVector.product([PLUS] * nbits).append_qubits(ybits)
         image = list(range(nbits, nbits + ybits))
-        sv.append_qubits(ybits)
         sv.apply_function_unitary(lwe.f_bit_table(pk), controls=list(range(nbits)), targets=image)
-        # bits[i] is the outcome of the i-th listed qubit
-        ybits_out, _ = sv.measure(image, rng)
-        # the measured image is classical: it leaves, and the target takes qubit nbits
-        sv.drop_qubits(ybits_out).append_qubits(1)
-        sv.apply_function_unitary([0, 1], controls=[nbits - 2], targets=[nbits])
-        b, _ = xy_readout(sv, range(nbits), theta).measure(range(nbits), rng)
-        held = QubitDescription(sv.qubit_state(nbits))
-        return StrategyReply(y=lwe.unpack_image(params, lwe.pack_bits(ybits_out)), b=b, held=held)
-
-    # projection route: draw y classically, then a row of honest_output_table
-    packed_y, branches = _measured_image(pk, rng)
-    b, held = draw_row(top_qubit_rows(_stage2_state(params, branches), theta), rng)
+        # bits[i] is the outcome of image qubit i; the measured image is
+        # classical, so it leaves and the target takes qubit nbits
+        ybits_out, _ = sv.measure_top(ybits, rng)
+        packed_y = lwe.pack_bits(ybits_out)
+        sv.append_qubits(1).apply_function_unitary([0, 1], controls=[nbits - 2], targets=[nbits])
+    else:
+        # projection route: draw y classically and build the state it leaves
+        packed_y, branches = _measured_image(pk, rng)
+        sv = _stage2_state(params, branches)
+    # the XY readout of the register, drawn as a row of honest_output_table
+    b, held = draw_row(top_qubit_rows(sv, theta), rng)
     return StrategyReply(y=lwe.unpack_image(params, packed_y), b=b, held=held)
 
 

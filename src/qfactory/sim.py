@@ -5,16 +5,22 @@ Statevector indexing is little-endian: bit i of an amplitude index is qubit i,
 so qubit 0 varies fastest.  Gates mutate in place; a StateVector must stay
 confined to one worker.
 
-There is one XY-plane readout, `xy_readout`: a fused H R(-theta) gate per
-qubit, after which a computational readout reads the XY-plane basis.
-`top_qubit_rows` applies it to every qubit below the top one and returns the
-top qubit's amplitudes per outcome.  Exhaustive sweeps enumerate those rows
-and sampled runs draw one with `draw_row`.
+Circuits run in gate layers where a layer allows it: `StateVector.product`
+builds a product state in one step (an H layer on |0...0> is the product of
+|+> states), and `measure_top` measures the top qubits and removes them.
+The single named gates (`h`, `x`, `z`, `r`) remain, on one 1-qubit kernel.
+
+There is one XY-plane readout, `xy_readout`: the fused gate H R(-theta) on
+every listed qubit, after which a computational readout reads the XY-plane
+basis.  It runs as one Kronecker block of the fused gate per run of at most
+4 adjacent qubits.  `top_qubit_rows` applies it to every qubit below the
+top one and returns the top qubit's amplitudes per outcome.  Exhaustive
+sweeps enumerate those rows and sampled runs draw one with `draw_row`.
 
 Sampling order: every draw, by `draw_row` and by the computational
-`StateVector.measure` alike, goes through `_draw`, an inverse CDF over
-outcomes in lexicographic order with the first qubit most significant, one
-uniform variate per draw.  This keeps transcripts reproducible.
+`StateVector.measure` and `measure_top` alike, goes through `_draw`, an
+inverse CDF over outcomes in lexicographic order with the first qubit most
+significant, one uniform variate per draw.  This keeps transcripts reproducible.
 """
 
 from __future__ import annotations
@@ -34,6 +40,12 @@ ATOL = 1e-9
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# H|0>, the factor of an H layer on |0...0>
+PLUS = _H[:, 0].copy()
+PLUS.flags.writeable = False
+# Most adjacent qubits one readout block spans: a 16 x 16 product stays far
+# below the sizes at which BLAS starts threads
+_BLOCK = 4
 
 
 def _r(theta: float) -> np.ndarray:
@@ -88,6 +100,14 @@ class StateVector:
         self.n = num_qubits
         self.amps = np.zeros(1 << num_qubits, dtype=complex)
         self.amps[0] = 1.0
+
+    @classmethod
+    def product(cls, vecs) -> "StateVector":
+        """The product state with the complex 2-vector vecs[j] on qubit j."""
+        sv = cls(len(vecs))
+        # np.kron's products in its order: the first factor takes the high bits
+        sv.amps = np.array(functools.reduce(np.multiply.outer, vecs[::-1]), dtype=complex).ravel()
+        return sv
 
     def _check(self, *qubits: int):
         for qb in qubits:
@@ -181,7 +201,7 @@ class StateVector:
     def probabilities(self, qubits) -> np.ndarray:
         """Marginal outcome probabilities, axes ordered as the qubit list."""
         self._check(*qubits)
-        t = (np.abs(self.amps) ** 2).reshape((2,) * self.n)
+        t = _abs2(self.amps).reshape((2,) * self.n)
         keep = [self._axis(qb) for qb in qubits]
         other = tuple(ax for ax in range(self.n) if ax not in keep)
         p = t.sum(axis=other) if other else t
@@ -195,6 +215,20 @@ class StateVector:
         self._check(*qubits)
         bits = _draw(self.probabilities(qubits), rng)
         return bits, self.postselect(qubits, bits)
+
+    def measure_top(self, k: int, rng: np.random.Generator):
+        """Measure the top k qubits and remove them: the draw of
+        `measure(range(n - k, n))`, keeping only the drawn slice, scaled once.
+        Returns (bits, probability), bits[i] from qubit n - k + i."""
+        if not 1 <= k < self.n:
+            raise ValueError(f"can measure and drop 1 to {self.n - 1} qubits, not {k}")
+        bits = _draw(self.probabilities(range(self.n - k, self.n)), rng)
+        keep = self.amps.reshape(1 << k, -1)[lwe.pack_bits(bits)]
+        prob = float(np.vdot(keep, keep).real)
+        if prob <= 0.0:
+            raise ValueError("drew a zero-probability outcome")
+        self.amps, self.n = keep / math.sqrt(prob), self.n - k
+        return bits, prob
 
     def postselect(self, qubits, bits) -> float:
         """Project onto the given computational outcome; returns its probability."""
@@ -238,21 +272,33 @@ class StateVector:
 
 def xy_readout(sv: StateVector, qubits, theta: float) -> StateVector:
     """Rotate the XY-plane basis at theta onto the computational one on each
-    listed qubit, by one fused H R(-theta) gate per qubit, in place."""
-    qubits = list(qubits)
+    listed qubit, by the fused gate H R(-theta), in place.
+
+    The gates act on distinct qubits and commute, so the sorted qubits go in
+    runs of at most _BLOCK adjacent ones, each one product with a Kronecker
+    block of the gate written back into the amplitudes.
+    """
+    qubits = sorted(qubits)
     sv._check(*qubits)
-    readout = _readout(theta)
-    for qb in qubits:
-        sv._apply_1q(readout, qb)
+    i = 0
+    while i < len(qubits):
+        lo, b = qubits[i], 1
+        while b < _BLOCK and i + b < len(qubits) and qubits[i + b] == lo + b:
+            b += 1
+        # the middle axis of a (2^(n-lo-b), 2^b, 2^lo) view is qubits lo .. lo+b-1
+        v = sv.amps.reshape(-1, 1 << b, 1 << lo)
+        v[...] = _readout_block(theta, b) @ v
+        i += b
     return sv
 
 
-@functools.lru_cache(maxsize=16)
-def _readout(theta: float) -> np.ndarray:
-    """The read-only fused readout gate H R(-theta)."""
-    mat = _H @ _r(-theta)
-    mat.flags.writeable = False
-    return mat
+@functools.lru_cache(maxsize=32)
+def _readout_block(theta: float, b: int) -> np.ndarray:
+    """The read-only fused readout gate H R(-theta) on each of b adjacent
+    qubits, as one 2^b x 2^b Kronecker block."""
+    block = functools.reduce(np.kron, [_H @ _r(-theta)] * b)
+    block.flags.writeable = False
+    return block
 
 
 def top_qubit_rows(sv: StateVector, theta: float) -> np.ndarray:
@@ -273,8 +319,13 @@ def draw_row(rows: np.ndarray, rng: np.random.Generator):
     (bit j = qubit j) in its outcome order.
     """
     k = len(rows).bit_length() - 1
-    bits = _draw((np.abs(rows) ** 2).sum(axis=1).reshape((2,) * k).T, rng)
+    bits = _draw(_abs2(rows).sum(axis=1).reshape((2,) * k).T, rng)
     return bits, QubitDescription(rows[lwe.pack_bits(bits)])
+
+
+def _abs2(amps: np.ndarray) -> np.ndarray:
+    """Squared moduli, without the square root np.abs takes."""
+    return amps.real**2 + amps.imag**2
 
 
 def _draw(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
@@ -288,9 +339,7 @@ def _draw(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
 def cz_gadget(vecs, edges) -> StateVector:
     """The product state with the complex 2-vector vecs[j] on qubit j, then a
     CZ on each edge (a, b)."""
-    sv = StateVector(len(vecs))
-    # np.kron's products in its order: the first factor takes the high bits
-    sv.amps = functools.reduce(np.multiply.outer, vecs[::-1]).ravel()
+    sv = StateVector.product(vecs)
     for a, b in edges:
         sv.cz(a, b)
     return sv

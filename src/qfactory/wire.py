@@ -194,6 +194,7 @@ class ServerSession:
         if msg.kind == "key":
             try:
                 variant = p4.check_variant(msg.payload.get("variant"))
+                self._check_new(msg.run_id, variant)  # before the simulation
                 key_msg = p4.KeyMessage(pk=_decode_key(msg.payload.get("key")), variant=variant)
                 seed = run_seed(self.master_seed, msg.run_id, variant)
                 reply = p4.server_honest(key_msg, self.backend, seed)
@@ -224,14 +225,18 @@ class ServerSession:
     def _put(self, run_id: int, stage: str, state: QubitDescription):
         """Hold a run's state of `stage`; WireError if the run had that stage
         already.  A new run past MAX_HELD_RUNS forgets the oldest run."""
+        self._check_new(run_id, stage)
         stages = self._held_runs.setdefault(run_id, {})
-        if stage in stages:
-            raise WireError(f"run {run_id} already had its {stage} state")
         if len(self._held_runs) > MAX_HELD_RUNS:
             del self._held_runs[next(iter(self._held_runs))]
         stages[stage] = state
         if self.on_state is not None:
             self.on_state((run_id, stage), state)
+
+    def _check_new(self, run_id: int, stage: str):
+        """WireError if the run had its `stage` state already."""
+        if stage in self._held_runs.get(run_id, ()):
+            raise WireError(f"run {run_id} already had its {stage} state")
 
     def _take(self, *keys: tuple[int, str]) -> list[QubitDescription]:
         """The held states of the (run id, stage) keys, each marked taken;

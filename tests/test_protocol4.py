@@ -12,7 +12,6 @@ from qfactory.sim import (
     analytic_stage2,
     fidelity,
     sample_b,
-    xy_readout,
 )
 
 
@@ -390,7 +389,10 @@ def _full_width_statevector(key_msg, seed):
     sv.apply_function_unitary(lwe.f_bit_table(pk), controls=list(range(nbits)), targets=image)
     ybits_out, _ = sv.measure(image, rng)
     sv.apply_function_unitary([0, 1], controls=[nbits - 2], targets=[nbits + ybits])
-    b, _ = xy_readout(sv, range(nbits), p4.meas_theta(key_msg.variant)).measure(range(nbits), rng)
+    theta = p4.meas_theta(key_msg.variant)
+    for qb in range(nbits):  # the XY readout as single gates, R(-theta) then H
+        sv.r(-theta, qb).h(qb)
+    b, _ = sv.measure(range(nbits), rng)
     y = lwe.unpack_image(params, lwe.pack_bits(ybits_out))
     return y, b, QubitDescription(sv.qubit_state(nbits + ybits))
 

@@ -152,15 +152,16 @@ def test_cached_constants_are_read_only_and_bounded():
     arrays = [
         sim._index(3),
         sim._control_index(5, (3, 0, 2)),
-        sim._readout(0.0),
-        sim._readout(math.pi / 2),
+        sim.PLUS,
+        sim._readout_block(0.0, 1),
+        sim._readout_block(math.pi / 2, 4),
         lwe._s_grid(TOY_WIDE.q, TOY_WIDE.n),
         lwe._sector_dv(TOY_WIDE),
         lwe._SECTOR_C,
         protocol8._ANCILLA,
     ]
     assert all(not a.flags.writeable for a in arrays)
-    for cache in (sim._control_index, sim._readout, lwe._s_grid, lwe._sector_dv, serde._param_set):
+    for cache in (sim._control_index, sim._readout_block, lwe._s_grid, lwe._sector_dv, serde._param_set):
         assert cache.cache_info().maxsize is not None
 
 
@@ -214,13 +215,17 @@ def _split_readout(sv, theta, qubits=None):
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2, 1.3])
 def test_xy_readout_matches_r_then_h(theta):
-    n, listed = 6, [4, 0, 2, 5]
-    fused = _random_state(n, np.random.default_rng(9))
-    split = StateVector(n)
-    split.amps = fused.amps.copy()
-    assert xy_readout(fused, listed, theta) is fused
-    _split_readout(split, theta, listed)
-    assert np.max(np.abs(fused.amps - split.amps)) <= 1e-12
+    # unsorted lists; the second has a run of 6 adjacent qubits (1 .. 6), so
+    # it is split into blocks
+    for n, listed in [(6, [4, 0, 2, 5]), (11, [9, 3, 1, 6, 10, 2, 5, 4, 8])]:
+        fused = _random_state(n, np.random.default_rng(9))
+        split = StateVector(n)
+        split.amps = fused.amps.copy()
+        amps = fused.amps
+        assert xy_readout(fused, listed, theta) is fused
+        assert fused.amps is amps
+        _split_readout(split, theta, listed)
+        assert np.max(np.abs(fused.amps - split.amps)) <= 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2, 1.3])
@@ -250,6 +255,43 @@ def test_draw_row_matches_measure_reference(n, theta):
         want, _ = split.measure(range(n - 1), np.random.default_rng(seed))
         assert bits == want
         assert fidelity(out, split.qubit_state(n - 1)) >= 1 - 1e-9
+
+
+def test_product_of_plus_states_is_the_h_layer_exactly():
+    layer = StateVector(7)
+    for qb in range(7):
+        layer.h(qb)
+    assert np.array_equal(StateVector.product([sim.PLUS] * 7).amps, layer.amps)
+
+
+def test_product_state_owns_its_amplitudes():
+    vec = np.array([0.6, 0.8j])
+    sv = StateVector.product([vec]).x(0)
+    assert np.array_equal(vec, [0.6, 0.8j]) and np.array_equal(sv.amps, [0.8j, 0.6])
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_measure_top_is_measure_then_drop(k):
+    """The same draw and, bit for bit, the same state as a computational
+    measure of the top k qubits followed by drop_qubits."""
+    n = 8
+    for seed in range(5):
+        one = _random_state(n, np.random.default_rng(seed))
+        two = StateVector(n)
+        two.amps = one.amps.copy()
+        bits, prob = one.measure_top(k, np.random.default_rng(seed))
+        want, want_prob = two.measure(range(n - k, n), np.random.default_rng(seed))
+        two.drop_qubits(want)
+        assert (bits, prob) == (want, want_prob)
+        assert one.n == two.n == n - k and np.array_equal(one.amps, two.amps)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_measure_top_needs_a_qubit_left(k):
+    sv = StateVector(3).h(0)
+    with pytest.raises(ValueError):
+        sv.measure_top(k, np.random.default_rng(0))
+    assert sv.n == 3
 
 
 def test_function_unitary_identity_is_cnot():
