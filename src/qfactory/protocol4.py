@@ -28,7 +28,6 @@ from .params import ParamSet
 from .seeds import derive_seed, run_seed
 from .sim import (
     MAX_QUBITS,
-    PLUS,
     QubitDescription,
     StateVector,
     analytic_stage2,
@@ -200,14 +199,13 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
     theta = meas_theta(key_msg.variant)
     if nbits + ybits + 1 <= MAX_QUBITS:
         # the literal circuit, the reference the projection route is tested
-        # against, run layer by layer on the qubits alive at each layer: the
-        # H layer on |0...0> is the product state |+>^nbits
-        sv = StateVector.product([PLUS] * nbits).append_qubits(ybits)
+        # against, run layer by layer on the qubits alive at each layer
+        sv = StateVector(nbits).h(*range(nbits)).append_qubits(ybits)
         image = list(range(nbits, nbits + ybits))
         sv.apply_function_unitary(lwe.f_bit_table(pk), controls=list(range(nbits)), targets=image)
         # bits[i] is the outcome of image qubit i; the measured image is
         # classical, so it leaves and the target takes qubit nbits
-        ybits_out, _ = sv.measure_top(ybits, rng)
+        ybits_out, _ = sv.measure(image, rng, drop=True)
         packed_y = lwe.pack_bits(ybits_out)
         sv.append_qubits(1).apply_function_unitary([0, 1], controls=[nbits - 2], targets=[nbits])
     else:

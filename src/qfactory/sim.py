@@ -5,22 +5,22 @@ Statevector indexing is little-endian: bit i of an amplitude index is qubit i,
 so qubit 0 varies fastest.  Gates mutate in place; a StateVector must stay
 confined to one worker.
 
-Circuits run in gate layers where a layer allows it: `StateVector.product`
-builds a product state in one step (an H layer on |0...0> is the product of
-|+> states), and `measure_top` measures the top qubits and removes them.
-The single named gates (`h`, `x`, `z`, `r`) remain, on one 1-qubit kernel.
+Circuits run in gate layers: each named 1-qubit gate (`h`, `x`, `z`, `r`)
+takes every qubit of its layer at once.  A layer goes in runs of at most 4
+adjacent qubits; a lone qubit takes the 2 x 2 kernel, a longer run one
+product with a Kronecker block of the gate.  `measure(..., drop=True)`
+measures the top qubits and removes them in one step.
 
-There is one XY-plane readout, `xy_readout`: the fused gate H R(-theta) on
-every listed qubit, after which a computational readout reads the XY-plane
-basis.  It runs as one Kronecker block of the fused gate per run of at most
-4 adjacent qubits.  `top_qubit_rows` applies it to every qubit below the
-top one and returns the top qubit's amplitudes per outcome.  Exhaustive
-sweeps enumerate those rows and sampled runs draw one with `draw_row`.
+There is one XY-plane readout, `xy_readout`: a layer of the fused gate
+H R(-theta), after which a computational readout reads the XY-plane basis.
+`top_qubit_rows` applies it to every qubit below the top one and returns the
+top qubit's amplitudes per outcome.  Exhaustive sweeps enumerate those rows
+and sampled runs draw one with `draw_row`.
 
 Sampling order: every draw, by `draw_row` and by the computational
-`StateVector.measure` and `measure_top` alike, goes through `_draw`, an
-inverse CDF over outcomes in lexicographic order with the first qubit most
-significant, one uniform variate per draw.  This keeps transcripts reproducible.
+`StateVector.measure` alike, goes through `_draw`, an inverse CDF over
+outcomes in lexicographic order with the first qubit most significant, one
+uniform variate per draw.  This keeps transcripts reproducible.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ ATOL = 1e-9
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
-# H|0>, the factor of an H layer on |0...0>
-PLUS = _H[:, 0].copy()
-PLUS.flags.writeable = False
-# Most adjacent qubits one readout block spans: a 16 x 16 product stays far
+# Most adjacent qubits one layer block spans: a 16 x 16 product stays far
 # below the sizes at which BLAS starts threads
 _BLOCK = 4
 
@@ -101,14 +98,6 @@ class StateVector:
         self.amps = np.zeros(1 << num_qubits, dtype=complex)
         self.amps[0] = 1.0
 
-    @classmethod
-    def product(cls, vecs) -> "StateVector":
-        """The product state with the complex 2-vector vecs[j] on qubit j."""
-        sv = cls(len(vecs))
-        # np.kron's products in its order: the first factor takes the high bits
-        sv.amps = np.array(functools.reduce(np.multiply.outer, vecs[::-1]), dtype=complex).ravel()
-        return sv
-
     def _check(self, *qubits: int):
         for qb in qubits:
             if not 0 <= qb < self.n:
@@ -131,25 +120,41 @@ class StateVector:
         row1 += m10 * row0
         row0[...] = new0
 
-    def h(self, qubit: int) -> "StateVector":
-        self._check(qubit)
-        self._apply_1q(_H, qubit)
+    def _layer(self, mat: np.ndarray, qubits) -> "StateVector":
+        """The 1-qubit gate mat on each listed qubit, in place.
+
+        The gates act on distinct qubits and commute, so the sorted qubits go
+        in runs of at most _BLOCK adjacent ones: a lone qubit takes
+        `_apply_1q`, a longer run one product with a Kronecker block of the
+        gate, written back into the amplitudes.
+        """
+        self._check(*qubits)
+        qubits, rows = sorted(qubits), tuple(map(tuple, mat.tolist()))
+        i = 0
+        while i < len(qubits):
+            lo, b = qubits[i], 1
+            while b < _BLOCK and i + b < len(qubits) and qubits[i + b] == lo + b:
+                b += 1
+            if b == 1:
+                self._apply_1q(mat, lo)
+            else:
+                # the middle axis of a (2^(n-lo-b), 2^b, 2^lo) view is qubits lo .. lo+b-1
+                v = self.amps.reshape(-1, 1 << b, 1 << lo)
+                v[...] = _layer_block(rows, b) @ v
+            i += b
         return self
 
-    def x(self, qubit: int) -> "StateVector":
-        self._check(qubit)
-        self._apply_1q(_X, qubit)
-        return self
+    def h(self, *qubits: int) -> "StateVector":
+        return self._layer(_H, qubits)
 
-    def z(self, qubit: int) -> "StateVector":
-        self._check(qubit)
-        self._apply_1q(_Z, qubit)
-        return self
+    def x(self, *qubits: int) -> "StateVector":
+        return self._layer(_X, qubits)
 
-    def r(self, theta: float, qubit: int) -> "StateVector":
-        self._check(qubit)
-        self._apply_1q(_r(theta), qubit)
-        return self
+    def z(self, *qubits: int) -> "StateVector":
+        return self._layer(_Z, qubits)
+
+    def r(self, theta: float, *qubits: int) -> "StateVector":
+        return self._layer(_r(theta), qubits)
 
     def cz(self, a: int, b: int) -> "StateVector":
         self._check(a, b)
@@ -208,21 +213,23 @@ class StateVector:
         order = [sorted(keep).index(ax) for ax in keep]
         return np.transpose(p, axes=order)
 
-    def measure(self, qubits, rng: np.random.Generator):
+    def measure(self, qubits, rng: np.random.Generator, *, drop: bool = False):
         """Measure the listed qubits in the computational basis, drawn by
-        `_draw`; returns (bits, probability) and leaves the state collapsed."""
+        `_draw`; returns (bits, probability) and leaves the state collapsed.
+
+        With drop, the listed qubits must be the top k, n - k .. n - 1 in
+        order, with at least one qubit below them; they leave the register,
+        and only the drawn slice is kept, scaled once (bit for bit
+        `drop_qubits` after the collapse).
+        """
         qubits = list(qubits)
         self._check(*qubits)
+        k = len(qubits)
+        if drop and not (0 < k < self.n and qubits == list(range(self.n - k, self.n))):
+            raise ValueError("drop takes the top k qubits in order, with 1 <= k < n")
         bits = _draw(self.probabilities(qubits), rng)
-        return bits, self.postselect(qubits, bits)
-
-    def measure_top(self, k: int, rng: np.random.Generator):
-        """Measure the top k qubits and remove them: the draw of
-        `measure(range(n - k, n))`, keeping only the drawn slice, scaled once.
-        Returns (bits, probability), bits[i] from qubit n - k + i."""
-        if not 1 <= k < self.n:
-            raise ValueError(f"can measure and drop 1 to {self.n - 1} qubits, not {k}")
-        bits = _draw(self.probabilities(range(self.n - k, self.n)), rng)
+        if not drop:
+            return bits, self.postselect(qubits, bits)
         keep = self.amps.reshape(1 << k, -1)[lwe.pack_bits(bits)]
         prob = float(np.vdot(keep, keep).real)
         if prob <= 0.0:
@@ -270,35 +277,19 @@ class StateVector:
         return vec
 
 
-def xy_readout(sv: StateVector, qubits, theta: float) -> StateVector:
-    """Rotate the XY-plane basis at theta onto the computational one on each
-    listed qubit, by the fused gate H R(-theta), in place.
-
-    The gates act on distinct qubits and commute, so the sorted qubits go in
-    runs of at most _BLOCK adjacent ones, each one product with a Kronecker
-    block of the gate written back into the amplitudes.
-    """
-    qubits = sorted(qubits)
-    sv._check(*qubits)
-    i = 0
-    while i < len(qubits):
-        lo, b = qubits[i], 1
-        while b < _BLOCK and i + b < len(qubits) and qubits[i + b] == lo + b:
-            b += 1
-        # the middle axis of a (2^(n-lo-b), 2^b, 2^lo) view is qubits lo .. lo+b-1
-        v = sv.amps.reshape(-1, 1 << b, 1 << lo)
-        v[...] = _readout_block(theta, b) @ v
-        i += b
-    return sv
-
-
 @functools.lru_cache(maxsize=32)
-def _readout_block(theta: float, b: int) -> np.ndarray:
-    """The read-only fused readout gate H R(-theta) on each of b adjacent
-    qubits, as one 2^b x 2^b Kronecker block."""
-    block = functools.reduce(np.kron, [_H @ _r(-theta)] * b)
+def _layer_block(rows: tuple, b: int) -> np.ndarray:
+    """The read-only 2^b x 2^b Kronecker block of the 1-qubit gate with these
+    rows on each of b adjacent qubits."""
+    block = functools.reduce(np.kron, [np.array(rows, dtype=complex)] * b)
     block.flags.writeable = False
     return block
+
+
+def xy_readout(sv: StateVector, qubits, theta: float) -> StateVector:
+    """Rotate the XY-plane basis at theta onto the computational one on each
+    listed qubit, by a layer of the fused gate H R(-theta), in place."""
+    return sv._layer(_H @ _r(-theta), qubits)
 
 
 def top_qubit_rows(sv: StateVector, theta: float) -> np.ndarray:
@@ -339,7 +330,10 @@ def _draw(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
 def cz_gadget(vecs, edges) -> StateVector:
     """The product state with the complex 2-vector vecs[j] on qubit j, then a
     CZ on each edge (a, b)."""
-    sv = StateVector.product(vecs)
+    sv = StateVector(len(vecs))
+    # np.kron's products in its order: the first factor takes the high bits;
+    # np.array copies, so the state never shares a caller's vector
+    sv.amps = np.array(functools.reduce(np.multiply.outer, vecs[::-1]), dtype=complex).ravel()
     for a, b in edges:
         sv.cz(a, b)
     return sv

@@ -152,16 +152,15 @@ def test_cached_constants_are_read_only_and_bounded():
     arrays = [
         sim._index(3),
         sim._control_index(5, (3, 0, 2)),
-        sim.PLUS,
-        sim._readout_block(0.0, 1),
-        sim._readout_block(math.pi / 2, 4),
+        sim._layer_block(((0, 1), (1, 0)), 2),
+        sim._layer_block(((1, 0), (0, 1j)), 4),
         lwe._s_grid(TOY_WIDE.q, TOY_WIDE.n),
         lwe._sector_dv(TOY_WIDE),
         lwe._SECTOR_C,
         protocol8._ANCILLA,
     ]
     assert all(not a.flags.writeable for a in arrays)
-    for cache in (sim._control_index, sim._readout_block, lwe._s_grid, lwe._sector_dv, serde._param_set):
+    for cache in (sim._control_index, sim._layer_block, lwe._s_grid, lwe._sector_dv, serde._param_set):
         assert cache.cache_info().maxsize is not None
 
 
@@ -184,10 +183,10 @@ def _reference_1q(amps, mat, qubit, n):
 
 
 GATES = {
-    "h": (lambda sv, qb: sv.h(qb), np.array([[1, 1], [1, -1]]) * SQ2),
-    "x": (lambda sv, qb: sv.x(qb), np.array([[0, 1], [1, 0]])),
-    "z": (lambda sv, qb: sv.z(qb), np.array([[1, 0], [0, -1]])),
-    "r": (lambda sv, qb: sv.r(0.7, qb), np.array([[1, 0], [0, np.exp(0.7j)]])),
+    "h": (lambda sv, *qbs: sv.h(*qbs), np.array([[1, 1], [1, -1]]) * SQ2),
+    "x": (lambda sv, *qbs: sv.x(*qbs), np.array([[0, 1], [1, 0]])),
+    "z": (lambda sv, *qbs: sv.z(*qbs), np.array([[1, 0], [0, -1]])),
+    "r": (lambda sv, *qbs: sv.r(0.7, *qbs), np.array([[1, 0], [0, np.exp(0.7j)]])),
 }
 
 
@@ -203,6 +202,32 @@ def test_1q_gate_matches_reference_in_place(n, gate):
         apply(sv, qb)
         assert sv.amps is amps
         assert np.max(np.abs(sv.amps - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_gate_layer_matches_the_gates_one_by_one(gate):
+    """A layer equals its gates applied one at a time on the 2 x 2 kernel, in
+    place: unsorted lists with lone qubits and runs longer than one block."""
+    apply, _ = GATES[gate]
+    for n, listed in [(6, [4, 0, 2, 5]), (11, [9, 3, 1, 6, 10, 2, 5, 4, 8]), (14, range(14))]:
+        layer = _random_state(n, np.random.default_rng(n))
+        single = StateVector(n)
+        single.amps = layer.amps.copy()
+        amps = layer.amps
+        assert apply(layer, *listed) is layer and layer.amps is amps
+        for qb in listed:
+            apply(single, qb)
+        assert np.max(np.abs(layer.amps - single.amps)) <= 1e-12
+
+
+def test_gate_layer_checks_every_qubit_first():
+    sv = _random_state(3, np.random.default_rng(0))
+    before = sv.amps.copy()
+    with pytest.raises(IndexError):
+        sv.h(0, 1, 3)
+    with pytest.raises(ValueError):
+        sv.h(0, 1, 0)
+    assert np.array_equal(sv.amps, before)
 
 
 def _split_readout(sv, theta, qubits=None):
@@ -257,21 +282,20 @@ def test_draw_row_matches_measure_reference(n, theta):
         assert fidelity(out, split.qubit_state(n - 1)) >= 1 - 1e-9
 
 
-def test_product_of_plus_states_is_the_h_layer_exactly():
-    layer = StateVector(7)
-    for qb in range(7):
-        layer.h(qb)
-    assert np.array_equal(StateVector.product([sim.PLUS] * 7).amps, layer.amps)
+def test_h_layer_on_zeros_is_the_uniform_superposition():
+    for n in range(1, 15):
+        amps = StateVector(n).h(*range(n)).amps
+        assert np.max(np.abs(amps - 2 ** (-n / 2))) <= 1e-15
 
 
-def test_product_state_owns_its_amplitudes():
+def test_cz_gadget_owns_its_amplitudes():
     vec = np.array([0.6, 0.8j])
-    sv = StateVector.product([vec]).x(0)
+    sv = cz_gadget([vec], []).x(0)
     assert np.array_equal(vec, [0.6, 0.8j]) and np.array_equal(sv.amps, [0.8j, 0.6])
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_measure_top_is_measure_then_drop(k):
+def test_measure_and_drop_is_measure_then_drop_qubits(k):
     """The same draw and, bit for bit, the same state as a computational
     measure of the top k qubits followed by drop_qubits."""
     n = 8
@@ -279,19 +303,20 @@ def test_measure_top_is_measure_then_drop(k):
         one = _random_state(n, np.random.default_rng(seed))
         two = StateVector(n)
         two.amps = one.amps.copy()
-        bits, prob = one.measure_top(k, np.random.default_rng(seed))
+        bits, prob = one.measure(range(n - k, n), np.random.default_rng(seed), drop=True)
         want, want_prob = two.measure(range(n - k, n), np.random.default_rng(seed))
         two.drop_qubits(want)
         assert (bits, prob) == (want, want_prob)
         assert one.n == two.n == n - k and np.array_equal(one.amps, two.amps)
 
 
-@pytest.mark.parametrize("k", [0, 3])
-def test_measure_top_needs_a_qubit_left(k):
-    sv = StateVector(3).h(0)
+@pytest.mark.parametrize("qubits", [[], [0, 1, 2], [1], [2, 1]], ids=["none", "all", "not-top", "unordered"])
+def test_measure_drops_only_top_qubits_in_order(qubits):
+    sv = StateVector(3).h(0, 2)
+    before = sv.amps.copy()
     with pytest.raises(ValueError):
-        sv.measure_top(k, np.random.default_rng(0))
-    assert sv.n == 3
+        sv.measure(qubits, np.random.default_rng(0), drop=True)
+    assert sv.n == 3 and np.array_equal(sv.amps, before)
 
 
 def test_function_unitary_identity_is_cnot():

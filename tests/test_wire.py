@@ -496,28 +496,16 @@ def test_server_session_holds_a_bounded_number_of_runs():
 
 
 @pytest.mark.parametrize("variant", [p4.PLAIN, p4.ROTATED])
-def test_repeated_key_is_rejected_and_leaves_the_run_as_it_was(variant):
+def test_repeated_key_is_rejected_and_leaves_the_run_as_it_was(variant, monkeypatch):
     chan = wire.local_session(5)
     wire.run8_over_channel(chan, TOY_MICRO, 5, 0)
-    with pytest.raises(wire.WireError, match=f"run 0 already had its {variant} state"):
-        _assert_keyable(chan.session, 0, variant)
-    _assert_measurable(chan.session)
-
-
-def test_repeated_key_is_rejected_before_simulating(monkeypatch):
-    chan = wire.local_session(5)
     calls = []
     honest = p4.server_honest
-    monkeypatch.setattr(
-        p4, "server_honest", lambda *args: calls.append(args) or honest(*args)
-    )
-    chan.session.handle(wire.WireMessage("key", 0, _key_payload()))
-    before = {run_id: dict(stages) for run_id, stages in chan.session._held_runs.items()}
-    with pytest.raises(wire.WireError, match="run 0 already had its plain state"):
-        chan.session.handle(wire.WireMessage("key", 0, _key_payload()))
-    assert len(calls) == 1
-    # QubitDescription compares by identity, so the same states are held
-    assert {run_id: dict(stages) for run_id, stages in chan.session._held_runs.items()} == before
+    monkeypatch.setattr(p4, "server_honest", lambda *args: calls.append(args) or honest(*args))
+    with pytest.raises(wire.WireError, match=f"run 0 already had its {variant} state"):
+        _assert_keyable(chan.session, 0, variant)
+    assert calls == []  # rejected before it was simulated
+    _assert_measurable(chan.session)
 
 
 def test_run8_leaves_the_merged_state_in_the_session_and_none_in_the_channel():
