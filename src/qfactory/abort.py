@@ -33,7 +33,7 @@ from . import lwe, seeds
 from . import protocol4 as p4
 from .params import ParamSet
 from .seeds import derive_seed
-from .sim import ATOL, QubitDescription, StateVector, cz_gadget, draw_row, top_qubit_rows
+from .sim import QubitDescription, StateVector, cz_gadget, draw_row, row_branches, top_qubit_rows
 
 BB84_SET = {
     (0, 0): QubitDescription.computational(0),
@@ -41,6 +41,8 @@ BB84_SET = {
     (1, 0): QubitDescription.bb84(1, 0),
     (1, 1): QubitDescription.bb84(1, 1),
 }
+# the family of a plain-run output with basis bit B1 (BB84_FAMILY[B1])
+BB84_FAMILY = (p4.COMPUTATIONAL, p4.PAULI_X)
 
 
 @dataclass(frozen=True)
@@ -62,19 +64,10 @@ class ChunkConfig:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    a: int  # 1 iff the image had two preimages
-    B1: int
-    B2: int
-
-
-@dataclass(frozen=True)
 class CombinedOutput:
     B1: int
     B2: int
     accepted: bool
-    # Output frame: B1 = 0 is the {|+>, |->} pair, B1 = 1 the pi/2 pair.
-    family: str
 
     def qubit(self) -> QubitDescription:
         k = self.B1 + 2 * self.B2
@@ -100,21 +93,18 @@ def gad_xor(states, rng: np.random.Generator):
         if not any(st.approx_equal(ref, atol=1e-9) for ref in BB84_SET.values()):
             raise ValueError("input outside the BB84 set")
     s, out = draw_row(top_qubit_rows(_gad_state(states), 0.0), rng)
-    return [(s[2 * i], s[2 * i + 1]) for i in range(t)], out
+    return _pairs(s), out
 
 
 def gad_xor_branches(states):
-    """Exhaustive (s-bits, probability, out) enumeration for t <= 4 inputs."""
-    states = list(states)
-    t = len(states)
-    rows = top_qubit_rows(_gad_state(states), 0.0)
-    out = []
-    for outcome, row in enumerate(rows):
-        prob = float(np.vdot(row, row).real)
-        if prob > ATOL:
-            s_pairs = [((outcome >> 2 * i) & 1, (outcome >> (2 * i + 1)) & 1) for i in range(t)]
-            out.append((s_pairs, prob, QubitDescription(row)))
-    return out
+    """Exhaustive (s-pairs, probability, out) enumeration for t <= 4 inputs."""
+    rows = top_qubit_rows(_gad_state(list(states)), 0.0)
+    return [(_pairs(s), prob, out) for s, prob, out in row_branches(rows)]
+
+
+def _pairs(s) -> list[tuple[int, int]]:
+    # outcome bits (ancilla i, input i) per run i; the carrier is not read
+    return [(s[2 * i], s[2 * i + 1]) for i in range(len(s) // 2)]
 
 
 def _gad_state(states) -> StateVector:
@@ -127,11 +117,16 @@ def _gad_state(states) -> StateVector:
     return cz_gadget(vecs, edges)
 
 
-def combine_bits(records, s_pairs) -> tuple[int, int]:
-    """The frozen closed form for the combined (B1, B2); ValueError unless
-    every B1, B2 and outcome is a bit, with one outcome pair per record."""
-    basis = lwe.check_bits([r.B1 for r in records], len(records))
-    values = lwe.check_bits([r.B2 for r in records], len(records))
+def combine_bits(outputs, s_pairs) -> tuple[int, int]:
+    """The frozen closed form for the combined (B1, B2) of plain-run
+    `p4.OutputIndex4` values, as `p4.finalize` returns them; ValueError
+    unless every B1, B2 and outcome is a bit, with one outcome pair per
+    output, and every output lies in the BB84 family of its B1 (a rotated
+    run's equatorial output does not)."""
+    basis = lwe.check_bits([o.B1 for o in outputs], len(outputs))
+    values = lwe.check_bits([o.B2 for o in outputs], len(outputs))
+    if any(o.family != BB84_FAMILY[b1] for o, b1 in zip(outputs, basis)):
+        raise ValueError("an output is outside the BB84 family of its B1")
     T = sum(basis)
     b2 = (T // 2 + sum(values)) & 1
     for bi, pair in zip(basis, s_pairs, strict=True):
@@ -140,26 +135,22 @@ def combine_bits(records, s_pairs) -> tuple[int, int]:
     return T & 1, b2
 
 
-def client_combine(chunked_records, config: ChunkConfig, s_pairs, seed: int) -> CombinedOutput:
-    """Accept iff every chunk clears the threshold; then fold the records."""
-    if len(chunked_records) != config.n_c or any(
-        len(ch) != config.t_c for ch in chunked_records
+def client_combine(chunked_outputs, config: ChunkConfig, s_pairs, seed: int) -> CombinedOutput:
+    """Accept iff every chunk has enough two-preimage runs; then fold the
+    plain-run outputs by `combine_bits`."""
+    if len(chunked_outputs) != config.n_c or any(
+        len(ch) != config.t_c for ch in chunked_outputs
     ):
-        raise ValueError("record grouping does not match the configuration")
-    flat = [r for ch in chunked_records for r in ch]
+        raise ValueError("output grouping does not match the configuration")
+    flat = [o for ch in chunked_outputs for o in ch]
     if len(s_pairs) != len(flat):
         raise ValueError("need one outcome pair per run")
-    for ch in chunked_records:
-        if sum(r.a for r in ch) < config.p_c * config.t_c:
+    for ch in chunked_outputs:
+        if sum(o.accepted == p4.TWO_PREIMAGES for o in ch) < config.p_c * config.t_c:
             rng = seeds.rng(derive_seed(seed, "combine-reject"))
             b1, b2 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            return CombinedOutput(b1, b2, False, _family(b1))
-    b1, b2 = combine_bits(flat, s_pairs)
-    return CombinedOutput(b1, b2, True, _family(b1))
-
-
-def _family(b1: int) -> str:
-    return p4.PAULI_Y if b1 else p4.PAULI_X
+            return CombinedOutput(b1, b2, False)
+    return CombinedOutput(*combine_bits(flat, s_pairs), True)
 
 
 def beta(trapdoors, pks, ys, config: ChunkConfig, seed: int) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 from . import lwe, protocol4 as p4, protocol8 as p8, abort, seeds
 from .params import ParamSet
 from .seeds import derive_seed
-from .sim import QubitDescription, fidelity
+from .sim import QubitDescription, fidelity, row_branches
 from .stats import tv_distance
 
 
@@ -71,26 +71,20 @@ def _formula_regressions(params: ParamSet, seed: int) -> tuple[int, int]:
     client_p, _ = p4.client_init(params, p4.PLAIN, derive_seed(seed, "fp"))
     client_r = replace(client_p, variant=p4.ROTATED)
     table = lwe.f_bit_table(client_p.pk)
-    nbits = params.total_bits
     rng = seeds.rng(derive_seed(seed, "fy"))
     for packed_y in rng.choice(np.unique(table), size=12, replace=False):
         branches = [int(v) for v in np.flatnonzero(table == packed_y)]
         y = lwe.unpack_image(params, int(packed_y))
         for theta, client in ((0.0, client_p), (np.pi / 2, client_r)):
-            cols = p4.honest_output_table(client_p.pk, branches, theta)
-            for bidx in range(1 << nbits):
-                col = cols[bidx]
-                if np.linalg.norm(col) < 1e-12:
-                    continue
-                b = lwe.unpack_bits(params, bidx)
-                out = p4.finalize(client, y, b)
+            rows = p4.honest_output_table(client_p.pk, branches, theta)
+            for b, _, held in row_branches(rows):
                 cases += 1
-                if fidelity(out.qubit(), col) < 1 - 1e-9:
+                if fidelity(p4.finalize(client, y, b).qubit(), held) < 1 - 1e-9:
                     failures += 1
     # merge sweep: the client's run8 rule on every BB84 and equatorial input pair
     for B1, B2, B1p, B2p in itertools.product((0, 1), repeat=4):
         in1, in2 = QubitDescription.bb84(B1, B2), QubitDescription.eight(2 * B1p + 4 * B2p)
-        out1 = p4.OutputIndex4(B1, B2, p4.TWO_PREIMAGES, (p4.COMPUTATIONAL, p4.PAULI_X)[B1])
+        out1 = p4.OutputIndex4(B1, B2, p4.TWO_PREIMAGES, abort.BB84_FAMILY[B1])
         out2 = p4.OutputIndex4(B1p, B2p, p4.TWO_PREIMAGES, (p4.PAULI_X, p4.PAULI_Y)[B1p])
         for s1, s2, _, out in p8.merge_branches(in1, in2):
             cases += 1
@@ -100,10 +94,10 @@ def _formula_regressions(params: ParamSet, seed: int) -> tuple[int, int]:
     for combo in range(16):
         bits = [((combo >> 1) & 1, combo & 1), ((combo >> 3) & 1, (combo >> 2) & 1)]
         states = [QubitDescription.bb84(b1, b2) for b1, b2 in bits]
-        recs = [abort.RunRecord(1, b1, b2) for b1, b2 in bits]
+        outs = [p4.OutputIndex4(b1, b2, p4.TWO_PREIMAGES, abort.BB84_FAMILY[b1]) for b1, b2 in bits]
         for s_pairs, _, out in abort.gad_xor_branches(states):
             cases += 1
-            b1, b2 = abort.combine_bits(recs, s_pairs)
+            b1, b2 = abort.combine_bits(outs, s_pairs)
             if fidelity(out, QubitDescription.equatorial(b1 + 2 * b2)) < 1 - 1e-9:
                 failures += 1
     return failures, cases

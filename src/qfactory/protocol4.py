@@ -49,14 +49,11 @@ PAULI_Y = "pauli_y"  # {|+_{pi/2}>, |-_{pi/2}>}
 PLAIN = "plain"
 ROTATED = "rotated"
 
-HARDCORE_TAG = "last-domain-component"
-
 
 @dataclass(frozen=True)
 class KeyMessage:
     pk: lwe.PublicKey
     variant: str
-    hardcore_tag: str = HARDCORE_TAG
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import protocol4 as p4
 from .params import ParamSet
-from .sim import ATOL, QubitDescription, StateVector, cz_gadget, draw_row, top_qubit_rows
+from .sim import QubitDescription, StateVector, cz_gadget, draw_row, row_branches, top_qubit_rows
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,7 @@ def merge_gadget(
 def merge_branches(in1: QubitDescription, in2: QubitDescription):
     """All four (s1, s2) branches with exact probabilities; no sampling."""
     rows = top_qubit_rows(_merge_state(in1, in2), 0.0)
-    out = []
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            row = rows[s1 | s2 << 1]
-            prob = float(np.vdot(row, row).real)
-            if prob > ATOL:
-                out.append((s1, s2, prob, QubitDescription(row)))
-    return out
+    return [(s1, s2, prob, out) for (s1, s2), prob, out in row_branches(rows)]
 
 
 _ANCILLA = np.array([1, np.exp(1j * math.pi / 4)], dtype=complex) / math.sqrt(2)

@@ -15,7 +15,7 @@ There is one XY-plane readout, `xy_readout`: a layer of the fused gate
 H R(-theta), after which a computational readout reads the XY-plane basis.
 `top_qubit_rows` applies it to every qubit below the top one and returns the
 top qubit's amplitudes per outcome.  Exhaustive sweeps enumerate those rows
-and sampled runs draw one with `draw_row`.
+with `row_branches` and sampled runs draw one with `draw_row`.
 
 Sampling order: every draw, by `draw_row` and by the computational
 `StateVector.measure` alike, goes through `_draw`, an inverse CDF over
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -312,6 +313,21 @@ def draw_row(rows: np.ndarray, rng: np.random.Generator):
     k = len(rows).bit_length() - 1
     bits = _draw(_abs2(rows).sum(axis=1).reshape((2,) * k).T, rng)
     return bits, QubitDescription(rows[lwe.pack_bits(bits)])
+
+
+def row_branches(rows: np.ndarray):
+    """Every readout outcome of `top_qubit_rows` rows with probability above
+    ATOL, in `draw_row`'s outcome order: (bits, qubit 0 first; probability;
+    the top qubit it leaves)."""
+    k = len(rows).bit_length() - 1
+    # reversing the k outcome axes makes qubit 0 the most significant
+    ordered = rows.reshape((2,) * k + (2,)).transpose(*range(k - 1, -1, -1), k).reshape(-1, 2)
+    out = []
+    for bits, row in zip(itertools.product((0, 1), repeat=k), ordered):
+        prob = float(np.vdot(row, row).real)
+        if prob > ATOL:
+            out.append((bits, prob, QubitDescription(row)))
+    return out
 
 
 def _abs2(amps: np.ndarray) -> np.ndarray:

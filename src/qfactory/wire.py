@@ -26,9 +26,7 @@ import socketserver
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-import numpy as np
+from typing import Any
 
 from . import lwe, protocol4 as p4, protocol8 as p8, serde, seeds
 from .params import ParamSet
@@ -43,7 +41,7 @@ ENDPOINT_ENV = "QFACTORY_ENDPOINT"
 log = logging.getLogger("qfactory.wire")
 
 KIND_SCHEMAS = {
-    "key": {"key", "variant", "hardcore_tag"},
+    "key": {"key", "variant"},
     "image": {"y"},
     "meas": {"b"},
     "merge": {"s1", "s2"},
@@ -184,8 +182,6 @@ class ServerSession:
 
     master_seed: int
     backend: str = "two_branch"
-    # sees ((run id, stage), state) of every state put, for in-process callers
-    on_state: Callable[[tuple[int, str], QubitDescription], None] | None = None
     # run id -> {stage: held state, or None once taken}, oldest run first
     _held_runs: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -216,7 +212,7 @@ class ServerSession:
             held = self._take(*((run_id, "merged") for run_id, _ in plan))
             results = {}
             for (run_id, m_idx), state in zip(plan, held):
-                p_plus = float(abs(np.vdot(QubitDescription.eight(m_idx).vec, state.vec)) ** 2)
+                p_plus = QubitDescription.eight(m_idx).fidelity(state)
                 rng = seeds.rng(run_seed(self.master_seed, run_id, "test"))
                 results[str(run_id)] = int(rng.random() < p_plus)
             return [WireMessage("test_results", msg.run_id, {"results": results})]
@@ -230,8 +226,6 @@ class ServerSession:
         if len(self._held_runs) > MAX_HELD_RUNS:
             del self._held_runs[next(iter(self._held_runs))]
         stages[stage] = state
-        if self.on_state is not None:
-            self.on_state((run_id, stage), state)
 
     def _check_new(self, run_id: int, stage: str):
         """WireError if the run had its `stage` state already."""
@@ -286,18 +280,18 @@ def _test_plan(payload: dict) -> list[tuple[int, int]]:
 
 
 class LocalChannel:
-    """In-process transport: the session handler invoked directly.  Each state
-    the session puts waits here only until the client engine collects it."""
+    """In-process transport: the session handler invoked directly.  The
+    channel keeps no states: `collect` reads the session's own record of the
+    states it holds."""
 
     def __init__(self, session: ServerSession):
         self.session = session
         self._queue: list[WireMessage] = []
-        self._states: dict[tuple[int, str], QubitDescription] = {}
-        session.on_state = self._states.__setitem__
 
-    def collect(self, run_id: int, stage: str) -> QubitDescription:
-        """The simulated state of the run's stage, handed over once."""
-        return self._states.pop((run_id, stage))
+    def collect(self, run_id: int, stage: str) -> QubitDescription | None:
+        """The simulated state of the run's stage while the session holds it;
+        None once it is taken or forgotten."""
+        return self.session._held_runs.get(run_id, {}).get(stage)
 
     def send(self, msg: WireMessage):
         self._queue.extend(self.session.handle(msg))
@@ -339,7 +333,7 @@ def run4_over_channel(
         """The server's image y and record b, accepted only in canonical form,
         with the held state if the channel hands one over."""
         pk_obj = serde.key_to_obj(key_msg.pk)
-        payload = {"key": pk_obj, "variant": key_msg.variant, "hardcore_tag": key_msg.hardcore_tag}
+        payload = {"key": pk_obj, "variant": key_msg.variant}
         chan.send(WireMessage("key", run_id, payload))
         image, meas = chan.recv(), chan.recv()
         if image.kind != "image" or meas.kind != "meas":

@@ -15,7 +15,11 @@ FOUR_STATE = [QubitDescription.equatorial(k) for k in range(4)]
 
 
 def _records(bits):
-    return [abort.RunRecord(a=1, B1=b1, B2=b2) for b1, b2 in bits]
+    """Two-preimage plain-run outputs with these (B1, B2) pairs."""
+    return [
+        p4.OutputIndex4(b1, b2, p4.TWO_PREIMAGES, p4.PAULI_X if b1 == 1 else p4.COMPUTATIONAL)
+        for b1, b2 in bits
+    ]
 
 
 def test_gad_xor_single_plus_input():
@@ -23,7 +27,7 @@ def test_gad_xor_single_plus_input():
     s_pairs, out = abort.gad_xor([QubitDescription.bb84(1, 0)], rng)
     b1, b2 = abort.combine_bits(_records([(1, 0)]), s_pairs)
     assert b1 == 1
-    assert fidelity(out, abort.CombinedOutput(b1, b2, True, "x").qubit()) >= 1 - 1e-9
+    assert fidelity(out, abort.CombinedOutput(b1, b2, True).qubit()) >= 1 - 1e-9
 
 
 def test_gad_xor_two_inputs_xor_basis():
@@ -32,7 +36,7 @@ def test_gad_xor_two_inputs_xor_basis():
     s_pairs, out = abort.gad_xor(states, rng)
     b1, b2 = abort.combine_bits(_records([(1, 1), (0, 1)]), s_pairs)
     assert b1 == 1
-    assert fidelity(out, abort.CombinedOutput(b1, b2, True, "y").qubit()) >= 1 - 1e-9
+    assert fidelity(out, abort.CombinedOutput(b1, b2, True).qubit()) >= 1 - 1e-9
 
 
 def test_gad_xor_strict_rejects_nonbb84():
@@ -87,6 +91,19 @@ def test_combine_bits_rejects_what_is_not_one_bit_pair_per_run(bits, s_pairs):
         abort.combine_bits(_records(bits), s_pairs)
 
 
+@pytest.mark.parametrize(
+    "out",
+    [
+        p4.OutputIndex4(1, 0, p4.TWO_PREIMAGES, p4.PAULI_Y),
+        p4.OutputIndex4(0, 1, p4.TWO_PREIMAGES, p4.PAULI_X),
+    ],
+    ids=["rotated-pauli-y", "pauli-x-with-B1-0"],
+)
+def test_combine_bits_rejects_an_output_outside_the_bb84_family_of_its_b1(out):
+    with pytest.raises(ValueError, match="BB84 family"):
+        abort.combine_bits([out], [(0, 0)])
+
+
 # ---------------------------------------------------------------------------
 # client combine / beta
 
@@ -97,7 +114,7 @@ def _config(t_c=2, n_c=2, p_a=Fraction(3, 4), p_c=Fraction(5, 8)):
 
 def test_client_combine_all_accepted_zero_basis():
     cfg = _config()
-    recs = [[abort.RunRecord(1, 0, 0)] * cfg.t_c for _ in range(cfg.n_c)]
+    recs = [_records([(0, 0)] * cfg.t_c) for _ in range(cfg.n_c)]
     s_pairs = [(0, 0)] * cfg.t
     out = abort.client_combine(recs, cfg, s_pairs, seed=5)
     assert out.accepted and out.B1 == 0
@@ -105,8 +122,8 @@ def test_client_combine_all_accepted_zero_basis():
 
 def test_client_combine_rejects_bad_chunk():
     cfg = _config()
-    good = [abort.RunRecord(1, 1, 0)] * cfg.t_c
-    bad = [abort.RunRecord(0, 0, 0)] * cfg.t_c
+    good = _records([(1, 0)] * cfg.t_c)
+    bad = [p4.OutputIndex4(0, 0, p4.SINGLE_PREIMAGE, p4.COMPUTATIONAL)] * cfg.t_c
     out = abort.client_combine([good, bad], cfg, [(0, 0)] * cfg.t, seed=6)
     assert not out.accepted
     out2 = abort.client_combine([good, bad], cfg, [(0, 0)] * cfg.t, seed=6)
@@ -116,7 +133,7 @@ def test_client_combine_rejects_bad_chunk():
 def test_client_combine_shape_mismatch():
     cfg = _config()
     with pytest.raises(ValueError):
-        abort.client_combine([[abort.RunRecord(1, 0, 0)]], cfg, [(0, 0)], seed=0)
+        abort.client_combine([_records([(0, 0)])], cfg, [(0, 0)], seed=0)
 
 
 def test_beta_all_accepted_xors_plants():
@@ -167,13 +184,7 @@ def test_beta_agrees_with_combine_basis():
             pks.append(res.client.pk)
             tds.append(res.client.trapdoor)
             ys.append(np.array(res.transcript.y))
-            recs.append(
-                abort.RunRecord(
-                    a=1 if res.out.accepted == p4.TWO_PREIMAGES else 0,
-                    B1=res.out.B1,
-                    B2=res.out.B2,
-                )
-            )
+            recs.append(res.out)
         b_beta = abort.beta(tds, pks, ys, cfg, seed=11)
         b1, _ = abort.combine_bits(recs, [(0, 0)] * cfg.t_c)
         assert b_beta == b1
@@ -258,13 +269,7 @@ def test_honest_end_to_end_matches_statevector():
         held_states, recs = [], []
         for i in range(cfg.t):
             res = p4.run_protocol4(params, seed=derive("e2e", trial, i), backend="two_branch")
-            recs.append(
-                abort.RunRecord(
-                    a=1 if res.out.accepted == p4.TWO_PREIMAGES else 0,
-                    B1=res.out.B1,
-                    B2=res.out.B2,
-                )
-            )
+            recs.append(res.out)
             held_states.append(res.held)
         s_pairs, out = abort.gad_xor(held_states, rng)
         chunked = [recs]
@@ -274,6 +279,6 @@ def test_honest_end_to_end_matches_statevector():
             assert fidelity(out, combined.qubit()) >= 1 - 1e-9
             want_b1 = 0
             for r in recs:
-                want_b1 ^= r.a & (r.B1 if r.a else 0)
+                want_b1 ^= r.B1 if r.accepted == p4.TWO_PREIMAGES else 0
             assert combined.B1 == want_b1
     assert agreements > 100

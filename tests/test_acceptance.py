@@ -125,7 +125,10 @@ def test_criterion_04_xor_gadget_lemma():
         for combo in itertools.product(range(4), repeat=t):
             bits = [((v >> 1) & 1, v & 1) for v in combo]
             states = [QubitDescription.bb84(b1, b2) for b1, b2 in bits]
-            recs = [abort.RunRecord(1, b1, b2) for b1, b2 in bits]
+            recs = [
+                p4.OutputIndex4(b1, b2, p4.TWO_PREIMAGES, abort.BB84_FAMILY[b1])
+                for b1, b2 in bits
+            ]
             want_basis = 0
             for b1, _ in bits:
                 want_basis ^= b1

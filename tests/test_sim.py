@@ -16,6 +16,7 @@ from qfactory.sim import (
     cz_gadget,
     draw_row,
     fidelity,
+    row_branches,
     sample_b,
     stage2_b_support,
     top_qubit_rows,
@@ -280,6 +281,30 @@ def test_draw_row_matches_measure_reference(n, theta):
         want, _ = split.measure(range(n - 1), np.random.default_rng(seed))
         assert bits == want
         assert fidelity(out, split.qubit_state(n - 1)) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_row_branches_matches_draw_row(k):
+    """Over the rows of k readout qubits, each branch is the outcome draw_row
+    draws when its row is the only nonzero one; zero rows are absent and the
+    probabilities sum to 1."""
+    rng = np.random.default_rng(200 + k)
+    rows = top_qubit_rows(_random_state(k + 1, rng), 1.3)
+    rows[::3] = 0.0  # outcomes of probability zero
+    rows /= np.linalg.norm(rows)
+    branches = row_branches(rows)
+    nonzero = [r for r in range(1 << k) if np.any(rows[r])]
+    assert sorted(lwe.pack_bits(bits) for bits, _, _ in branches) == nonzero
+    assert [bits for bits, _, _ in branches] == sorted(bits for bits, _, _ in branches)
+    assert sum(prob for _, prob, _ in branches) == pytest.approx(1.0, abs=1e-12)
+    for bits, prob, out in branches:
+        row = rows[lwe.pack_bits(bits)]
+        only = np.zeros_like(rows)
+        only[lwe.pack_bits(bits)] = row / math.sqrt(prob)  # draw_row reads a normalised table
+        want, held = draw_row(only, np.random.default_rng(k))
+        assert bits == want
+        assert prob == float(np.vdot(row, row).real)
+        assert fidelity(out, held) >= 1 - 1e-12
 
 
 def test_h_layer_on_zeros_is_the_uniform_superposition():

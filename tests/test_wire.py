@@ -42,6 +42,13 @@ def test_message_schema_rejects_extra_fields():
         wire.validate_message(wire.WireMessage("meas", 0, {"b": "01", "note": "x"}))
 
 
+def test_key_payload_rejects_a_hardcore_tag():
+    """The hardcore predicate is fixed by the encoding, so no key names one."""
+    payload = {**_key_payload(), "hardcore_tag": "last-domain-component"}
+    with pytest.raises(wire.WireError, match="hardcore_tag"):
+        wire.ServerSession(master_seed=1).handle(wire.WireMessage("key", 0, payload))
+
+
 def test_version_mismatch_rejected():
     with pytest.raises(wire.WireError):
         wire.WireMessage.from_obj(
@@ -208,7 +215,7 @@ def test_server_session_never_emits_private_fields():
         wire.WireMessage(
             "key",
             0,
-            {"key": serde.key_to_obj(client.pk), "variant": p4.PLAIN, "hardcore_tag": "x"},
+            {"key": serde.key_to_obj(client.pk), "variant": p4.PLAIN},
         )
     )
     for reply in replies:
@@ -218,7 +225,7 @@ def test_server_session_never_emits_private_fields():
 def test_server_session_rejects_unknown_variant():
     session = wire.ServerSession(master_seed=1)
     client, _ = p4.client_init(TOY_MICRO, p4.PLAIN, seed=derive_seed(1, "c"))
-    key = {"key": serde.key_to_obj(client.pk), "variant": "diagonal", "hardcore_tag": "x"}
+    key = {"key": serde.key_to_obj(client.pk), "variant": "diagonal"}
     with pytest.raises(wire.WireError):
         session.handle(wire.WireMessage("key", 0, key))
     _assert_keyable(session, 0, p4.PLAIN)
@@ -227,7 +234,7 @@ def test_server_session_rejects_unknown_variant():
 
 def _key_payload(params=TOY_MICRO, seed=1):
     client, _ = p4.client_init(params, p4.PLAIN, seed=derive_seed(seed, "c"))
-    return {"key": serde.key_to_obj(client.pk), "variant": p4.PLAIN, "hardcore_tag": "x"}
+    return {"key": serde.key_to_obj(client.pk), "variant": p4.PLAIN}
 
 
 def _assert_keyable(session, run_id=0, variant=p4.PLAIN):
@@ -380,7 +387,7 @@ def _uniform_micro_key():
         K = rng.integers(0, TOY_MICRO.q, size=(TOY_MICRO.m, TOY_MICRO.n))
         y0 = rng.integers(0, TOY_MICRO.q, size=TOY_MICRO.m)
     pk = lwe.PublicKey(K=K, y0=y0, params=TOY_MICRO)
-    return {"key": serde.key_to_obj(pk), "variant": p4.PLAIN, "hardcore_tag": "x"}
+    return {"key": serde.key_to_obj(pk), "variant": p4.PLAIN}
 
 
 @pytest.mark.parametrize(
@@ -562,6 +569,18 @@ def test_only_wire_reads_a_channel_session():
 _RUN_IDS = st.sampled_from([-1, 0, 1, 2, 3])
 
 
+class _RecordingSession(wire.ServerSession):
+    """A session that records the (run id, stage) of every state it puts."""
+
+    def __init__(self, master_seed):
+        super().__init__(master_seed)
+        self.puts = []
+
+    def _put(self, run_id, stage, state):
+        super()._put(run_id, stage, state)
+        self.puts.append((run_id, stage))
+
+
 class _HeldStagesMachine(RuleBasedStateMachine):
     """`key`, `merge` and `test_plan` against a reference model of the held
     stages: run id -> {stage: True while held, False once taken}, oldest
@@ -569,8 +588,8 @@ class _HeldStagesMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.model, self.want_puts, self.puts = {}, [], []
-        self.session = wire.ServerSession(master_seed=4, on_state=lambda k, _: self.puts.append(k))
+        self.model, self.want_puts = {}, []
+        self.session = _RecordingSession(master_seed=4)
         self.key_payload = _key_payload()
 
     def _handle(self, msg, accepted: bool):
@@ -628,7 +647,7 @@ class _HeldStagesMachine(RuleBasedStateMachine):
 
     @invariant()
     def holds_what_the_model_holds(self):
-        assert self.puts == self.want_puts  # a rejected request put nothing
+        assert self.session.puts == self.want_puts  # a rejected request put nothing
         held = sum(sum(stages.values()) for stages in self.model.values())
         assert len(_states_in(self.session)) == held  # a taken or forgotten state is gone
 
