@@ -193,7 +193,7 @@ def text_bits(text: str) -> tuple[int, ...]:
 
 def pack_bits(bits) -> int:
     """A checked bit-string as an integer, bit j = bits[j]; inverse of `unpack_bits`."""
-    return int(bits_text(bits)[::-1], 2)
+    return int(bits_text(bits)[::-1] or "0", 2)  # the empty string packs to 0
 
 
 def unpack_bits(params: ParamSet, value: int) -> tuple[int, ...]:
@@ -535,34 +535,36 @@ def f_bit_table(pk: PublicKey) -> np.ndarray:
     the image vector packed little-endian, ell_q bits per coordinate.  The
     linear map is evaluated on every pattern, including mu-clipped ones, which
     matches a register prepared over the whole noise box.
+
+    A pattern is s + 2^(n ell_q) r with r = noise + 2^(m ell_e) (d + 2c), and
+    f is a part of r plus a part of s, so each image coordinate of the table
+    is one broadcast sum of a row block (c y0 + d v + e per r) and a column
+    block (K s per s), reduced by one mask and packed into place.
     """
     params = pk.params
     check_register(params)
-    nbits = params.total_bits
+    # the register stores s_0 in the low bits, the grid's last coordinate
+    # varies fastest: reversed, column j of the grid is the s of pattern j
+    cols = pk.K @ _s_grid(params.q, params.n)[::-1]
+    offsets = (_SECTOR_C * pk.y0 + _sector_dv(params)).T  # column 2c + d is c y0 + d v
+    rows = (offsets[:, :, None] + _noise_block(params)[:, None, :]).reshape(params.m, -1)
+    packed = np.zeros((rows.shape[1], cols.shape[1]), dtype=np.int64)
+    for i, (row, col) in enumerate(zip(rows, cols)):
+        y = np.add.outer(row, col)
+        y &= params.q - 1  # mod q, as q is a power of two
+        y <<= i * params.ell_q
+        packed |= y
+    return packed.reshape(-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _noise_block(params: ParamSet) -> np.ndarray:
+    """(m, 2^(m ell_e)) read-only array whose column j is the noise e of
+    noise pattern j: e_0 in the low ell_e bits, each stored with offset B."""
     box = params.noise_box
-    idx = np.arange(1 << nbits, dtype=np.int64)
-
-    def field(start: int, width: int) -> np.ndarray:
-        return (idx >> start) & ((1 << width) - 1)
-
-    y = np.zeros((1 << nbits, params.m), dtype=np.int64)
-    pos = 0
-    for j in range(params.n):
-        sj = field(pos, params.ell_q)
-        y = (y + np.outer(sj, pk.K[:, j])) % params.q
-        pos += params.ell_q
-    for i in range(params.m):
-        y[:, i] = (y[:, i] + field(pos, params.ell_e) - box) % params.q
-        pos += params.ell_e
-    d = field(pos, 1)
-    c = field(pos + 1, 1)
-    y[:, 0] = (y[:, 0] + d * (params.q // 2)) % params.q
-    y = (y + np.outer(c, pk.y0)) % params.q
-
-    packed = np.zeros(1 << nbits, dtype=np.int64)
-    for i in range(params.m):
-        packed |= y[:, i] << (i * params.ell_q)
-    return packed
+    grid = np.indices((2 * box,) * params.m).reshape(params.m, -1)[::-1] - box
+    grid.flags.writeable = False
+    return grid
 
 
 def pack_image(params: ParamSet, y) -> int:

@@ -2,8 +2,9 @@
 
 Format version 2 writes each array as base64 of its bytes, shaped by the key's
 params: R as `np.packbits` of each row, every other array as little-endian
-int64.  Readers take only that exact text, Z_q entries in [0, q) and zero pad
-bits, and raise ValueError on anything else, other versions included; nothing
+int64.  Readers take only that exact text, format 2's exact field names at
+every object level, Z_q entries in [0, q) and zero pad bits, and raise
+ValueError on anything else, other versions and added fields included; nothing
 is reduced mod q.  The image y stays decimal strings (`int_strings`).
 """
 
@@ -110,6 +111,33 @@ def _raw(text, nbytes: int, name: str) -> bytes:
     return raw
 
 
+# format 2's field names at each object level: a dict is a nested object, None
+# a leaf, and ... the trapdoor's gadget, an object or null that its reader checks
+_KEY_FIELDS = {
+    "version": None,
+    "k": {
+        "K": None,
+        "y0": None,
+        "params": dict.fromkeys(("n", "q", "m", "mu", "mu_prime", "profile")),
+    },
+}
+_TRAPDOOR_FIELDS = {
+    "version": None,
+    "t": {"gadget": ..., "z0": dict.fromkeys(("s", "e")), "d0": None},
+}
+_GADGET_FIELDS = dict.fromkeys(("R", "err_lo", "err_hi"))
+
+
+def _check_fields(obj, fields: dict) -> None:
+    """ValueError unless obj is an object with exactly the field names of
+    `fields` at every nested object; each leaf's type is its reader's check."""
+    if not isinstance(obj, dict) or obj.keys() != fields.keys():
+        raise ValueError(f"expected an object with exactly the fields {sorted(fields)}")
+    for name, sub in fields.items():
+        if isinstance(sub, dict):
+            _check_fields(obj[name], sub)
+
+
 def _check_version(obj: dict[str, Any], what: str) -> None:
     if type(obj.get("version")) is not int or obj["version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported {what} format version {obj.get('version')!r}")
@@ -123,9 +151,11 @@ def key_to_obj(pk: PublicKey) -> dict[str, Any]:
 
 
 def key_from_obj(obj: dict[str, Any]) -> PublicKey:
-    """The public key of a key object whose K (m x n) and y0 (m) entries are
-    all in [0, q); ValueError otherwise, checked before the key is built."""
+    """The public key of a key object with exactly `_KEY_FIELDS` whose K
+    (m x n) and y0 (m) entries are all in [0, q); ValueError otherwise,
+    checked before the key is built."""
     _check_version(obj, "key")
+    _check_fields(obj, _KEY_FIELDS)
     params = params_from_obj(obj["k"]["params"])
     m, n = params.m, params.n
     # one reduction over K and y0, in unsigned form so that a negative entry is >= 2^63
@@ -148,12 +178,14 @@ def trapdoor_to_obj(td: Trapdoor) -> dict[str, Any]:
 
 
 def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
-    """The trapdoor of a trapdoor object, shaped for a key with `params`:
+    """The trapdoor of a trapdoor object with exactly format 2's fields, shaped
+    for a key with `params`:
     a gadget exactly when m > n*ell_q, with R an (m - n*ell_q) x n*ell_q 0/1
     matrix and n*ell_q entries in each of err_lo and err_hi, a plant with n
     entries of s in [0, q) and m entries of e, and d0 in {0, 1}; ValueError
     otherwise."""
     _check_version(obj, "trapdoor")
+    _check_fields(obj, _TRAPDOOR_FIELDS)
     t = obj["t"]
     w = params.n * params.ell_q
     m_bar = params.m - w
@@ -162,6 +194,7 @@ def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
     gadget = None
     if t["gadget"] is not None:
         gd, width = t["gadget"], -(-w // 8)
+        _check_fields(gd, _GADGET_FIELDS)
         raw = _raw(gd["R"], m_bar * width, "R")
         pad = (1 << (-w % 8)) - 1  # the pad bits at the end of each row of R
         if pad and any(last & pad for last in raw[width - 1 :: width]):

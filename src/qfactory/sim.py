@@ -8,8 +8,10 @@ confined to one worker.
 Circuits run in gate layers: each named 1-qubit gate (`h`, `x`, `z`, `r`)
 takes every qubit of its layer at once.  A layer goes in runs of at most 4
 adjacent qubits; a lone qubit takes the 2 x 2 kernel, a longer run one
-product with a Kronecker block of the gate.  `measure(..., drop=True)`
-measures the top qubits and removes them in one step.
+product with a Kronecker block of the gate.  A function unitary looks up each
+table value's XOR mask in a cached per-target array and applies the map as
+one gather.  `measure(..., drop=True)` measures the top qubits and removes
+them in one step, their probabilities one row sum of the squared moduli.
 
 There is one XY-plane readout, `xy_readout`: a layer of the fused gate
 H R(-theta), after which a computational readout reads the XY-plane basis.
@@ -68,6 +70,18 @@ def _control_index(n: int, controls: tuple[int, ...]) -> np.ndarray:
         cidx |= ((idx >> qb) & 1) << j
     cidx.flags.writeable = False
     return cidx
+
+
+@functools.lru_cache(maxsize=32)
+def _target_masks(targets: tuple[int, ...]) -> np.ndarray:
+    """The read-only XOR mask on the amplitude index of every target value:
+    bit j of the value flips qubit targets[j]."""
+    values = _index(len(targets))
+    masks = np.zeros_like(values)
+    for j, qb in enumerate(targets):
+        masks |= ((values >> j) & 1) << qb
+    masks.flags.writeable = False
+    return masks
 
 
 def _function_table(table, ncontrols: int, ntargets: int) -> np.ndarray:
@@ -166,14 +180,13 @@ class StateVector:
     def apply_function_unitary(self, table, controls, targets) -> "StateVector":
         """|x>|y> -> |x>|y xor f(x)| with f given as a truth table over the
         control bits (little-endian in the listed order); the table follows
-        `_function_table`."""
+        `_function_table`.  Each entry's XOR mask on the amplitude index is
+        read from `_target_masks`, and one gather applies the map."""
         controls, targets = tuple(controls), tuple(targets)
         self._check(*controls, *targets)
         table = _function_table(table, len(controls), len(targets))
-        # each table entry's XOR mask on the amplitude index
-        mask = np.zeros_like(table)
-        for j, qb in enumerate(targets):
-            mask |= ((table >> j) & 1) << qb
+        # each table entry's XOR mask on the amplitude index, looked up
+        mask = _target_masks(targets)[table]
         # the targets are not controls, so the map is its own inverse and one
         # gather applies it
         self.amps = self.amps[_index(self.n) ^ mask[_control_index(self.n, controls)]]
@@ -219,8 +232,10 @@ class StateVector:
         `_draw`; returns (bits, probability) and leaves the state collapsed.
 
         With drop, the listed qubits must be the top k, n - k .. n - 1 in
-        order, with at least one qubit below them; they leave the register,
-        and only the drawn slice is kept, scaled once (bit for bit
+        order, with at least one qubit below them; their outcome
+        probabilities are the row sums of the (2^k, 2^(n-k)) view of the
+        squared moduli (bit for bit `probabilities`), they leave the
+        register, and only the drawn slice is kept, scaled once (bit for bit
         `drop_qubits` after the collapse).
         """
         qubits = list(qubits)
@@ -228,9 +243,13 @@ class StateVector:
         k = len(qubits)
         if drop and not (0 < k < self.n and qubits == list(range(self.n - k, self.n))):
             raise ValueError("drop takes the top k qubits in order, with 1 <= k < n")
-        bits = _draw(self.probabilities(qubits), rng)
         if not drop:
+            bits = _draw(self.probabilities(qubits), rng)
             return bits, self.postselect(qubits, bits)
+        # row r of the (2^k, 2^(n-k)) view is the top-k outcome r (bit i =
+        # qubit n-k+i); reversing the axes puts qubit n-k first for _draw
+        probs = _abs2(self.amps).reshape(1 << k, -1).sum(axis=1)
+        bits = _draw(probs.reshape((2,) * k).T, rng)
         keep = self.amps.reshape(1 << k, -1)[lwe.pack_bits(bits)]
         prob = float(np.vdot(keep, keep).real)
         if prob <= 0.0:

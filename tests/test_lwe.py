@@ -424,10 +424,46 @@ def test_param_set_rejects_moduli_above_the_int64_envelope():
 # register preimage search (the truth-table lookup without the table)
 
 
+_TOY_N2 = toy_params(n=2, q=8, m=5, mu=1)  # two s coordinates, an injective toy key
+
+
+def _pattern_element(params, p):
+    """The domain element register pattern p stores, its noise read over the
+    whole box [-B, B-1] (decode_int drops |e| > mu)."""
+    fields = []
+    for width in [params.ell_q] * params.n + [params.ell_e] * params.m:
+        fields.append(p & ((1 << width) - 1))
+        p >>= width
+    e = tuple(v - params.noise_box for v in fields[params.n :])
+    return lwe.DomainElement(tuple(fields[: params.n]), e, p & 1, p >> 1)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [TOY_MICRO, toy_params(n=1, q=16, m=2, mu=3), toy_params(n=2, q=8, m=3, mu=1), _TOY_N2],
+    ids=["micro", "wide-box", "n2", "n2-m5"],
+)
+def test_f_bit_table_is_f_on_every_register_pattern(params):
+    rng = _rng(23)
+    for _ in range(2):
+        K = rng.integers(0, params.q, size=(params.m, params.n))
+        pk = lwe.PublicKey(K=K, y0=rng.integers(0, params.q, size=params.m), params=params)
+        table = lwe.f_bit_table(pk)
+        assert table.shape == (1 << params.total_bits,)
+        for p, v in enumerate(table.tolist()):
+            assert v == lwe.pack_image(params, lwe.f(pk, _pattern_element(params, p)))
+
+
 @pytest.mark.parametrize(
     "params, seeds",
-    [(TOY_MICRO, (1, 2, 3)), (TOY_GADGET, (1, 2, 3)), (TOY_REG, (1, 2)), (TOY_WIDE, (1, 2))],
-    ids=["micro", "gadget", "reg", "wide"],
+    [
+        (TOY_MICRO, (1, 2, 3)),
+        (TOY_GADGET, (1, 2, 3)),
+        (TOY_REG, (1, 2)),
+        (TOY_WIDE, (1, 2)),
+        (_TOY_N2, (1, 2)),
+    ],
+    ids=["micro", "gadget", "reg", "wide", "n2"],
 )
 def test_register_preimages_match_truth_table(params, seeds):
     for seed in seeds:
@@ -567,6 +603,10 @@ def test_pack_bits_inverts_unpack_bits(params):
     for value in [0, 1, (1 << n) - 1, *(int(v) for v in rng.integers(0, 1 << min(n, 62), size=5))]:
         bits = lwe.unpack_bits(params, value)
         assert len(bits) == n and lwe.pack_bits(bits) == value
+
+
+def test_pack_bits_of_the_empty_string_is_zero():
+    assert lwe.pack_bits(()) == 0
 
 
 # ---------------------------------------------------------------------------

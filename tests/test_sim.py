@@ -155,13 +155,19 @@ def test_cached_constants_are_read_only_and_bounded():
         sim._control_index(5, (3, 0, 2)),
         sim._layer_block(((0, 1), (1, 0)), 2),
         sim._layer_block(((1, 0), (0, 1j)), 4),
+        sim._target_masks((7, 3, 5)),
         lwe._s_grid(TOY_WIDE.q, TOY_WIDE.n),
         lwe._sector_dv(TOY_WIDE),
+        lwe._noise_block(TOY_WIDE),
         lwe._SECTOR_C,
         protocol8._ANCILLA,
     ]
     assert all(not a.flags.writeable for a in arrays)
-    for cache in (sim._control_index, sim._layer_block, lwe._s_grid, lwe._sector_dv, serde._param_set):
+    caches = (
+        sim._control_index, sim._layer_block, sim._target_masks,
+        lwe._s_grid, lwe._sector_dv, lwe._noise_block, serde._param_set,
+    )
+    for cache in caches:
         assert cache.cache_info().maxsize is not None
 
 
@@ -283,14 +289,15 @@ def test_draw_row_matches_measure_reference(n, theta):
         assert fidelity(out, split.qubit_state(n - 1)) >= 1 - 1e-9
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(7))
 def test_row_branches_matches_draw_row(k):
     """Over the rows of k readout qubits, each branch is the outcome draw_row
     draws when its row is the only nonzero one; zero rows are absent and the
     probabilities sum to 1."""
     rng = np.random.default_rng(200 + k)
     rows = top_qubit_rows(_random_state(k + 1, rng), 1.3)
-    rows[::3] = 0.0  # outcomes of probability zero
+    if k:  # with k = 0 the one row is the empty outcome's and stays
+        rows[::3] = 0.0  # outcomes of probability zero
     rows /= np.linalg.norm(rows)
     branches = row_branches(rows)
     nonzero = [r for r in range(1 << k) if np.any(rows[r])]

@@ -237,6 +237,34 @@ def _key_payload(params=TOY_MICRO, seed=1):
     return {"key": serde.key_to_obj(client.pk), "variant": p4.PLAIN}
 
 
+def _key_with(*path, value):
+    """A TOY_MICRO key payload with `value` set at `path` of its key object."""
+    payload = _key_payload()
+    obj = payload["key"]
+    for name in path[:-1]:
+        obj = obj[name]
+    obj[path[-1]] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _key_with("trapdoor", value={}),
+        _key_with("k", "d0", value=1),
+        _key_with("k", "params", "z0", value="0"),
+        _key_with("k", "K", value=[{"gadget": {}}]),
+        _key_with("k", "params", "n", value={"accept": 1}),
+        {**_key_payload(), "variant": {"d0": 1}},
+        {"key": [{"trapdoor": {}}], "variant": "plain"},
+    ],
+    ids=["top", "k", "params", "in-a-leaf-list", "in-a-leaf-object", "variant", "key-list"],
+)
+def test_key_payload_rejects_private_fields_at_any_depth(payload):
+    with pytest.raises(wire.WireError):
+        wire.validate_message(wire.WireMessage("key", 0, payload))
+
+
 def _assert_keyable(session, run_id=0, variant=p4.PLAIN):
     """The run has no state of `variant` yet: a valid key for it is served.
     After a rejected key this shows that the key stored nothing."""
@@ -955,12 +983,26 @@ def _v1_trapdoor(trapdoor):
         t[part][field] = [str(v) for v in _int64s(t[part][field]).tolist()]
 
 
+def _added_field(*path):
+    """A tamper that adds a field to the object at `path`."""
+
+    def tamper(obj):
+        for key in path:
+            obj = obj[key]
+        obj["note"] = "x"
+
+    return tamper
+
+
 # TOY_GADGET texts: K and e are 40 bytes, so they end in "=="
 _KEY_CASES = {
     **{name: _edit("k", "K", edit=edit) for name, edit in _MALFORMED_TEXT.items()},
     "entry-q": _edit("k", "K", edit=lambda text: _with_entry(text, 0, TOY_GADGET.q)),
     "negative-entry": _edit("k", "K", edit=lambda text: _with_entry(text, 0, -1)),
     "v1-decimal-lists": _v1_key,
+    "added-field": _added_field(),
+    "added-k-field": _added_field("k"),
+    "added-params-field": _added_field("k", "params"),
 }
 _TRAPDOOR_CASES = {
     **{name: _edit("t", "z0", "e", edit=edit) for name, edit in _MALFORMED_TEXT.items()},
@@ -970,6 +1012,10 @@ _TRAPDOOR_CASES = {
     # err_lo is 24 bytes, a full last group: strict base64 still reads one more '='
     "pad-after-full-group": _edit("t", "gadget", "err_lo", edit=lambda text: text + "="),
     "v1-decimal-lists": _v1_trapdoor,
+    "added-field": _added_field(),
+    "added-t-field": _added_field("t"),
+    "added-gadget-field": _added_field("t", "gadget"),
+    "added-z0-field": _added_field("t", "z0"),
 }
 
 
@@ -1027,6 +1073,11 @@ _FUZZ_PATHS = {
     ],
 }
 _NON_TEXT = st.sampled_from([0, 1, 2, -1, True, 1.0, "1", None, [1]])
+# the objects of each format, by path: format 2 has no optional field
+_FUZZ_OBJECTS = {
+    "key": [(), ("k",), ("k", "params")],
+    "trapdoor": [(), ("t",), ("t", "gadget"), ("t", "z0")],
+}
 
 
 def _mutated(data, value):
@@ -1065,6 +1116,29 @@ def test_format_2_readers_reject_or_read_back_exactly(data):
     except ValueError:
         return
     assert back == obj
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_format_2_readers_reject_an_added_field(data):
+    """A key or trapdoor object with a field added at any level, its texts
+    mutated or not, is a ValueError: no field is ignored."""
+    pk, td = lwe.gen(TOY_GADGET, 3)
+    which = data.draw(st.sampled_from(["key", "trapdoor"]))
+    obj = serde.key_to_obj(pk) if which == "key" else serde.trapdoor_to_obj(td)
+    paths = st.lists(st.sampled_from(_FUZZ_PATHS[which]), max_size=2, unique=True)
+    for path in data.draw(paths):
+        _edit(*path, edit=lambda value: _mutated(data, value))(obj)
+    level = obj
+    for key in data.draw(st.sampled_from(_FUZZ_OBJECTS[which])):
+        level = level[key]
+    name = data.draw(st.text(max_size=3).filter(lambda text: text not in level))
+    level[name] = data.draw(_NON_TEXT | st.text(max_size=3))
+    with pytest.raises(ValueError):
+        if which == "key":
+            serde.key_from_obj(obj)
+        else:
+            serde.trapdoor_from_obj(obj, TOY_GADGET)
 
 
 def test_transcript_truncated_line_structured_error(tmp_path):
