@@ -30,9 +30,19 @@ CHAIN = [
 
 # SHA-256 of serde.keypair_to_json(*gen(params, seed)).  No preset drops a bit
 # of the gadget matrix R at its column-weight cap; CAPPED does, at both seeds.
+# The enumeration-scale keys (no gadget) come from the injectivity scan over
+# toy candidates; N2 is one with two s coordinates.
 CAPPED = toy_params(n=1, q=8, m=7, mu=1)
+N2 = toy_params(n=2, q=8, m=5, mu=1)
 PAPER16 = paper_params(16)
 KEYS = {
+    "micro-0": (TOY_MICRO, 0, "281ee126bf1beb8e08aae450cc3ac58a9e117d20bb36512d1e5b3f885d228520"),
+    "micro-1": (TOY_MICRO, 1, "8ee142bc1106d5f49dcd4989d013d3bc5ba30b5064067510a885d9d077233960"),
+    "reg-0": (TOY_REG, 0, "01881245a973e4c0a8e229e2580713d0dc23610d98aba04f47df88e84455a998"),
+    "reg-1": (TOY_REG, 1, "27f3fd2e8902184d4d9b7b0bf2d8e65005f29873443194f259aeda27f2506107"),
+    "wide-0": (TOY_WIDE, 0, "f7556b366ff7527a6bfa33c0aecb6dbc91af870b265d57ab5a875999ef47be03"),
+    "wide-1": (TOY_WIDE, 1, "10fd66929ab70c5897886cb563f3f9f4fc199e6d8283712454a14f2b9ca1ab31"),
+    "n2-0": (N2, 0, "5ae8bbf20d661a5d21733124cd893df53161de616c9fbd6975202fbb2c479303"),
     "gadget-0": (TOY_GADGET, 0, "6de12456e4d12e2933605ce4535deed1468ab658136fe60b6b1366587e9eda33"),
     "gadget-1": (TOY_GADGET, 1, "25758c164abf18762f46c0511323d49e65b06e338199dabe4bf8c4857c45f818"),
     "capped-0": (CAPPED, 0, "527e5a5ee1289cd3e219821dd5c16254c3e68f38cf6635ac53708d7a8aefa533"),
@@ -42,8 +52,16 @@ KEYS = {
 }
 
 # SHA-256 of the little-endian int64 bytes of K, y0, R, err_lo, err_hi, s, e
-# and d0 of gen(params, seed), in that order, for the KEYS entries.
+# and d0 of gen(params, seed), in that order, for the KEYS entries; a key
+# without a gadget has no R, err_lo or err_hi.
 RAW = {
+    "micro-0": "79afe558be27da878605d6c19246d102a97d9724dd68ee6019878c536fef9e26",
+    "micro-1": "2876379bb017d8466f677d7c779406bce14795dd871f3c2350aaa81cd7cb5bd6",
+    "reg-0": "9651a313349569b37ab76ff91da03684ad4067456af3b9879dcefcac01402e74",
+    "reg-1": "3f8c31831c15f555d819de1573d59903585a9083626fe4f7123285364ddce1e2",
+    "wide-0": "1a020fe7cc025b6fafcfc67f14f8116ffb7d361cfe8670e352c8feef7a8ad0cb",
+    "wide-1": "3247c9be9f701306ac5a49dde88240069442ed12da0692291a0637b98a712ebc",
+    "n2-0": "927dfa4b6f3426075fd55643903fbc19b3ab96344b9f38c37d5bdafe45a6355e",
     "gadget-0": "b37f610d5e11aa4177cd98cf4512ba7ca9b0276d0eb3fc9b5df68e7831a677b1",
     "gadget-1": "2a210f8990d5320958971d29ffd023b5f6008012d80f06d8f2ffa25267cc03c5",
     "capped-0": "4f4932499a27e7f9ed1ff5f3375fb481e11527d6886bd4b6f80e579761fa9cc8",
@@ -94,8 +112,9 @@ def test_gen_arrays_are_pinned(name):
     params, seed, _ = KEYS[name]
     pk, td = lwe.gen(params, seed)
     gd = td.gadget
+    gadget = () if gd is None else (gd.R, gd.err_lo, gd.err_hi)
     digest = hashlib.sha256()
-    for part in (pk.K, pk.y0, gd.R, gd.err_lo, gd.err_hi, td.z0.s, td.z0.e, [td.d0]):
+    for part in (pk.K, pk.y0, *gadget, td.z0.s, td.z0.e, [td.d0]):
         digest.update(np.asarray(part, dtype="<i8").tobytes())
     assert digest.hexdigest() == RAW[name]
 
