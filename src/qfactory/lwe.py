@@ -273,27 +273,43 @@ def _column_weight_cap(params: ParamSet) -> int:
     return max(0, (params.q // 2 - 1) // span - 1)
 
 
-_KEY_BATCH = 16  # toy key candidates drawn and checked per step
+_KEY_BATCH = 16  # toy key candidates drawn per step
 
 
-def _wide_injective(params: ParamSet, K: np.ndarray) -> np.ndarray:
-    """Check injectivity of g over the mu'-widened noise box, for each key of a
-    (..., m, n) stack of keys; returns a boolean array of shape (...).
+def _injective(params: ParamSet, K: list[list[int]]) -> bool:
+    """Whether g is injective over the mu'-widened noise box, for one key K
+    given as its m rows, each a list of n ints (`ndarray.tolist()`).
 
-    g collides iff some nonzero s-difference lands K*ds inside the widened
-    noise-difference cube, possibly shifted by the d-sector vector.  Checking
-    differences is exhaustive-equivalent and fast.  Only needed for
+    g collides iff some (d, ds != 0) puts every row i of K ds + d v inside the
+    widened noise-difference cube [-D, D] (centred mod q).  The set of (d, ds)
+    that row i puts inside depends only on its value and on whether it is row
+    0, the one row v moves, so each is one cached mask (`_row_mask`) and K is
+    injective iff the AND of its rows' masks is 0.  Only needed for
     enumeration-scale keys; gadget keys are injective by the decode argument.
     """
     q = params.q
     D = 2 * (params.noise_box + params.mu_prime) - 1
     if D >= q // 2:
-        return np.zeros(K.shape[:-2], dtype=bool)
-    ds = _s_grid(q, params.n)[:, 1:]  # drop ds = 0
-    # t centred into [-q/2, q/2) is in [-D, D] iff (t + D) mod q <= 2D; rows 0
-    # and 1 of `_sector_dv` are the shifts d = 0, 1, so one pass checks both
-    u = ((K @ ds + D)[..., None, :, :] + _sector_dv(params)[:2, :, None]) & (q - 1)
-    return u.max(axis=-2).min(axis=(-2, -1)) > 2 * D  # u is (..., 2, m, q^n - 1)
+        return False
+    hit = _row_mask(q, params.n, D, tuple(K[0]), True)
+    for row in K[1:]:
+        hit &= _row_mask(q, params.n, D, tuple(row), False)
+        if not hit:
+            break
+    return not hit
+
+
+@functools.lru_cache(maxsize=512)
+def _row_mask(q: int, n: int, D: int, row: tuple[int, ...], shifted: bool) -> int:
+    """The (d, ds) that one key row puts inside [-D, D], as a bit mask of
+    2 (q^n - 1) bits: bit j for d = 0 and bit q^n - 1 + j for d = 1, with ds
+    column j + 1 of `_s_grid(q, n)` (ds = 0 is left out).  d = 1 adds q/2 to a
+    `shifted` row only.  An int is immutable, and its size is linear in q^n."""
+    # t centred into [-q/2, q/2) is in [-D, D] iff (t + D) mod q <= 2D (the
+    # mask q - 1 is mod q, as q is a power of two)
+    t = np.array(row) @ _s_grid(q, n)[:, 1:] + D
+    inside = (np.concatenate([t, t + q // 2 if shifted else t]) & (q - 1)) <= 2 * D
+    return int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
 
 
 def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
@@ -336,13 +352,15 @@ def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
         se_bits = n * params.ell_q + m * params.ell_e
         if se_bits > _ENUM_CAP_BITS:
             raise ValueError("m <= n*ell_q needs enumeration-scale parameters")
-        # candidates come 16 at a time and the first injective one is kept, so
-        # K is uniform over injective keys; at most 4096 candidates are tried
+        # candidates come 16 at a time and are scanned in order; the first
+        # injective one is kept, so K is uniform over injective keys; at most
+        # 4096 candidates are tried
         for _ in range(4096 // _KEY_BATCH):
             Ks = rng.integers(0, q, size=(_KEY_BATCH, m, n))
-            ok = _wide_injective(params, Ks)
-            if ok.any():
-                K = Ks[ok.argmax()].copy()  # a copy, so the stack is not kept alive
+            found = (j for j, rows in enumerate(Ks.tolist()) if _injective(params, rows))
+            first = next(found, None)
+            if first is not None:
+                K = Ks[first].copy()  # a copy, so the stack is not kept alive
                 break
         else:
             raise ValueError("could not sample an injective toy key")

@@ -30,10 +30,10 @@ from .sim import (
     MAX_QUBITS,
     QubitDescription,
     StateVector,
+    _draw_b,
     analytic_stage2,
     draw_row,
     record_parity,
-    sample_b,
     top_qubit_rows,
 )
 
@@ -162,8 +162,10 @@ def _server_two_branch(key_msg: KeyMessage, seed: int) -> StrategyReply:
         raise ValueError(f"the image has {len(branches)} register preimages, not one or two")
     theta = meas_theta(key_msg.variant)
     if len(branches) == 2:
+        # the branches are register patterns and the record is drawn here, so
+        # analytic_stage2 is the one place they are checked
+        b = _draw_b(*branches, params.total_bits, theta, rng)
         xb, xpb = (lwe.unpack_bits(params, v) for v in branches)
-        b = sample_b(xb, xpb, theta, rng)
         held = analytic_stage2(xb, xpb, b, theta)
     else:
         xb = lwe.unpack_bits(params, branches[0])

@@ -465,10 +465,10 @@ def analytic_stage2(x, x_prime, b, theta: float):
         raise ValueError("branches must differ in the last bit")
     delta = sum(x_prime) - sum(x)
     beta = record_parity(lwe.pack_bits(b), lwe.pack_bits(x) ^ lwe.pack_bits(x_prime))
-    amps = np.zeros(2, dtype=complex)
+    amps = [0j, 0j]
     amps[x[-2]] += 1.0
     amps[x_prime[-2]] += cmath.exp(-1j * theta * delta) * (-1) ** beta
-    if np.linalg.norm(amps) < 1e-9:
+    if math.hypot(*map(abs, amps)) < 1e-9:
         raise ValueError("measurement record has probability zero")
     return QubitDescription(amps)
 
@@ -482,12 +482,21 @@ def stage2_b_support(x, x_prime, theta: float):
     `lwe.check_bits`, both of the length of x.
     """
     x, x_prime = lwe.check_bits(x, len(x)), lwe.check_bits(x_prime, len(x))
-    if x[-2] != x_prime[-2]:
+    diff, parity = _b_support(lwe.pack_bits(x), lwe.pack_bits(x_prime), len(x), theta)
+    if diff is None:
         return None, None
-    diff = tuple(a ^ bb for a, bb in zip(x, x_prime))
+    return tuple(a ^ bb for a, bb in zip(x, x_prime)), parity
+
+
+def _b_support(xi: int, xpi: int, n: int, theta: float):
+    """`stage2_b_support` of the packed n-bit branches xi and xpi, with diff
+    packed as well."""
+    diff = xi ^ xpi
+    if (diff >> (n - 2)) & 1:  # the branches carry different output values
+        return None, None
     if abs(theta) < 1e-12:
         return diff, 0
-    delta = sum(x_prime) - sum(x)
+    delta = xpi.bit_count() - xi.bit_count()
     if delta % 2 == 1:
         return None, None
     return diff, (delta // 2) % 2
@@ -495,9 +504,16 @@ def stage2_b_support(x, x_prime, theta: float):
 
 def sample_b(x, x_prime, theta: float, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw a measurement record from the honest two-branch distribution."""
-    b = rng.integers(0, 2, size=len(x)).tolist()
-    diff, parity = stage2_b_support(x, x_prime, theta)
-    if diff is not None and record_parity(lwe.pack_bits(b), lwe.pack_bits(diff)) != parity:
-        flip = next(i for i, dv in enumerate(diff) if dv)
-        b[flip] ^= 1
+    n = len(x)
+    x, x_prime = lwe.check_bits(x, n), lwe.check_bits(x_prime, n)
+    return _draw_b(lwe.pack_bits(x), lwe.pack_bits(x_prime), n, theta, rng)
+
+
+def _draw_b(xi: int, xpi: int, n: int, theta: float, rng: np.random.Generator):
+    """`sample_b` of the packed n-bit branches xi and xpi: a uniform record,
+    with its first bit in diff flipped when it falls outside the support."""
+    b = rng.integers(0, 2, size=n).tolist()
+    diff, parity = _b_support(xi, xpi, n, theta)
+    if diff is not None and record_parity(lwe.pack_bits(b), diff) != parity:
+        b[(diff & -diff).bit_length() - 1] ^= 1
     return tuple(b)

@@ -18,6 +18,9 @@ from qfactory.params import (
     toy_params,
 )
 
+_TOY_N2 = toy_params(n=2, q=8, m=5, mu=1)  # two s coordinates, an injective toy key
+
+
 def _rng(seed):
     return np.random.default_rng(seed)
 
@@ -235,18 +238,18 @@ def test_collision_structure_and_hardcore_identity(params):
 
 
 def test_g_injective_exhaustive():
-    params = TOY_REG
-    pk, _ = lwe.gen(params, seed=23)
-    seen = set()
-    for z in lwe.iter_domain(params, include_c=False):
-        img = tuple(int(v) for v in lwe.g(params, pk.K, z.s, z.e, z.d))
-        assert img not in seen
-        seen.add(img)
+    for params, seed in ((TOY_REG, 23), (_TOY_N2, 0)):
+        pk, _ = lwe.gen(params, seed=seed)
+        seen = set()
+        for z in lwe.iter_domain(params, include_c=False):
+            img = tuple(int(v) for v in lwe.g(params, pk.K, z.s, z.e, z.d))
+            assert img not in seen
+            seen.add(img)
 
 
 def _two_pass_wide_injective(params, K):
-    """The injectivity test as one loop pass per d-shift: the reference for
-    the single vectorized pass of `lwe._wide_injective`."""
+    """The injectivity test as one loop pass per d-shift over every ds: the
+    reference for the cached row masks of `lwe._injective`."""
     q = params.q
     D = 2 * (params.noise_box + params.mu_prime) - 1
     if D >= q // 2:
@@ -264,12 +267,13 @@ def _two_pass_wide_injective(params, K):
     return True
 
 
-@pytest.mark.parametrize("params", [TOY_MICRO, TOY_REG, TOY_WIDE], ids=["micro", "reg", "wide"])
+@pytest.mark.parametrize(
+    "params", [TOY_MICRO, TOY_REG, TOY_WIDE, _TOY_N2], ids=["micro", "reg", "wide", "n2"]
+)
 def test_wide_injective_matches_the_two_pass_loop(params):
     Ks = _rng(41).integers(0, params.q, size=(2000, params.m, params.n))
     want = [_two_pass_wide_injective(params, K) for K in Ks]
-    got = lwe._wide_injective(params, Ks)  # the whole stack in one pass
-    assert got.shape == (2000,) and got.tolist() == want
+    assert [lwe._injective(params, K) for K in Ks.tolist()] == want
     assert 0 < sum(want) < len(want)  # both verdicts occur
 
 
@@ -282,9 +286,8 @@ def test_wide_injective_matches_the_two_pass_loop(params):
     ],
 )
 def test_wide_injective_on_hand_built_collisions(K, injective):
-    K = np.array(K)
-    assert _two_pass_wide_injective(TOY_MICRO, K) is injective
-    assert lwe._wide_injective(TOY_MICRO, K[None]).tolist() == [injective]
+    assert _two_pass_wide_injective(TOY_MICRO, np.array(K)) is injective
+    assert lwe._injective(TOY_MICRO, K) is injective
 
 
 @pytest.mark.parametrize("params", [TOY_MICRO, TOY_REG, TOY_WIDE], ids=["micro", "reg", "wide"])
@@ -422,9 +425,6 @@ def test_param_set_rejects_moduli_above_the_int64_envelope():
 
 # ---------------------------------------------------------------------------
 # register preimage search (the truth-table lookup without the table)
-
-
-_TOY_N2 = toy_params(n=2, q=8, m=5, mu=1)  # two s coordinates, an injective toy key
 
 
 def _pattern_element(params, p):

@@ -5,7 +5,7 @@ import pytest
 
 from qfactory import protocol8 as p8
 from qfactory.params import TOY_MICRO
-from qfactory.sim import QubitDescription, fidelity
+from qfactory.sim import QubitDescription, draw_row, fidelity, top_qubit_rows
 
 
 def _in1(B1, B2):
@@ -75,6 +75,28 @@ def test_merge_gadget_sampled_matches_formula():
         res = p8.merge_gadget(_in1(B1, B2), _in2(B1p, B2p), rng)
         want = p8.compute_L(B1, B2, B1p, B2p, res.s1, res.s2).qubit()
         assert fidelity(res.out, want) >= 1 - 1e-9
+
+
+def test_merge_map_is_the_merge_circuit():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        in1, in2 = (QubitDescription(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                    for _ in range(2))
+        want = top_qubit_rows(p8._merge_state(in1, in2), 0.0)
+        assert np.abs(p8._merge_rows(in1, in2) - want).max() <= 1e-15
+
+
+def test_merge_gadget_draws_as_the_live_circuit():
+    inputs = np.random.default_rng(8)
+    for seed in range(2000):
+        B1, B2, B1p, B2p = (int(v) for v in inputs.integers(0, 2, size=4))
+        in1, in2 = _in1(B1, B2), _in2(B1p, B2p)
+        # the reference: the same draw from the live merge circuit's rows
+        rows = top_qubit_rows(p8._merge_state(in1, in2), 0.0)
+        bits, out = draw_row(rows, np.random.default_rng(seed))
+        res = p8.merge_gadget(in1, in2, np.random.default_rng(seed))
+        assert (res.s1, res.s2) == bits
+        assert fidelity(res.out, out) >= 1 - 1e-12
 
 
 def test_adversarial_outcome_flips_shift_l_per_formula():

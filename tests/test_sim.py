@@ -161,11 +161,13 @@ def test_cached_constants_are_read_only_and_bounded():
         lwe._noise_block(TOY_WIDE),
         lwe._SECTOR_C,
         protocol8._ANCILLA,
+        protocol8._merge_map(),
     ]
     assert all(not a.flags.writeable for a in arrays)
     caches = (
         sim._control_index, sim._layer_block, sim._target_masks,
-        lwe._s_grid, lwe._sector_dv, lwe._noise_block, serde._param_set,
+        lwe._s_grid, lwe._sector_dv, lwe._noise_block, lwe._row_mask, serde._param_set,
+        protocol8._merge_map,
     )
     for cache in caches:
         assert cache.cache_info().maxsize is not None
