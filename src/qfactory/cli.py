@@ -39,10 +39,19 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _open_fraction(text: str) -> float:
-    if not 0 < float(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text} does not lie in (0, 1)")
-    return float(text)
+def _fraction(interval: str):
+    """An argparse type: a float in `interval`, "(0, 1)", "(0, 1]" or "[0, 1]"
+    (nan lies in none of them)."""
+
+    def fraction(text: str) -> float:
+        x = float(text)
+        above_lo = 0 <= x if interval[0] == "[" else 0 < x
+        below_hi = x <= 1 if interval[-1] == "]" else x < 1
+        if not (above_lo and below_hi):
+            raise argparse.ArgumentTypeError(f"{text} does not lie in {interval}")
+        return x
+
+    return fraction
 
 
 def _by_rule(rule):
@@ -305,15 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(sp, "--params", "--seed", "--out")
     sp.add_argument("--t_c", type=_positive_int, default=60)
     sp.add_argument("--n_c", dest="n_c_chunks", type=_positive_int, default=1000)
-    sp.add_argument("--p_a", type=float, default=None, help="override the analytic accept probability")
-    sp.add_argument("--p_c", type=float, default=0.52)
+    sp.add_argument("--p_a", type=_fraction("[0, 1]"), help="override the analytic accept probability")
+    sp.add_argument("--p_c", type=_fraction("(0, 1]"), default=0.52)
     sp.set_defaults(func=cmd_run_abort)
 
     sp = sub.add_parser("run-verifiable", help="verification layer over the stack")
     _shared(sp, "--params", "--seed", "--backend", "--out")
     sp.add_argument("--N", type=_positive_int, default=400)
-    sp.add_argument("--fraction", type=_open_fraction, default=0.5)
-    sp.add_argument("--eps2", type=float, default=0.05)
+    sp.add_argument("--fraction", type=_fraction("(0, 1)"), default=0.5)
+    sp.add_argument("--eps2", type=_fraction("(0, 1)"), default=0.05)
     sp.add_argument("--server", default="honest", choices=["honest", "shift"])
     sp.set_defaults(func=cmd_run_verifiable)
 
@@ -321,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(sp, "--seed", "--out")
     sp.add_argument("--strategy", default=None, help="JSON strategy description")
     sp.add_argument("--N", type=_positive_int, default=10_000)
-    sp.add_argument("--eps2", type=float, default=0.05)
+    sp.add_argument("--eps2", type=_fraction("(0, 1)"), default=0.05)
     sp.set_defaults(func=cmd_selftest)
 
     sp = sub.add_parser("oracle-check", help="closed forms against brute force")

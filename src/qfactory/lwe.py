@@ -254,13 +254,12 @@ def decode_int(params: ParamSet, value: int) -> DomainElement | None:
 # key generation
 
 
+@functools.lru_cache(maxsize=16)
 def _gadget_rows(params: ParamSet) -> np.ndarray:
-    """w x n matrix whose row (j*ell_q + l) is 2^l on coordinate j."""
-    w = params.n * params.ell_q
-    G = np.zeros((w, params.n), dtype=np.int64)
-    for j in range(params.n):
-        for level in range(params.ell_q):
-            G[j * params.ell_q + level, j] = 1 << level
+    """w x n read-only matrix whose row (j*ell_q + l) is 2^l on coordinate j."""
+    powers = (1 << np.arange(params.ell_q, dtype=np.int64))[:, None]
+    G = np.kron(np.eye(params.n, dtype=np.int64), powers)
+    G.flags.writeable = False
     return G
 
 
@@ -379,7 +378,7 @@ def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
 
 
 def _gadget_decode(gd: GadgetData, params: ParamSet, targets: np.ndarray) -> np.ndarray:
-    """(n, 4) array whose column k is the s decoded from row k of `targets`.
+    """(4, n) array whose row k is the s decoded from row k of `targets`.
 
     Per coordinate, gadget column (j, l) holds s_j * 2^l + err mod q.  Bits
     of s_j are peeled least-significant first from the highest-level column
@@ -387,16 +386,20 @@ def _gadget_decode(gd: GadgetData, params: ParamSet, targets: np.ndarray) -> np.
     threshold uses the exact per-column error interval, so decoding is exact
     whenever the interval spans less than q/2 (enforced at gen time).
     """
-    q, n, ell = params.q, params.n, params.ell_q
+    n, ell = params.n, params.ell_q
     m_bar = params.m - n * ell
-    u = ((targets[:, m_bar:] + targets[:, :m_bar] @ gd.R) % q).reshape(len(targets), n, ell)
-    err_lo = gd.err_lo.reshape(n, ell)
-    s = np.zeros(u.shape[:2], dtype=np.int64)
-    for k in range(ell):
-        level = ell - 1 - k
-        val = (u[:, :, level] - (s << level) - err_lo[:, level]) % q
-        s |= (val >= q // 2).astype(np.int64) << k
-    return s.T
+    # every column less its error floor, unreduced; levels[k] (contiguous) is level ell - 1 - k
+    u = targets[:, m_bar:] + targets[:, :m_bar] @ gd.R - gd.err_lo
+    levels = u.reshape(len(targets), n, ell)[:, :, ::-1].transpose(2, 0, 1).copy()
+    s = np.zeros(levels.shape[1:], dtype=np.int64)
+    for k, val in enumerate(levels):
+        val -= s << (ell - 1 - k)
+        # val mod q >= q/2 iff bit ell - 1 of val is set (q = 2^ell divides 2^64,
+        # so int64 wrap-around keeps that bit); it is moved to bit k
+        val >>= ell - 1 - k
+        val &= 1 << k
+        s |= val
+    return s
 
 
 @functools.lru_cache(maxsize=8)
@@ -434,17 +437,17 @@ def _sector_hits(
     params = pk.params
     # row k is y - c y0 - d v, unreduced: each use reduces it mod q
     targets = y - _SECTOR_C * pk.y0 - _sector_dv(params)
+    # cands[k % len(cands), :, j] is sector k's j-th candidate s
     if gadget is None:
-        cands, tried = _s_grid(params.q, params.n), True  # every s in every sector
+        cands = _s_grid(params.q, params.n)[None]  # (1, n, q^n): every s
     else:
-        # column k is sector k's own decode; it is tried only there
-        cands, tried = _gadget_decode(gadget, params, targets), np.eye(4, dtype=bool)
+        cands = _gadget_decode(gadget, params, targets)[:, :, None]  # (4, n, 1)
     # [lo, hi] sits inside [-q/2, q/2), so e is in it iff (e - lo) mod q <= hi - lo
     # (the mask q - 1 is mod q, as q is a power of two)
     u = ((targets - lo)[:, :, None] - pk.K @ cands) & (params.q - 1)
-    ks, js = ((u.max(axis=1) <= hi - lo) & tried).nonzero()
+    ks, js = (u.max(axis=1) <= hi - lo).nonzero()
     return [
-        (k, tuple(cands[:, j].tolist()), tuple((u[k, :, j] + lo).tolist()))
+        (k, tuple(cands[k % len(cands), :, j].tolist()), tuple((u[k, :, j] + lo).tolist()))
         for k, j in zip(ks.tolist(), js.tolist())
     ]
 

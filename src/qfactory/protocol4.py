@@ -245,10 +245,17 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
     k = (2 h(z) - 1) * (wt(x') - wt(x)) + 2 <b, x xor x'>  (mod 4);
     B1' = k mod 2 selects the X or Y equatorial pair and B2' the sign.
     """
+    params = client.pk.params
+    y, b = lwe.check_image(params, y), lwe.check_bits(b, params.total_bits)
+    return _finalize(client, y, b, always_output)
+
+
+def _finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputIndex4:
+    """`finalize` of a y and b that the image rule and the bit rule (or the
+    `serde` readers, which follow them) have already returned: m ints in
+    [0, q) and total_bits ints in {0, 1}; ValueError for an unknown variant."""
     variant = check_variant(client.variant)
     params = client.pk.params
-    y = lwe.check_image(params, y)
-    b = lwe.check_bits(b, params.total_bits)
     preimages = lwe._invert(client.trapdoor, client.pk, y)  # y is checked
     if len(preimages) == 0:
         return _no_preimage_output(client, y, b, always_output)

@@ -5,7 +5,7 @@ Each line is the compact canonical encoding (sorted keys, no spaces) of
 canonical body encoding; the reader takes any JSON layout and re-derives the
 hash.  Replay re-derives each record's client-derived fields (accepted, B1,
 B2, family; run8 adds usable and L) by the live client's rules: the `serde`
-readers of y, b and the merge outcomes, `protocol4.finalize`,
+readers of y, b and the merge outcomes, the core of `protocol4.finalize`,
 `protocol8.eight_index` and the field builders the records are written with.
 Fields are compared by type and value; a record not readable with its exact
 meaning, identity fields (run id, seeds, sub-record kind) included, is a
@@ -148,16 +148,16 @@ def _identity(body: dict) -> tuple:
 
 
 def _finalize(body: dict) -> p4.OutputIndex4:
-    """`finalize` on a run4 body's key material, y and b, each read by the
-    rule the wire client reads it with; the body's seeds are read by
-    `_identity` first."""
+    """`finalize`'s core on a run4 body's key material, y and b, each read by
+    the rule the wire client reads it with, which is the one check they get;
+    the body's seeds are read by `_identity` first."""
     pk = serde.key_from_obj(body["key_msg"])
     td = serde.trapdoor_from_obj(body["trapdoor"], pk.params)
     seed = body["seeds"]["run"]
     client = p4.ClientState4(pk=pk, trapdoor=td, variant=body["variant"], seed=seed)
     y = serde.zq_entries(body["y"], pk.params.m, pk.params.q)
     b = serde.record_bits(body["b"], pk.params.total_bits)
-    return p4.finalize(client, y, b)
+    return p4._finalize(client, y, b)
 
 
 def _derived(body: dict) -> dict:

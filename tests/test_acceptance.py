@@ -116,7 +116,8 @@ def test_criterion_03_eight_states_table():
 
 def test_criterion_04_xor_gadget_lemma():
     """t in {1..4}, all input tuples x all branches: basis law + 4-state set."""
-    four_state = [QubitDescription.equatorial(k) for k in range(4)]
+    # row k is |+_{k pi/2}>: one product gives a branch's fidelity to all four
+    four_state = np.array([QubitDescription.equatorial(k).vec for k in range(4)])
     worst = 1.0
     cases = 0
     import itertools
@@ -132,12 +133,13 @@ def test_criterion_04_xor_gadget_lemma():
             want_basis = 0
             for b1, _ in bits:
                 want_basis ^= b1
-            for s_pairs, _, out in abort.gad_xor_branches(states):
+            branches = abort.gad_xor_branches(states)
+            outs = np.array([out.vec for _, _, out in branches])
+            fids = np.abs(outs @ four_state.conj().T) ** 2  # out vectors are unit
+            for (s_pairs, _, _), fid in zip(branches, fids):
                 b1, b2 = abort.combine_bits(recs, s_pairs)
                 assert b1 == want_basis
-                fid = fidelity(out, QubitDescription.equatorial(b1 + 2 * b2))
-                in_set = max(fidelity(out, ref) for ref in four_state)
-                worst = min(worst, fid, in_set)
+                worst = min(worst, fid[b1 + 2 * b2], fid.max())
                 cases += 1
     _verdict(4, worst >= FIDELITY_TOL, f"{cases} branch cases over t<=4, worst {worst:.12f}")
 

@@ -261,6 +261,17 @@ def test_replay_with_a_mismatch_exits_1(capsys, tmp_path):
         ["run-abort", "--t_c", "0"],
         ["run-verifiable", "--fraction", "1.5"],
         ["run-verifiable", "--fraction", "0"],
+        ["run-abort", "--p_c", "nan"],
+        ["run-abort", "--p_c", "2"],
+        ["run-abort", "--p_c", "0"],
+        ["run-abort", "--p_a", "-1"],
+        ["run-abort", "--p_a", "1.5"],
+        ["run-abort", "--p_a", "nan"],
+        ["run-verifiable", "--eps2", "nan"],
+        ["run-verifiable", "--eps2", "0"],
+        ["run-verifiable", "--eps2", "1"],
+        ["selftest", "--eps2", "inf"],
+        ["run-abort", "--p_c", "half"],
         ["run-verifiable", "--N", "0"],
         ["selftest", "--N", "0"],
         ["oracle-check", "--trials", "0"],
@@ -275,6 +286,19 @@ def test_an_out_of_range_count_or_fraction_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "error: argument" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, name, want",
+    [
+        (["run-abort", "--p_c", "1"], "p_c", 1.0),
+        (["run-abort", "--p_a", "0"], "p_a", 0.0),
+        (["run-abort", "--p_a", "1"], "p_a", 1.0),
+        (["run-verifiable", "--eps2", "0.5"], "eps2", 0.5),
+    ],
+)
+def test_a_probability_inside_its_interval_or_on_a_closed_end_parses(argv, name, want):
+    assert getattr(cli.build_parser().parse_args(argv), name) == want
 
 
 def test_emit_refuses_a_nan_rather_than_write_invalid_json(capsys):

@@ -1,6 +1,7 @@
 """Function-family tests, built around exhaustive enumeration oracles."""
 
 import base64
+import itertools
 import json
 
 import numpy as np
@@ -321,12 +322,17 @@ def test_invert_round_trip_random(params):
 @pytest.mark.parametrize("params", [TOY_GADGET, TOY_MICRO], ids=["gadget", "enum"])
 def test_invert_matches_exhaustive_on_uniform_y(params):
     pk, td = lwe.gen(params, seed=37)
-    rng = _rng(5)
-    for _ in range(60):
-        y = rng.integers(0, params.q, size=params.m)
+    table = lwe.exhaustive_image_map(pk)  # built once, not once per y
+    if params is TOY_GADGET:
+        # every y in Z_q^m (8^5 of them): each sector's own gadget decode is
+        # the only candidate it tries
+        ys = itertools.product(range(params.q), repeat=params.m)
+    else:
+        rng = _rng(5)
+        ys = (tuple(rng.integers(0, params.q, size=params.m).tolist()) for _ in range(60))
+    for y in ys:
         got = lwe.invert(td, pk, y)
-        want = lwe.exhaustive_preimages(pk, y)
-        assert got == want
+        assert got == tuple(table.get(y, ()))
         assert len(got) in (0, 1, 2)
 
 

@@ -177,6 +177,29 @@ def test_paper_size_record_replays(tmp_path, variant, seed):
     assert (report.records, report.verified_runs, report.mismatches) == (1, 1, [])
 
 
+def test_replay_checks_y_and_b_once_at_the_serde_readers(tmp_path, monkeypatch):
+    # the serde readers are replay's one check of y and b; finalize's core
+    # must not run the image rule or the bit rule on them again
+    paper = p4.run_protocol4(paper_params(16), 4, strategy=_honest_image)
+    bodies = USABLE, transcripts.run4_record(paper, 0, 4)
+    calls = []
+
+    def counted(name):
+        rule = getattr(lwe, name)
+
+        def call(*args):
+            calls.append(name)
+            return rule(*args)
+
+        return call
+
+    for name in ("check_image", "check_bits"):
+        monkeypatch.setattr(lwe, name, counted(name))
+    report = _replay(tmp_path / "both.jsonl", *bodies)
+    assert (report.records, report.verified_runs, report.mismatches) == (2, 2, [])
+    assert calls == []
+
+
 def test_paper_size_record_is_at_most_180_kb():
     # format 2 writes K as base64 of int64 bytes and R as packed bits (310 KB as decimal text)
     res = p4.run_protocol4(paper_params(16), 4, strategy=_honest_image)

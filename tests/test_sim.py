@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qfactory import lwe, protocol8, serde, sim
-from qfactory.params import TOY_MICRO, TOY_WIDE
+from qfactory.params import TOY_GADGET, TOY_MICRO, TOY_WIDE
 from qfactory.sim import (
     QubitDescription,
     StateVector,
@@ -160,14 +160,15 @@ def test_cached_constants_are_read_only_and_bounded():
         lwe._sector_dv(TOY_WIDE),
         lwe._noise_block(TOY_WIDE),
         lwe._SECTOR_C,
+        lwe._gadget_rows(TOY_GADGET),
         protocol8._ANCILLA,
         protocol8._merge_map(),
     ]
     assert all(not a.flags.writeable for a in arrays)
     caches = (
         sim._control_index, sim._layer_block, sim._target_masks,
-        lwe._s_grid, lwe._sector_dv, lwe._noise_block, lwe._row_mask, serde._param_set,
-        protocol8._merge_map,
+        lwe._s_grid, lwe._sector_dv, lwe._noise_block, lwe._row_mask, lwe._gadget_rows,
+        serde._param_set, protocol8._merge_map,
     )
     for cache in caches:
         assert cache.cache_info().maxsize is not None
