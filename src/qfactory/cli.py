@@ -1,15 +1,17 @@
 """Command-line harness: keygen, protocol runs, oracle checks, wire endpoints.
 
 Every command is deterministic given --seed, and reports are versioned JSON.
+`run4` and `run8` drive runs 0..N-1 of master --seed in-process or against a
+`serve --seed` at --endpoint, with the same reports and transcripts either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -70,12 +72,14 @@ _SHARED_OPTIONS = {
     "--params": dict(default="toy", help="parameter preset name"),
     "--seed": dict(type=int, default=0),
     "--backend": dict(default="twobranch", choices=["sv", "twobranch"]),
+    "--endpoint": dict(type=_by_rule(wire.parse_endpoint), help="host:port of a qfactory serve"),
     "--out": dict(default=None, help="write the JSON report here"),
 }
 
 
-def _shared(parser: argparse.ArgumentParser, *names: str):
-    """Add the shared options a subcommand reads, and only those."""
+def _shared(parser, *names: str):
+    """Add the shared options a subcommand reads, and only those, to its
+    parser or to one of the parser's groups."""
     for name in names:
         parser.add_argument(name, **_SHARED_OPTIONS[name])
 
@@ -91,35 +95,54 @@ def cmd_keygen(args) -> int:
     return 0
 
 
-def cmd_run4(args) -> int:
+def _drive(args, run, fold) -> int:
+    """Runs 0..N-1 of master --seed over one channel: the in-process server
+    session of --backend, or the `serve` at --endpoint, which reproduce each
+    other bit for bit.  `run(chan, params, seed, run_id)` gives a run's result
+    and `fold(run_id, result)` takes it as it arrives.  A socket or wire
+    failure is one stderr line and exit 2; 0 otherwise."""
     params = params_by_name(args.params)
+    where = "{}:{}".format(*args.endpoint) if args.endpoint else "in-process server"
+    try:
+        if args.endpoint:
+            chan = wire.SocketChannel(*args.endpoint)
+        else:
+            chan = wire.local_session(args.seed, _backend(args.backend))
+        with contextlib.closing(chan):
+            for run_id in range(args.runs):
+                fold(run_id, run(chan, params, args.seed, run_id))
+    except (OSError, wire.WireError) as exc:
+        print(f"qfactory {args.command}: {where}: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def cmd_run4(args) -> int:
+    variant = p4.ROTATED if args.rotated else p4.PLAIN
+    tally = {"accepted": 0, "B1": 0}
     rows = []
     writer = transcripts.TranscriptWriter(args.transcripts) if args.transcripts else None
-    accepted = 0
-    basis_ones = 0
-    for run_id in range(args.runs):
-        seed = derive_seed(args.seed, "run4", run_id)
-        res = p4.run_protocol4(
-            params,
-            seed,
-            backend=_backend(args.backend),
-            variant=p4.ROTATED if args.rotated else p4.PLAIN,
-        )
-        accepted += res.out.accepted == p4.TWO_PREIMAGES
-        basis_ones += res.out.B1
-        rows.append({"run_id": run_id, "accepted": res.out.accepted})
+
+    def fold(run_id: int, res: p4.Protocol4Result):
+        tally["accepted"] += res.out.accepted == p4.TWO_PREIMAGES
+        tally["B1"] += res.out.B1
+        if len(rows) < 20:
+            rows.append({"run_id": run_id, "accepted": res.out.accepted})
         if writer:
-            writer.append(transcripts.run4_record(res, run_id, seed))
-    if writer:
-        writer.close()
-    lo, hi = wilson_interval(accepted, args.runs)
+            writer.append(transcripts.run4_record(res, run_id, args.seed))
+
+    with writer or contextlib.nullcontext():
+        failed = _drive(args, functools.partial(wire.run4_over_channel, variant=variant), fold)
+    if failed:
+        return failed
+    lo, hi = wilson_interval(tally["accepted"], args.runs)
     _emit(
         {
             "runs": args.runs,
-            "accept_rate": accepted / args.runs,
+            "accept_rate": tally["accepted"] / args.runs,
             "accept_interval": [lo, hi],
-            "B1_bias": abs(basis_ones / args.runs - 0.5),
-            "rows": rows[:20],
+            "B1_bias": abs(tally["B1"] / args.runs - 0.5),
+            "rows": rows,
         },
         args.out,
     )
@@ -127,20 +150,16 @@ def cmd_run4(args) -> int:
 
 
 def cmd_run8(args) -> int:
-    params = params_by_name(args.params)
-    usable = 0
     counts = [0] * 8
-    for run_id in range(args.runs):
-        res = p8.run_protocol8(
-            params, derive_seed(args.seed, "run8", run_id), backend=_backend(args.backend)
-        )
+
+    def fold(run_id: int, res: p8.Protocol8Result):
         if res.usable:
-            usable += 1
             counts[res.index.L] += 1
-    _emit(
-        {"runs": args.runs, "usable": usable, "L_histogram": counts},
-        args.out,
-    )
+
+    failed = _drive(args, wire.run8_over_channel, fold)
+    if failed:
+        return failed
+    _emit({"runs": args.runs, "usable": sum(counts), "L_histogram": counts}, args.out)
     return 0
 
 
@@ -167,19 +186,23 @@ def cmd_run_abort(args) -> int:
 
 def cmd_run_verifiable(args) -> int:
     params = params_by_name(args.params)
-    res = stt.run_verifiable(
-        params,
-        N=args.N,
-        f=args.fraction,
-        eps2=args.eps2,
-        seed=args.seed,
-        backend=_backend(args.backend),
-        server=args.server,
-    )
+    try:
+        res = stt.run_verifiable(
+            params,
+            N=args.N,
+            f=args.fraction,
+            eps2=args.eps2,
+            seed=args.seed,
+            backend=_backend(args.backend),
+            server=args.server,
+        )
+    except wire.WireError as exc:  # the in-process server refuses the key
+        print(f"qfactory run-verifiable: in-process server: {exc}", file=sys.stderr)
+        return 2
     _emit(
         {
             "accept": res.accept,
-            "tested": len(res.table.cells),
+            "tested": res.table.total(),
             "unmeasured": len(res.unmeasured),
             "min_held_fidelity": min(res.held_fidelities) if res.held_fidelities else None,
             "attempts": res.attempts,
@@ -253,26 +276,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_connect(args) -> int:
-    params = params_by_name(args.params)
-    try:
-        host, port = args.endpoint or wire.endpoint_from_env()
-    except ValueError as exc:
-        print(f"qfactory connect: {os.environ[wire.ENDPOINT_ENV]}: {exc}", file=sys.stderr)
-        return 2
-    accepted = 0
-    try:
-        with contextlib.closing(wire.SocketChannel(host, port)) as chan:
-            for run_id in range(args.runs):
-                res = wire.run4_over_channel(chan, params, args.seed, run_id)
-                accepted += res.out.accepted == p4.TWO_PREIMAGES
-    except (OSError, wire.WireError) as exc:
-        print(f"qfactory connect: {host}:{port}: {exc}", file=sys.stderr)
-        return 2
-    _emit({"runs": args.runs, "accept_rate": accepted / args.runs}, args.out)
-    return 0
-
-
 def cmd_replay(args) -> int:
     try:
         rep = transcripts.replay(args.file)
@@ -299,14 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_keygen)
 
     sp = sub.add_parser("run4", help="run the 4-states protocol")
-    _shared(sp, "--params", "--seed", "--backend", "--out")
+    _shared(sp, "--params", "--seed", "--out")
+    # the in-process server of --backend, or a serve at --endpoint; not both
+    _shared(sp.add_mutually_exclusive_group(), "--backend", "--endpoint")
     sp.add_argument("--runs", type=_positive_int, default=20)
     sp.add_argument("--rotated", action="store_true")
     sp.add_argument("--transcripts", default=None, help="write JSON-lines transcripts")
     sp.set_defaults(func=cmd_run4)
 
     sp = sub.add_parser("run8", help="run the 8-states protocol")
-    _shared(sp, "--params", "--seed", "--backend", "--out")
+    _shared(sp, "--params", "--seed", "--out")
+    _shared(sp.add_mutually_exclusive_group(), "--backend", "--endpoint")
     sp.add_argument("--runs", type=_positive_int, default=20)
     sp.set_defaults(func=cmd_run8)
 
@@ -343,14 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--host", default="127.0.0.1")
     sp.add_argument("--port", type=_by_rule(wire.parse_port), default=7801)
     sp.set_defaults(func=cmd_serve)
-
-    sp = sub.add_parser("connect", help="drive protocol runs against a server")
-    _shared(sp, "--params", "--seed", "--out")
-    sp.add_argument(
-        "--endpoint", type=_by_rule(wire.parse_endpoint), help="host:port (or QFACTORY_ENDPOINT)"
-    )
-    sp.add_argument("--runs", type=_positive_int, default=10)
-    sp.set_defaults(func=cmd_connect)
 
     sp = sub.add_parser("replay", help="verify a transcript file")
     _shared(sp, "--out")

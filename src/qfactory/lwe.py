@@ -186,9 +186,9 @@ def bits_text(bits) -> str:
     return bytes(bits).translate(_BITS_TEXT).decode("ascii")
 
 
-def text_bits(text: str) -> tuple[int, ...]:
-    """Inverse of `bits_text` on a string of 0/1 characters."""
-    return tuple(text.encode("ascii").translate(_TEXT_BITS))
+def text_bits(raw: bytes) -> tuple[int, ...]:
+    """Inverse of `bits_text`, on the ASCII bytes of a string of 0/1 characters."""
+    return tuple(raw.translate(_TEXT_BITS))
 
 
 def pack_bits(bits) -> int:
@@ -200,7 +200,7 @@ def unpack_bits(params: ParamSet, value: int) -> tuple[int, ...]:
     """The register bit-string of a packed pattern (bit j = qubit j)."""
     n = params.total_bits
     # one pass over the binary digits; shifting a paper-size int per bit is quadratic
-    return text_bits(format(value & ((1 << n) - 1), f"0{n}b")[::-1])
+    return text_bits(format(value & ((1 << n) - 1), f"0{n}b")[::-1].encode("ascii"))
 
 
 def encode(params: ParamSet, elem: DomainElement) -> tuple[int, ...]:

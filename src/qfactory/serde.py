@@ -48,10 +48,11 @@ def zq_entries(values, length: int, q: int) -> list[int]:
 def record_bits(text, length: int) -> tuple[int, ...]:
     """A measurement record of exactly `length` characters from {0, 1}, as
     bits; ValueError otherwise."""
-    # strip("01") leaves every other character, so it is empty exactly on a 0/1 string
-    if not isinstance(text, str) or len(text) != length or text.strip("01"):
-        raise ValueError(f"record must be exactly {length} characters from {{0, 1}}")
-    return text_bits(text)
+    if isinstance(text, str) and len(text) == length:
+        raw = text.encode("ascii", "replace")  # a non-ASCII character becomes "?"
+        if not raw.translate(None, b"01"):  # deletes 0 and 1, so empty exactly on a 0/1 string
+            return text_bits(raw)
+    raise ValueError(f"record must be exactly {length} characters from {{0, 1}}")
 
 
 def record_text(bits: tuple[int, ...]) -> str:

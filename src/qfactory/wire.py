@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import socket
 import socketserver
 import struct
@@ -35,7 +34,6 @@ from .sim import QubitDescription
 
 WIRE_VERSION = 1
 MAX_FRAME = 1 << 20
-ENDPOINT_ENV = "QFACTORY_ENDPOINT"
 
 # one line per ended server session: the peer and why it ended, no payload values
 log = logging.getLogger("qfactory.wire")
@@ -441,7 +439,3 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     defaults to 127.0.0.1."""
     host, _, port = text.rpartition(":")
     return host or "127.0.0.1", parse_port(port)
-
-
-def endpoint_from_env(default: str = "127.0.0.1:7801") -> tuple[str, int]:
-    return parse_endpoint(os.environ.get(ENDPOINT_ENV, default))

@@ -1,5 +1,6 @@
 """CLI smoke tests: every command runs, is seeded, and emits valid JSON."""
 
+import contextlib
 import json
 import os
 import signal
@@ -28,7 +29,10 @@ def _run(argv, capsys):
         ["selftest", "--eps1", "0.1"],
         ["serve", "--out", "report.json"],
         ["replay", "--seed", "1", "runs.jsonl"],
-        ["connect", "--endpoint", "127.0.0.1:port"],
+        ["keygen", "--endpoint", "127.0.0.1:7801"],
+        ["serve", "--endpoint", "127.0.0.1:7801"],
+        ["run-verifiable", "--endpoint", "127.0.0.1:7801"],
+        ["run8", "--backend", "sv", "--endpoint", "127.0.0.1:7801"],
     ],
 )
 def test_subcommands_take_only_the_options_they_read(argv):
@@ -62,7 +66,7 @@ def test_run4(capsys, tmp_path):
 
 
 def test_run4_transcript_names_the_seed_of_each_run(capsys, tmp_path):
-    from qfactory import protocol4 as p4, transcripts
+    from qfactory import transcripts, wire
     from qfactory.params import TOY_MICRO
 
     tfile = tmp_path / "t.jsonl"
@@ -70,11 +74,17 @@ def test_run4_transcript_names_the_seed_of_each_run(capsys, tmp_path):
     rc, _ = _run([*argv, "--transcripts", str(tfile)], capsys)
     assert rc == 0
     records = transcripts.read_records(tfile)
-    assert len({rec["body"]["seeds"]["run"] for rec in records}) == 3
+    # one session: every record names the master seed and its own run id
+    assert [(rec["body"]["seeds"]["run"], rec["body"]["run_id"]) for rec in records] == [
+        (7, 0),
+        (7, 1),
+        (7, 2),
+    ]
     for rec in records:
         body = rec["body"]
-        again = p4.run_protocol4(TOY_MICRO, body["seeds"]["run"])
-        rebuilt = transcripts.run4_record(again, body["run_id"], body["seeds"]["run"])
+        master, run_id = body["seeds"]["run"], body["run_id"]
+        again = wire.run4_over_channel(wire.local_session(master), TOY_MICRO, master, run_id)
+        rebuilt = transcripts.run4_record(again, run_id, master)
         assert transcripts._canonical(rebuilt) == transcripts._canonical(body)
 
 
@@ -99,6 +109,19 @@ def test_run_verifiable(capsys):
     )
     assert rc == 0
     assert obj["accept"] is True
+    assert obj["tested"] + obj["unmeasured"] == 80
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run4", "--runs", "1"], ["run8", "--runs", "1"], ["run-verifiable", "--N", "2"]],
+    ids=["run4", "run8", "run-verifiable"],
+)
+def test_a_key_the_in_process_server_refuses_is_one_stderr_line(capsys, argv):
+    # a paper-profile register is far outside the 20-qubit simulation envelope
+    assert cli.main([*argv, "--params", "paper"]) == 2
+    err = _one_error_line(capsys, f"qfactory {argv[0]}: in-process server: ")
+    assert "simulation envelope" in err
 
 
 def test_selftest_with_strategy_file(capsys, tmp_path):
@@ -157,7 +180,7 @@ def test_serve_and_connect(capsys):
     try:
         rc, rep = _run(
             [
-                "connect",
+                "run4",
                 "--params",
                 "toy-micro",
                 "--seed",
@@ -183,20 +206,18 @@ def _wait_for(path: Path, text: str, timeout: float = 30.0) -> str:
     return path.read_text()
 
 
-def test_serve_logs_each_ended_session_to_stderr(tmp_path):
+@contextlib.contextmanager
+def _serve_child(log: Path, *argv):
+    """A `qfactory serve --port 0` child process, its stderr in `log`; yields its port."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    log = tmp_path / "serve.log"
     with log.open("w") as fh:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "qfactory.cli", "serve", "--port", "0"],
+            [sys.executable, "-m", "qfactory.cli", "serve", "--port", "0", *argv],
             stdout=subprocess.DEVNULL, stderr=fh, env=dict(os.environ, PYTHONPATH=src),
         )
     try:
         text = _wait_for(log, "serving on")
-        port = int(text.split("serving on", 1)[1].split()[0].rsplit(":", 1)[1])
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-            peer_port = sock.getsockname()[1]
-        text = _wait_for(log, "session ended")
+        yield int(text.split("serving on", 1)[1].split()[0].rsplit(":", 1)[1])
     finally:
         proc.send_signal(signal.SIGINT)
         try:
@@ -204,15 +225,45 @@ def test_serve_logs_each_ended_session_to_stderr(tmp_path):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+
+
+def test_serve_logs_each_ended_session_to_stderr(tmp_path):
+    log = tmp_path / "serve.log"
+    with _serve_child(log) as port:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            peer_port = sock.getsockname()[1]
+        text = _wait_for(log, "session ended")
     ended = [line for line in text.splitlines() if line.startswith("session ended")]
     assert ended == [f"session ended: peer 127.0.0.1:{peer_port}, peer closed"]
 
 
-def test_endpoint_env_override(monkeypatch):
-    from qfactory import wire
+def test_run_commands_write_the_same_files_in_process_and_against_serve(capsys, tmp_path):
+    seed = "11"
+    commands = {
+        "run4": ["run4", "--runs", "4"],
+        "run4-rotated": ["run4", "--runs", "4", "--rotated"],
+        "run8": ["run8", "--runs", "3"],
+    }
 
-    monkeypatch.setenv(wire.ENDPOINT_ENV, "10.0.0.1:1234")
-    assert wire.endpoint_from_env() == ("10.0.0.1", 1234)
+    def run_all(where, *channel):
+        for name, argv in commands.items():
+            files = ["--out", str(tmp_path / f"{name}-{where}.json")]
+            if argv[0] == "run4":
+                files += ["--transcripts", str(tmp_path / f"{name}-{where}.jsonl")]
+            argv = [*argv, "--params", "toy-micro", "--seed", seed, *channel, *files]
+            assert cli.main(argv) == 0
+
+    run_all("local")
+    with _serve_child(tmp_path / "serve.log", "--seed", seed) as port:
+        run_all("tcp", "--endpoint", f"127.0.0.1:{port}")
+    for name, argv in commands.items():
+        suffixes = [".json", ".jsonl"] if argv[0] == "run4" else [".json"]
+        for suffix in suffixes:
+            local = (tmp_path / f"{name}-local{suffix}").read_bytes()
+            assert local == (tmp_path / f"{name}-tcp{suffix}").read_bytes(), (name, suffix)
+        if argv[0] == "run4":
+            rc, rep = _run(["replay", str(tmp_path / f"{name}-tcp.jsonl")], capsys)
+            assert rc == 0 and rep["verified_runs"] == 4 and rep["mismatches"] == []
 
 
 def _one_record_file(tmp_path, **changes):
@@ -275,7 +326,7 @@ def test_replay_with_a_mismatch_exits_1(capsys, tmp_path):
         ["run-verifiable", "--N", "0"],
         ["selftest", "--N", "0"],
         ["oracle-check", "--trials", "0"],
-        ["connect", "--runs", "0"],
+        ["run4", "--endpoint", "127.0.0.1:7801", "--runs", "0"],
         ["run4", "--runs", "two"],
     ],
 )
@@ -313,11 +364,11 @@ def test_connect_to_a_closed_port_is_one_stderr_line(capsys):
     with socket.socket() as sock:  # a port nobody listens on once it is closed
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
-    rc = cli.main(["connect", "--params", "toy-micro", "--endpoint", f"127.0.0.1:{port}"])
+    rc = cli.main(["run4", "--params", "toy-micro", "--endpoint", f"127.0.0.1:{port}"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"qfactory connect: 127.0.0.1:{port}: ")
+    assert captured.err.startswith(f"qfactory run4: 127.0.0.1:{port}: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
@@ -329,22 +380,13 @@ def _one_error_line(capsys, prefix):
     return captured.err
 
 
-@pytest.mark.parametrize("text", ["localhost:abc", "localhost:99999", "localhost:-5", "localhost:"])
-def test_a_bad_endpoint_in_the_environment_is_one_stderr_line(capsys, monkeypatch, text):
-    from qfactory import wire
-
-    monkeypatch.setenv(wire.ENDPOINT_ENV, text)
-    assert cli.main(["connect", "--params", "toy-micro"]) == 2
-    assert "[0, 65535]" in _one_error_line(capsys, f"qfactory connect: {text}: ")
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ["connect", "--endpoint", "127.0.0.1:99999"],
-        ["connect", "--endpoint", ":-5"],
-        ["connect", "--endpoint", "127.0.0.1:+80"],
-        ["connect", "--endpoint", "127.0.0.1: 80"],
+        ["run4", "--endpoint", "127.0.0.1:99999"],
+        ["run4", "--endpoint", ":-5"],
+        ["run4", "--endpoint", "127.0.0.1:+80"],
+        ["run4", "--endpoint", "127.0.0.1: 80"],
         ["serve", "--port", "99999"],
         ["serve", "--port", "-1"],
         ["serve", "--port", "0x50"],
