@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import abort, lwe, oracle, protocol4 as p4, protocol8 as p8, selftest as stt
+from . import abort, lwe, oracle, protocol4 as p4, selftest as stt
 from . import serde, transcripts, wire
 from .params import params_by_name
 from .seeds import derive_seed
@@ -26,11 +26,26 @@ from .stats import wilson_interval
 REPORT_VERSION = 1
 
 
+class CommandError(Exception):
+    """"<where>: <error>" of a failed socket, server or file the command uses;
+    `main` makes it one stderr line and exit 2."""
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError inside, as a CommandError that names `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise CommandError(f"{path}: {exc}") from exc
+
+
 def _emit(obj: dict, out: str | None):
     obj = {"report_version": REPORT_VERSION, **obj}
     text = json.dumps(obj, indent=2, sort_keys=True, default=str, allow_nan=False)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with _writing(out):
+            Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
 
@@ -69,7 +84,7 @@ def _by_rule(rule):
 
 
 _SHARED_OPTIONS = {
-    "--params": dict(default="toy", help="parameter preset name"),
+    "--params": dict(default="toy", type=_by_rule(params_by_name), help="parameter preset name"),
     "--seed": dict(type=int, default=0),
     "--backend": dict(default="twobranch", choices=["sv", "twobranch"]),
     "--endpoint": dict(type=_by_rule(wire.parse_endpoint), help="host:port of a qfactory serve"),
@@ -89,19 +104,17 @@ def _backend(name: str) -> str:
 
 
 def cmd_keygen(args) -> int:
-    params = params_by_name(args.params)
-    pk, td = lwe.gen(params, args.seed)
+    pk, td = lwe.gen(args.params, args.seed)
     _emit(json.loads(serde.keypair_to_json(pk, td)), args.out)
     return 0
 
 
-def _drive(args, run, fold) -> int:
+def _drive(args, run):
     """Runs 0..N-1 of master --seed over one channel: the in-process server
     session of --backend, or the `serve` at --endpoint, which reproduce each
-    other bit for bit.  `run(chan, params, seed, run_id)` gives a run's result
-    and `fold(run_id, result)` takes it as it arrives.  A socket or wire
-    failure is one stderr line and exit 2; 0 otherwise."""
-    params = params_by_name(args.params)
+    other bit for bit.  `run(chan, params, seed, run_id)` gives a run's result;
+    yields (run id, result) as each arrives.  A socket or wire failure is a
+    CommandError that names the server; the caller's loop body is not inside."""
     where = "{}:{}".format(*args.endpoint) if args.endpoint else "in-process server"
     try:
         if args.endpoint:
@@ -110,38 +123,33 @@ def _drive(args, run, fold) -> int:
             chan = wire.local_session(args.seed, _backend(args.backend))
         with contextlib.closing(chan):
             for run_id in range(args.runs):
-                fold(run_id, run(chan, params, args.seed, run_id))
+                yield run_id, run(chan, args.params, args.seed, run_id)
     except (OSError, wire.WireError) as exc:
-        print(f"qfactory {args.command}: {where}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        raise CommandError(f"{where}: {exc}") from exc
 
 
 def cmd_run4(args) -> int:
     variant = p4.ROTATED if args.rotated else p4.PLAIN
-    tally = {"accepted": 0, "B1": 0}
+    run = functools.partial(wire.run4_over_channel, variant=variant)
+    accepted = b1 = 0
     rows = []
-    writer = transcripts.TranscriptWriter(args.transcripts) if args.transcripts else None
-
-    def fold(run_id: int, res: p4.Protocol4Result):
-        tally["accepted"] += res.out.accepted == p4.TWO_PREIMAGES
-        tally["B1"] += res.out.B1
-        if len(rows) < 20:
-            rows.append({"run_id": run_id, "accepted": res.out.accepted})
-        if writer:
-            writer.append(transcripts.run4_record(res, run_id, args.seed))
-
-    with writer or contextlib.nullcontext():
-        failed = _drive(args, functools.partial(wire.run4_over_channel, variant=variant), fold)
-    if failed:
-        return failed
-    lo, hi = wilson_interval(tally["accepted"], args.runs)
+    with _writing(args.transcripts):
+        writer = transcripts.TranscriptWriter(args.transcripts) if args.transcripts else None
+        with writer or contextlib.nullcontext():
+            for run_id, res in _drive(args, run):
+                accepted += res.out.accepted == p4.TWO_PREIMAGES
+                b1 += res.out.B1
+                if len(rows) < 20:
+                    rows.append({"run_id": run_id, "accepted": res.out.accepted})
+                if writer:
+                    writer.append(transcripts.run4_record(res, run_id, args.seed))
+    lo, hi = wilson_interval(accepted, args.runs)
     _emit(
         {
             "runs": args.runs,
-            "accept_rate": tally["accepted"] / args.runs,
+            "accept_rate": accepted / args.runs,
             "accept_interval": [lo, hi],
-            "B1_bias": abs(tally["B1"] / args.runs - 0.5),
+            "B1_bias": abs(b1 / args.runs - 0.5),
             "rows": rows,
         },
         args.out,
@@ -151,23 +159,17 @@ def cmd_run4(args) -> int:
 
 def cmd_run8(args) -> int:
     counts = [0] * 8
-
-    def fold(run_id: int, res: p8.Protocol8Result):
+    for _, res in _drive(args, wire.run8_over_channel):
         if res.usable:
             counts[res.index.L] += 1
-
-    failed = _drive(args, wire.run8_over_channel, fold)
-    if failed:
-        return failed
     _emit({"runs": args.runs, "usable": sum(counts), "L_histogram": counts}, args.out)
     return 0
 
 
 def cmd_run_abort(args) -> int:
-    params = params_by_name(args.params)
-    p_a = args.p_a if args.p_a is not None else lwe.analytic_homomorphy(params)
+    p_a = args.p_a if args.p_a is not None else lwe.analytic_homomorphy(args.params)
     rate, _ = abort.simulate_honest_chunks(
-        params, args.t_c, args.n_c_chunks, args.p_c, derive_seed(args.seed, "abort")
+        args.params, args.t_c, args.n_c_chunks, args.p_c, derive_seed(args.seed, "abort")
     )
     bound = abort.chernoff_success_bound(p_a, args.p_c, args.t_c)
     _emit(
@@ -185,10 +187,9 @@ def cmd_run_abort(args) -> int:
 
 
 def cmd_run_verifiable(args) -> int:
-    params = params_by_name(args.params)
     try:
         res = stt.run_verifiable(
-            params,
+            args.params,
             N=args.N,
             f=args.fraction,
             eps2=args.eps2,
@@ -197,8 +198,7 @@ def cmd_run_verifiable(args) -> int:
             server=args.server,
         )
     except wire.WireError as exc:  # the in-process server refuses the key
-        print(f"qfactory run-verifiable: in-process server: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError(f"in-process server: {exc}") from exc
     _emit(
         {
             "accept": res.accept,
@@ -228,8 +228,7 @@ def cmd_selftest(args) -> int:
         try:
             strategy = _strategy_file(args.strategy)
         except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            print(f"qfactory selftest: bad strategy file {args.strategy}: {exc!r}", file=sys.stderr)
-            return 2
+            raise CommandError(f"bad strategy file {args.strategy}: {exc!r}") from exc
     else:
         strategy = stt.honest_strategy()
     res = stt.selftest_iid(strategy, N=args.N, eps2=args.eps2, seed=args.seed)
@@ -247,8 +246,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    params = params_by_name(args.params)
-    rep = oracle.oracle_check(params, trials=args.trials, seed=args.seed)
+    rep = oracle.oracle_check(args.params, trials=args.trials, seed=args.seed)
     _emit(rep.as_dict(), args.out)
     ok = (
         rep.invert_mismatches == 0
@@ -264,8 +262,7 @@ def cmd_serve(args) -> int:
             (args.host, args.port), master_seed=args.seed, backend=_backend(args.backend)
         )
     except OSError as exc:  # a busy port or an unresolvable host
-        print(f"qfactory serve: {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError(f"{args.host}:{args.port}: {exc}") from exc
     print(f"serving on {server.server_address[0]}:{server.server_address[1]}", file=sys.stderr)
     wire.log.addHandler(logging.StreamHandler(sys.stderr))
     wire.log.setLevel(logging.INFO)
@@ -280,8 +277,7 @@ def cmd_replay(args) -> int:
     try:
         rep = transcripts.replay(args.file)
     except (OSError, transcripts.TranscriptError) as exc:
-        print(f"qfactory replay: {args.file}: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError(f"{args.file}: {exc}") from exc
     _emit(
         {
             "records": rep.records,
@@ -360,7 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        print(f"qfactory {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -135,4 +135,4 @@ def params_by_name(name: str) -> ParamSet:
     }
     if name in presets:
         return presets[name]
-    raise KeyError(f"unknown parameter preset {name!r}")
+    raise ValueError(f"unknown parameter preset {name!r}, not one of {', '.join(presets)}")

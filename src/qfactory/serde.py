@@ -2,15 +2,16 @@
 
 Format version 2 writes each array as base64 of its bytes, shaped by the key's
 params: R as `np.packbits` of each row, every other array as little-endian
-int64.  Readers take only that exact text, format 2's exact field names at
-every object level, Z_q entries in [0, q) and zero pad bits, and raise
-ValueError on anything else, other versions and added fields included; nothing
-is reduced mod q.  The image y stays decimal strings (`int_strings`).
+int64.  Readers take only that exact text, format 2's exact schema
+(`check_shape`), Z_q entries in [0, q) and zero pad bits, and raise ValueError
+on anything else, other versions and added fields included; nothing is reduced
+mod q.  The image y stays decimal strings (`int_strings`).
 """
 
 from __future__ import annotations
 
 import binascii
+import contextlib
 import functools
 import json
 import struct
@@ -79,17 +80,19 @@ def params_to_obj(params: ParamSet) -> dict[str, Any]:
 
 
 def params_from_obj(obj: dict[str, Any]) -> ParamSet:
-    """The ParamSet of n, m, mu and mu_prime given as ints (not bools), q as
-    a decimal string and profile as a str; ValueError otherwise."""
-    dims = {name: obj[name] for name in ("n", "m", "mu", "mu_prime")}
-    if any(type(v) is not int for v in dims.values()):
-        raise ValueError(f"n, m, mu and mu_prime must be integers: {dims!r}")
-    q, profile = obj["q"], obj["profile"]
-    if not (isinstance(q, str) and q.isascii() and q.isdigit()):
+    """The ParamSet of a params object of exactly `PARAMS_SCHEMA` whose q is a
+    decimal string; ValueError otherwise."""
+    check_shape(obj, PARAMS_SCHEMA, "params")
+    return _params(obj)
+
+
+def _params(obj: dict[str, Any]) -> ParamSet:
+    """`params_from_obj` of an object of the checked shape."""
+    q = obj["q"]
+    if not (q.isascii() and q.isdigit()):
         raise ValueError(f"q must be a decimal string, not {q!r}")
-    if not isinstance(profile, str):
-        raise ValueError(f"profile must be a string, not {profile!r}")
-    return _param_set(q=int(q), profile=profile, **dims)
+    fields = {name: obj[name] for name in ("n", "m", "mu", "mu_prime", "profile")}
+    return _param_set(q=int(q), **fields)
 
 
 def _text(buf) -> str:
@@ -102,9 +105,9 @@ def _int64_text(values) -> str:
 
 
 def _raw(text, nbytes: int, name: str) -> bytes:
-    """The `nbytes` bytes of their base64 text exactly as `_text` writes it, else
+    """The `nbytes` bytes of their base64 str exactly as `_text` writes it, else
     ValueError: strict mode alone lets '=' follow a full group and pad bits vary."""
-    if not isinstance(text, str) or len(text) != 4 * -(-nbytes // 3):
+    if len(text) != 4 * -(-nbytes // 3):
         raise ValueError(f"{name} must be the base64 text of {nbytes} bytes")
     raw = binascii.a2b_base64(text, strict_mode=True)  # binascii.Error is a ValueError
     if len(raw) != nbytes or (nbytes % 3 and _text(raw[-(nbytes % 3) :]) != text[-4:]):
@@ -112,35 +115,49 @@ def _raw(text, nbytes: int, name: str) -> bytes:
     return raw
 
 
-# format 2's field names at each object level: a dict is a nested object, None
-# a leaf, and ... the trapdoor's gadget, an object or null that its reader checks
-_KEY_FIELDS = {
-    "version": None,
-    "k": {
-        "K": None,
-        "y0": None,
-        "params": dict.fromkeys(("n", "q", "m", "mu", "mu_prime", "profile")),
-    },
+# format 2's schemas, in `check_shape`'s terms; the wire's key message carries
+# KEY_SCHEMA itself
+PARAMS_SCHEMA = {"n": int, "q": str, "m": int, "mu": int, "mu_prime": int, "profile": str}
+KEY_SCHEMA = {"version": int, "k": {"K": str, "y0": str, "params": PARAMS_SCHEMA}}
+_GADGET_SCHEMA = {"R": str, "err_lo": str, "err_hi": str}
+_TRAPDOOR_SCHEMA = {
+    "version": int,
+    "t": {"gadget": (type(None), _GADGET_SCHEMA), "z0": {"s": str, "e": str}, "d0": int},
 }
-_TRAPDOOR_FIELDS = {
-    "version": None,
-    "t": {"gadget": ..., "z0": dict.fromkeys(("s", "e")), "d0": None},
-}
-_GADGET_FIELDS = dict.fromkeys(("R", "err_lo", "err_hi"))
 
 
-def _check_fields(obj, fields: dict) -> None:
-    """ValueError unless obj is an object with exactly the field names of
-    `fields` at every nested object; each leaf's type is its reader's check."""
-    if not isinstance(obj, dict) or obj.keys() != fields.keys():
-        raise ValueError(f"expected an object with exactly the fields {sorted(fields)}")
-    for name, sub in fields.items():
-        if isinstance(sub, dict):
-            _check_fields(obj[name], sub)
+def check_shape(obj, schema, name: str) -> None:
+    """ValueError, naming the path from `name`, unless `obj` has the shape of
+    `schema`: a dict is an object with exactly its fields, each of its entry's
+    shape; a type is a value of exactly that type (a bool is not an int); a
+    one-type list is a list of such values; a tuple is any one of its shapes,
+    the last one named in the error; any other callable is a rule that
+    returns whether the value passes.  Value rules stay with the readers."""
+    if isinstance(schema, type):
+        if type(obj) is not schema:
+            raise ValueError(f"{name} must be of type {schema.__name__}, not {type(obj).__name__}")
+    elif isinstance(schema, dict):
+        if not isinstance(obj, dict) or obj.keys() != schema.keys():
+            got = sorted(obj, key=str) if isinstance(obj, dict) else type(obj).__name__
+            raise ValueError(f"{name} must be an object of exactly {sorted(schema)}, not {got}")
+        for field, shape in schema.items():
+            if type(obj[field]) is not shape:  # else a leaf of exactly its type: passes
+                check_shape(obj[field], shape, f"{name}.{field}")
+    elif isinstance(schema, list):
+        if not isinstance(obj, list) or any(type(v) is not schema[0] for v in obj):
+            raise ValueError(f"{name} must be a list of {schema[0].__name__}")
+    elif isinstance(schema, tuple):
+        for shape in schema[:-1]:
+            with contextlib.suppress(ValueError):
+                return check_shape(obj, shape, name)
+        check_shape(obj, schema[-1], name)
+    elif not schema(obj):
+        raise ValueError(f"{name} fails the {schema.__name__} rule")
 
 
 def _check_version(obj: dict[str, Any], what: str) -> None:
-    if type(obj.get("version")) is not int or obj["version"] != FORMAT_VERSION:
+    # checked before the shape, so that an older format is named as such
+    if obj.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported {what} format version {obj.get('version')!r}")
 
 
@@ -152,12 +169,12 @@ def key_to_obj(pk: PublicKey) -> dict[str, Any]:
 
 
 def key_from_obj(obj: dict[str, Any]) -> PublicKey:
-    """The public key of a key object with exactly `_KEY_FIELDS` whose K
+    """The public key of a key object of exactly `KEY_SCHEMA` whose K
     (m x n) and y0 (m) entries are all in [0, q); ValueError otherwise,
     checked before the key is built."""
     _check_version(obj, "key")
-    _check_fields(obj, _KEY_FIELDS)
-    params = params_from_obj(obj["k"]["params"])
+    check_shape(obj, KEY_SCHEMA, "key")
+    params = _params(obj["k"]["params"])
     m, n = params.m, params.n
     # one reduction over K and y0, in unsigned form so that a negative entry is >= 2^63
     raw = _raw(obj["k"]["K"], 8 * m * n, "K") + _raw(obj["k"]["y0"], 8 * m, "y0")
@@ -179,14 +196,14 @@ def trapdoor_to_obj(td: Trapdoor) -> dict[str, Any]:
 
 
 def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
-    """The trapdoor of a trapdoor object with exactly format 2's fields, shaped
+    """The trapdoor of a trapdoor object of exactly format 2's schema, shaped
     for a key with `params`:
     a gadget exactly when m > n*ell_q, with R an (m - n*ell_q) x n*ell_q 0/1
     matrix and n*ell_q entries in each of err_lo and err_hi, a plant with n
     entries of s in [0, q) and m entries of e, and d0 in {0, 1}; ValueError
     otherwise."""
     _check_version(obj, "trapdoor")
-    _check_fields(obj, _TRAPDOOR_FIELDS)
+    check_shape(obj, _TRAPDOOR_SCHEMA, "trapdoor")
     t = obj["t"]
     w = params.n * params.ell_q
     m_bar = params.m - w
@@ -195,7 +212,6 @@ def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
     gadget = None
     if t["gadget"] is not None:
         gd, width = t["gadget"], -(-w // 8)
-        _check_fields(gd, _GADGET_FIELDS)
         raw = _raw(gd["R"], m_bar * width, "R")
         pad = (1 << (-w % 8)) - 1  # the pad bits at the end of each row of R
         if pad and any(last & pad for last in raw[width - 1 :: width]):

@@ -1,9 +1,12 @@
 """Client/server wire protocol: length-framed JSON messages over TCP.
 
 Framing is a 4-byte big-endian length followed by UTF-8 JSON.  Every message
-carries {version, kind, run_id, payload} and is schema-checked on both sides:
-no client-private field (accept bits, output indices, plants, trapdoors) may
-ever cross the wire.
+carries {version, kind, run_id, payload}, and its payload must have exactly
+its kind's nested schema (`KIND_SCHEMAS`, checked by `serde.check_shape`, the
+rule the key and trapdoor readers use): every field name at every level and
+the exact type of every leaf.  No schema names a client-private field
+(`PRIVATE_FIELDS`: accept bits, output indices, plants, trapdoors), so none
+can cross the wire.
 
 One client engine and one honest server session serve every transport:
 `run_protocol4` / `run_protocol8` are run 0 of a `LocalChannel` session, and
@@ -20,12 +23,12 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import socket
 import socketserver
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Any
 
 from . import lwe, protocol4 as p4, protocol8 as p8, serde, seeds
 from .params import ParamSet
@@ -38,33 +41,31 @@ MAX_FRAME = 1 << 20
 # one line per ended server session: the peer and why it ended, no payload values
 log = logging.getLogger("qfactory.wire")
 
+_RUN_ID = re.compile(r"0|-?[1-9][0-9]*")  # a run id as `str(run_id)` writes it
+
+
+def _run_ids_to_ints(results) -> bool:
+    """The test results rule: an object from run ids, as str writes them, to ints."""
+    return isinstance(results, dict) and all(
+        type(k) is str and _RUN_ID.fullmatch(k) and type(v) is int for k, v in results.items()
+    )
+
+
+# each kind's payload, in `serde.check_shape`'s terms; a merge request is empty
 KIND_SCHEMAS = {
-    "key": {"key", "variant"},
-    "image": {"y"},
-    "meas": {"b"},
-    "merge": {"s1", "s2"},
-    "test_plan": {"indices", "measurements"},
-    "test_results": {"results"},
+    "key": {"key": serde.KEY_SCHEMA, "variant": str},
+    "image": {"y": [str]},
+    "meas": {"b": str},
+    "merge": ({}, {"s1": int, "s2": int}),
+    "test_plan": {"indices": [int], "measurements": [int]},
+    "test_results": {"results": _run_ids_to_ints},
 }
 
-# field names that must never appear anywhere in a wire message
-PRIVATE_FIELDS = {
-    "a",
-    "accept",
-    "accepted",
-    "abort",
-    "B",
-    "B1",
-    "B2",
-    "B1p",
-    "B2p",
-    "L",
-    "d0",
-    "trapdoor",
-    "z0",
-    "gadget",
-    "family",
-}
+# field names that no schema may name (a tier-1 test walks KIND_SCHEMAS): accept
+# bits, output indices, plants and trapdoors
+PRIVATE_FIELDS = frozenset(
+    "a accept accepted abort B B1 B2 B1p B2p L d0 trapdoor z0 gadget family".split()
+)
 
 
 class WireError(Exception):
@@ -100,32 +101,19 @@ class WireMessage:
         return msg
 
 
-def _scan_private(node: Any, path: str):
-    if isinstance(node, dict):
-        for key, val in node.items():
-            if key in PRIVATE_FIELDS:
-                raise WireError(f"private field {key!r} at {path}")
-            _scan_private(val, f"{path}.{key}")
-    elif isinstance(node, (list, tuple)):
-        for i, val in enumerate(node):
-            _scan_private(val, f"{path}[{i}]")
-
-
 def validate_message(msg: WireMessage):
     """Exact types (no bool for an int, nothing coerced), a known kind and
-    version, the kind's payload fields only, and no private field."""
+    version, and a payload of exactly its kind's schema."""
     if type(msg.version) is not int or msg.version != WIRE_VERSION:
         raise WireError(f"unsupported version {msg.version!r}")
     if not isinstance(msg.kind, str) or msg.kind not in KIND_SCHEMAS:
         raise WireError(f"unknown kind {msg.kind!r}")
     if type(msg.run_id) is not int:
         raise WireError(f"run id {msg.run_id!r} is not an integer")
-    if not isinstance(msg.payload, dict):
-        raise WireError("payload must be an object")
-    extra = set(msg.payload) - KIND_SCHEMAS[msg.kind]
-    if extra:
-        raise WireError(f"unexpected payload fields {sorted(extra)}")
-    _scan_private(msg.payload, msg.kind)
+    try:
+        serde.check_shape(msg.payload, KIND_SCHEMAS[msg.kind], "payload")
+    except ValueError as exc:
+        raise WireError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +175,11 @@ class ServerSession:
         validate_message(msg)
         if msg.kind == "key":
             try:
-                variant = p4.check_variant(msg.payload.get("variant"))
+                variant = p4.check_variant(msg.payload["variant"])
                 self._check_new(msg.run_id, variant)  # before the simulation
-                key_msg = p4.KeyMessage(pk=_decode_key(msg.payload.get("key")), variant=variant)
+                pk = serde.key_from_obj(msg.payload["key"])
+                lwe.check_register(pk.params)  # the simulation envelope
+                key_msg = p4.KeyMessage(pk=pk, variant=variant)
                 seed = run_seed(self.master_seed, msg.run_id, variant)
                 reply = p4.server_honest(key_msg, self.backend, seed)
             except ValueError as exc:
@@ -244,33 +234,16 @@ class ServerSession:
         return held
 
 
-def _decode_key(obj) -> lwe.PublicKey:
-    """A key message's public key, inside the server's simulation envelope."""
-    if not isinstance(obj, dict):
-        raise WireError("key message needs a key object")
-    try:
-        pk = serde.key_from_obj(obj)
-        lwe.check_register(pk.params)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"unusable key: {exc!r}") from exc
-    return pk
-
-
 def _test_plan(payload: dict) -> list[tuple[int, int]]:
     """(run id, measurement index in [0, 8)) pairs of a test plan, one per run."""
-    indices, measurements = payload.get("indices"), payload.get("measurements")
-    if not (isinstance(indices, list) and isinstance(measurements, list)):
-        raise WireError("test plan needs the lists indices and measurements")
+    indices, measurements = payload["indices"], payload["measurements"]
     if len(indices) != len(measurements):
         raise WireError("test plan lists differ in length")
-    pairs = []
-    for key, m_idx in zip(indices, measurements):
-        if type(key) is not int or type(m_idx) is not int or not 0 <= m_idx < 8:
-            raise WireError(f"test plan entry ({key!r}, {m_idx!r}) is not (run id, index < 8)")
-        pairs.append((key, m_idx))
-    if len({key for key, _ in pairs}) != len(pairs):
+    if not all(0 <= m_idx < 8 for m_idx in measurements):
+        raise WireError(f"test plan measurements {measurements} are not all indices < 8")
+    if len(set(indices)) != len(indices):
         raise WireError("test plan names a run more than once")
-    return pairs
+    return list(zip(indices, measurements))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +303,7 @@ def run4_over_channel(
     def exchange(key_msg: p4.KeyMessage) -> p4.StrategyReply:
         """The server's image y and record b, accepted only in canonical form,
         with the held state if the channel hands one over."""
-        pk_obj = serde.key_to_obj(key_msg.pk)
-        payload = {"key": pk_obj, "variant": key_msg.variant}
+        payload = {"key": serde.key_to_obj(key_msg.pk), "variant": key_msg.variant}
         chan.send(WireMessage("key", run_id, payload))
         image, meas = chan.recv(), chan.recv()
         if image.kind != "image" or meas.kind != "meas":

@@ -278,6 +278,44 @@ def _one_record_file(tmp_path, **changes):
     return path
 
 
+_SMALL_RUNS = {
+    "keygen": ["keygen", "--params", "toy-micro"],
+    "run4": ["run4", "--params", "toy-micro", "--runs", "2"],
+    "run8": ["run8", "--params", "toy-micro", "--runs", "1"],
+    "run-abort": ["run-abort", "--params", "toy-micro", "--t_c", "4", "--n_c", "2"],
+    "run-verifiable": ["run-verifiable", "--params", "toy-micro", "--N", "2"],
+    "selftest": ["selftest", "--N", "10"],
+    "oracle-check": ["oracle-check", "--params", "toy-micro", "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("command", [*_SMALL_RUNS, "replay"])
+def test_an_out_path_that_cannot_be_opened_is_one_stderr_line(capsys, tmp_path, command):
+    argv = _SMALL_RUNS.get(command) or ["replay", str(_one_record_file(tmp_path))]
+    out = tmp_path / "missing-dir" / "report.json"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    _one_error_line(capsys, f"qfactory {command}: {out}: ")
+    assert not out.parent.exists()
+
+
+def test_a_transcripts_path_that_cannot_be_opened_is_one_stderr_line(capsys, tmp_path):
+    path = tmp_path / "missing-dir" / "t.jsonl"
+    assert cli.main([*_SMALL_RUNS["run4"], "--transcripts", str(path)]) == 2
+    _one_error_line(capsys, f"qfactory run4: {path}: ")
+
+
+def test_a_failed_transcript_append_names_the_file_not_the_server(capsys, tmp_path, monkeypatch):
+    from qfactory import transcripts
+
+    def full(self, body):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(transcripts.TranscriptWriter, "append", full)
+    path = tmp_path / "t.jsonl"
+    assert cli.main([*_SMALL_RUNS["run4"], "--transcripts", str(path)]) == 2
+    _one_error_line(capsys, f"qfactory run4: {path}: [Errno 28] No space left on device")
+
+
 @pytest.mark.parametrize("case", ["missing", "chain-break", "non-object-line", "unknown-kind"])
 def test_replay_of_an_unreadable_file_is_a_usage_error(capsys, tmp_path, case):
     path = _one_record_file(tmp_path, **({"kind": "run9"} if case == "unknown-kind" else {}))
@@ -328,6 +366,12 @@ def test_replay_with_a_mismatch_exits_1(capsys, tmp_path):
         ["oracle-check", "--trials", "0"],
         ["run4", "--endpoint", "127.0.0.1:7801", "--runs", "0"],
         ["run4", "--runs", "two"],
+        ["keygen", "--params", "nope"],
+        ["run4", "--params", "nope"],
+        ["run8", "--params", "nope"],
+        ["run-abort", "--params", "nope"],
+        ["run-verifiable", "--params", "TOY"],
+        ["oracle-check", "--params", ""],
     ],
 )
 def test_an_out_of_range_count_or_fraction_is_a_usage_error(capsys, argv):

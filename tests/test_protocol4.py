@@ -1,9 +1,11 @@
 """Protocol tests for the 4-states run: formulas against the statevector oracle."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from qfactory import lwe, protocol4 as p4, protocol8 as p8
+from qfactory import lwe, protocol4 as p4, protocol8 as p8, wire
 from qfactory.params import TOY_GADGET, TOY_MICRO, TOY_REG, TOY_WIDE, params_by_name, toy_params
 from qfactory.seeds import derive_seed
 from qfactory.sim import (
@@ -156,6 +158,45 @@ def test_strategy_image_outside_range_is_rejected():
     for bad_y in ((y[0] + TOY_MICRO.q,) + y[1:], (-1,) + y[1:], y[:-1], y + (0,)):
         with pytest.raises(ValueError):
             p4.run_protocol4(TOY_MICRO, 3, strategy=p4.fixed_reply_strategy(bad_y, b))
+
+
+def _client_checks(monkeypatch) -> list:
+    """The (rule, calling function) of every image and bit rule call made from
+    the client engine's modules, protocol4 and wire, from now on; calls from
+    the simulator and lwe's own helpers are not the client's."""
+    calls = []
+
+    def counted(name):
+        rule = getattr(lwe, name)
+
+        def call(*args):
+            caller = sys._getframe(1)
+            if caller.f_globals["__name__"] in ("qfactory.protocol4", "qfactory.wire"):
+                calls.append((name, caller.f_code.co_name))
+            return rule(*args)
+
+        return call
+
+    for name in ("check_image", "check_bits"):
+        monkeypatch.setattr(lwe, name, counted(name))
+    return calls
+
+
+def test_a_run_checks_y_and_b_at_its_reply_edge_and_in_finalize_only(monkeypatch):
+    calls = _client_checks(monkeypatch)
+    wire.run4_over_channel(wire.local_session(3), TOY_MICRO, 3, 0)
+    # the wire edge reads y and b with the serde readers
+    assert calls == [("check_image", "finalize"), ("check_bits", "finalize")]
+    honest = p4.run_protocol4(TOY_MICRO, 3).transcript
+    calls.clear()
+    p4.run_protocol4(TOY_MICRO, 3, strategy=p4.fixed_reply_strategy(honest.y, honest.b))
+    # the strategy edge applies the rules, and finalize applies them again
+    assert calls == [
+        ("check_image", "exchange"),
+        ("check_bits", "exchange"),
+        ("check_image", "finalize"),
+        ("check_bits", "finalize"),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,92 @@ def test_key_payload_rejects_a_hardcore_tag():
         wire.ServerSession(master_seed=1).handle(wire.WireMessage("key", 0, payload))
 
 
+def _schema_field_names(schema) -> set:
+    """Every field name a `serde.check_shape` schema names, at any depth."""
+    if isinstance(schema, dict):
+        return set(schema).union(*map(_schema_field_names, schema.values()))
+    if isinstance(schema, (list, tuple)):
+        return set().union(*map(_schema_field_names, schema))
+    return set()
+
+
+def test_no_kind_schema_names_a_private_field():
+    names = _schema_field_names(wire.KIND_SCHEMAS)
+    assert {"key", "k", "params", "y", "b", "s1", "results"} <= names
+    assert names & wire.PRIVATE_FIELDS == set()
+
+
+def test_the_key_kind_carries_serdes_key_schema_itself():
+    assert wire.KIND_SCHEMAS["key"]["key"] is serde.KEY_SCHEMA
+
+
+class _CheckedChannel(wire.LocalChannel):
+    """A local session that validates every message it carries, both ways,
+    and records their kinds."""
+
+    def __init__(self, master, backend):
+        super().__init__(wire.ServerSession(master_seed=master, backend=backend))
+        self.kinds = []
+
+    def send(self, msg):
+        wire.validate_message(msg)
+        self.kinds.append(msg.kind)
+        super().send(msg)
+
+    def recv(self):
+        msg = super().recv()
+        wire.validate_message(msg)
+        self.kinds.append(msg.kind)
+        return msg
+
+
+@pytest.mark.parametrize("backend", ["two_branch", "statevector"])
+def test_every_message_of_a_run_validates(backend):
+    chan = _CheckedChannel(5, backend)
+    wire.run8_over_channel(chan, TOY_MICRO, 5, -1)
+    wire.run4_over_channel(chan, TOY_MICRO, 5, 1, p4.ROTATED)
+    chan.send(wire.WireMessage("test_plan", 0, {"indices": [-1], "measurements": [3]}))
+    chan.recv()
+    assert chan.kinds == [
+        *(["key", "image", "meas"] * 2),
+        "merge",
+        "merge",
+        *["key", "image", "meas"],
+        "test_plan",
+        "test_results",
+    ]
+
+
+@pytest.mark.parametrize(
+    "run_id, ok",
+    [("0", True), ("-1", True), ("17", True), ("B1", False), ("01", False), ("+1", False),
+     (" 1", False), ("-0", False), ("1 ", False), ("", False)],
+)
+def test_test_results_keys_are_run_ids_as_str_writes_them(run_id, ok):
+    msg = wire.WireMessage("test_results", 0, {"results": {run_id: 1}})
+    if ok:
+        wire.validate_message(msg)
+    else:
+        with pytest.raises(wire.WireError):
+            wire.validate_message(msg)
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("merge", {"s1": True, "s2": 0}),
+        ("image", {"y": [1]}),
+        ("meas", {"b": 101}),
+        ("test_plan", {"indices": [False], "measurements": [3]}),
+        ("test_results", {"results": {"0": True}}),
+    ],
+    ids=["bool-for-int", "int-for-str", "int-record", "bool-run-id", "bool-result"],
+)
+def test_a_leaf_of_the_wrong_type_is_a_wire_error(kind, payload):
+    with pytest.raises(wire.WireError, match="must be of type|must be a list of|rule"):
+        wire.validate_message(wire.WireMessage(kind, 0, payload))
+
+
 def test_version_mismatch_rejected():
     with pytest.raises(wire.WireError):
         wire.WireMessage.from_obj(
