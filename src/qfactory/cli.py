@@ -25,6 +25,12 @@ from .stats import wilson_interval
 
 REPORT_VERSION = 1
 
+# run-verifiable --server NAME: the strategy whose Born table answers the tests
+SERVERS = {
+    "honest": stt.honest_strategy,
+    "shift": functools.partial(stt.shifted_strategy, np.pi / 4),
+}
+
 
 class CommandError(Exception):
     """"<where>: <error>" of a failed socket, server or file the command uses;
@@ -195,7 +201,7 @@ def cmd_run_verifiable(args) -> int:
             eps2=args.eps2,
             seed=args.seed,
             backend=_backend(args.backend),
-            server=args.server,
+            strategy=SERVERS[args.server](),
         )
     except wire.WireError as exc:  # the in-process server refuses the key
         raise CommandError(f"in-process server: {exc}") from exc
@@ -246,6 +252,8 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if not lwe.enumerable(args.params):
+        raise CommandError("--params: domain too large for exhaustive enumeration")
     rep = oracle.oracle_check(args.params, trials=args.trials, seed=args.seed)
     _emit(rep.as_dict(), args.out)
     ok = (
@@ -325,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=_positive_int, default=400)
     sp.add_argument("--fraction", type=_fraction("(0, 1)"), default=0.5)
     sp.add_argument("--eps2", type=_fraction("(0, 1)"), default=0.05)
-    sp.add_argument("--server", default="honest", choices=["honest", "shift"])
+    sp.add_argument("--server", default="honest", choices=list(SERVERS))
     sp.set_defaults(func=cmd_run_verifiable)
 
     sp = sub.add_parser("selftest", help="iid blind self-testing of a strategy file")

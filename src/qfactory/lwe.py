@@ -525,11 +525,16 @@ def exhaustive_preimages(pk: PublicKey, y) -> tuple[DomainElement, ...]:
     return tuple(exhaustive_image_map(pk).get(check_image(pk.params, y), ()))
 
 
+def enumerable(params: ParamSet) -> bool:
+    """Whether `exhaustive_image_map` can enumerate the domain of params."""
+    return domain_size(params) <= 1 << _ENUM_CAP_BITS
+
+
 def exhaustive_image_map(pk: PublicKey) -> dict[tuple[int, ...], list[DomainElement]]:
     """Full image -> preimage-list table by forward enumeration, each list in
     ascending `encode_int` order."""
     params = pk.params
-    if domain_size(params) > 1 << _ENUM_CAP_BITS:
+    if not enumerable(params):
         raise ValueError("domain too large for exhaustive enumeration")
     table: dict[tuple[int, ...], list[DomainElement]] = {}
     for x in iter_domain(params):

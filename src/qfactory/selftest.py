@@ -63,10 +63,13 @@ def plan_tests(N: int, f: float, seed: int) -> TestPlan:
 class StatsTable:
     cells: dict = field(default_factory=dict)  # (L, M) -> [count, plus-count]
 
-    def add(self, L: int, M: int, outcome_plus: bool):
-        cell = self.cells.setdefault((L, M), [0, 0])
-        cell[0] += 1
-        cell[1] += int(outcome_plus)
+    @classmethod
+    def from_samples(cls, Ls, Ms, pluses) -> StatsTable:
+        """Cells of samples (Ls[i], Ms[i], pluses[i]), keys and counts as Python ints."""
+        cell_idx = np.asarray(Ls, dtype=np.int64) * 8 + np.asarray(Ms, dtype=np.int64)
+        counts = np.bincount(cell_idx, minlength=64)
+        plus = np.bincount(cell_idx, weights=np.asarray(pluses, dtype=bool), minlength=64)
+        return cls({divmod(c, 8): [int(counts[c]), int(plus[c])] for c in range(64) if counts[c]})
 
     def total(self) -> int:
         return sum(c for c, _ in self.cells.values())
@@ -98,11 +101,11 @@ def collect_and_check(
     outcomes maps test index -> bool (the + result).  Abort iff a difference
     class with at least min_count samples strays eps2 or more from ideal.
     """
-    table = StatsTable()
-    for idx in plan.test_indices:
-        if idx not in outcomes:
-            raise ValueError(f"missing outcome for test index {idx}")
-        table.add(int(L_indices[idx]), plan.measurements[idx], bool(outcomes[idx]))
+    tests = plan.test_indices
+    if missing := set(tests) - outcomes.keys():
+        raise ValueError(f"missing outcome for test index {min(missing)}")
+    Ms = [plan.measurements[i] for i in tests]
+    table = StatsTable.from_samples([L_indices[i] for i in tests], Ms, [outcomes[i] for i in tests])
     return table.accepts(eps2, min_count), table
 
 
@@ -124,12 +127,12 @@ class Strategy:
             raise ValueError("need eight states and eight matching observables")
         d = states.shape[1]
         for i in range(8):
-            if abs(np.linalg.norm(states[i]) - 1) > 1e-9:
+            if not abs(np.linalg.norm(states[i]) - 1) <= 1e-9:
                 raise ValueError(f"state {i} not normalized")
             O = obs[i]
-            if np.linalg.norm(O - O.conj().T) > 1e-9:
+            if not np.linalg.norm(O - O.conj().T) <= 1e-9:
                 raise ValueError(f"observable {i} not Hermitian")
-            if np.linalg.norm(O @ O - np.eye(d)) > 1e-9:
+            if not np.linalg.norm(O @ O - np.eye(d)) <= 1e-9:
                 raise ValueError(f"observable {i} not an involution")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "observables", obs)
@@ -143,6 +146,10 @@ class Strategy:
         O = self.observables[M]
         val = (psi.conj() @ O @ psi).real
         return float((1 + val) / 2)
+
+    def born_table(self) -> np.ndarray:
+        """born_plus(L, M) as an 8 x 8 array, row L and column M."""
+        return np.array([[self.born_plus(L, M) for M in range(8)] for L in range(8)])
 
 
 def _pauli_xy(theta: float) -> np.ndarray:
@@ -268,10 +275,7 @@ def isometry_result(strategy: Strategy) -> IsometryResult:
         fids.append(float(abs(np.vdot(ideal, normed)) ** 2))
         norms.append(norm)
         junks.append(np.einsum("qj,qk->jk", normed, normed.conj()))
-    max_dist = 0.0
-    for i in range(8):
-        for j in range(i + 1, 8):
-            max_dist = max(max_dist, trace_distance(junks[i], junks[j]))
+    max_dist = max(trace_distance(junks[i], junks[j]) for i in range(8) for j in range(i + 1, 8))
     return IsometryResult(
         fidelities=tuple(fids), norms=tuple(norms), junk=tuple(junks), max_junk_distance=max_dist
     )
@@ -291,10 +295,6 @@ def blindness_check(strategy: Strategy, eps1: float) -> tuple[bool, float]:
         rhos.append(np.outer(psi, psi.conj()) + np.outer(psi2, psi2.conj()))
     worst = max(trace_distance(rhos[i], rhos[j]) for i in range(8) for j in range(i + 1, 8))
     return worst <= eps1, worst
-
-
-def junk_independence(result: IsometryResult) -> float:
-    return result.max_junk_distance
 
 
 def gram_rank(strategy: Strategy, tol: float = 1e-6) -> int:
@@ -322,18 +322,9 @@ def selftest_iid(
     rng = seeds.rng(derive_seed(seed, "selftest"))
     Ls = rng.integers(0, 8, size=N)
     Ms = rng.integers(0, 8, size=N)
-    born = np.array([[strategy.born_plus(L, M) for M in range(8)] for L in range(8)])
-    draws = rng.random(N) < born[Ls, Ms]
-    table = StatsTable()
-    cell_idx = Ls * 8 + Ms
-    counts = np.bincount(cell_idx, minlength=64)
-    pluses = np.bincount(cell_idx, weights=draws.astype(np.int64), minlength=64)
-    for cell in range(64):
-        if counts[cell]:
-            table.cells[(cell // 8, cell % 8)] = [int(counts[cell]), int(pluses[cell])]
+    table = StatsTable.from_samples(Ls, Ms, rng.random(N) < strategy.born_table()[Ls, Ms])
     accept = table.accepts(eps2, min_count)
-    iso = isometry_result(strategy) if accept else None
-    return SelfTestResult(accept=accept, table=table, isometry=iso)
+    return SelfTestResult(accept, table, isometry_result(strategy) if accept else None)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +347,17 @@ def run_verifiable(
     eps2: float,
     seed: int,
     backend: str = "two_branch",
-    server: str = "honest",
+    strategy: Strategy = honest_strategy(),
     min_count: int = 30,
 ) -> VerifiableResult:
     """N usable 8-state preparations, a random test fraction, and the decision.
 
     The client skips unusable preparations (a client-private classification);
-    `attempts` records how many raw runs that took.  A `shift` server measures
-    every test qubit one index off, which the statistics must catch.
+    `attempts` records how many raw runs that took.  Each test outcome is
+    drawn from `strategy`'s Born table at the run's L and the test's M, so
+    `shifted_strategy(pi / 4)`, which measures every test qubit one index
+    off, is a server the statistics must catch.
     """
-    if server not in ("honest", "shift"):
-        raise ValueError(f"unknown server behavior {server!r}")
     runs = []
     attempts = 0
     while len(runs) < N:
@@ -379,16 +370,12 @@ def run_verifiable(
     Ls = [r.index.L for r in runs]
     plan = plan_tests(N, f, derive_seed(seed, "vplan"))
     rng = seeds.rng(derive_seed(seed, "voutcomes"))
-    outcomes = {}
-    for idx in plan.test_indices:
-        M = plan.measurements[idx]
-        M_eff = (M + 1) % 8 if server == "shift" else M
-        outcomes[idx] = bool(rng.random() < ideal_prob(Ls[idx], M_eff))
-    accept, table = collect_and_check(plan, Ls, outcomes, eps2, min_count=min_count)
+    born = strategy.born_table()
+    tests = plan.test_indices
+    draws = rng.random(len(tests)) < [born[Ls[i], plan.measurements[i]] for i in tests]
+    accept, table = collect_and_check(plan, Ls, dict(zip(tests, draws)), eps2, min_count=min_count)
     kept = [i for i in range(N) if i not in plan.measurements]
-    fids = tuple(
-        fidelity(runs[i].held, QubitDescription.eight(Ls[i])) for i in kept
-    )
+    fids = tuple(fidelity(runs[i].held, QubitDescription.eight(Ls[i])) for i in kept)
     return VerifiableResult(
         accept=accept,
         table=table,

@@ -212,7 +212,7 @@ def test_criterion_08_isometry_theorem():
     for st in strategies.values():
         res = stt.isometry_result(st)
         worst_fid = min(worst_fid, min(res.fidelities))
-        worst_junk = max(worst_junk, stt.junk_independence(res))
+        worst_junk = max(worst_junk, res.max_junk_distance)
     ok = worst_fid >= FIDELITY_TOL and worst_junk <= 1e-9
     _verdict(
         8,

@@ -160,6 +160,48 @@ def test_selftest_bad_strategy_file_is_a_usage_error(capsys, tmp_path, content):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_selftest_strategy_file_with_a_nan_is_a_usage_error(capsys, tmp_path):
+    from qfactory import selftest as stt
+
+    st = stt.honest_strategy()
+    states = [[[v.real, v.imag] for v in row] for row in st.states]
+    states[3][1][0] = float("nan")  # json.dumps writes the literal NaN
+    obj = {
+        "states": states,
+        "observables": [[[[v.real, v.imag] for v in row] for row in mat] for mat in st.observables],
+    }
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(obj))
+    assert "NaN" in path.read_text()
+    assert cli.main(["selftest", "--strategy", str(path), "--N", "10"]) == 2
+    _one_error_line(capsys, f"qfactory selftest: bad strategy file {path}: ")
+
+
+@pytest.mark.parametrize("server, shift", [("honest", 0), ("shift", 1)])
+def test_run_verifiable_server_names_the_strategy(capsys, monkeypatch, server, shift):
+    import numpy as np
+
+    from qfactory import selftest as stt
+
+    seen = []
+
+    def fake(*args, strategy, **kwargs):
+        seen.append(strategy)
+        return stt.VerifiableResult(True, stt.StatsTable(), (), (), 0)
+
+    monkeypatch.setattr(stt, "run_verifiable", fake)
+    rc, obj = _run(["run-verifiable", "--server", server], capsys)
+    assert rc == 0 and obj["accept"] is True
+    want = [[stt.ideal_prob(L, M + shift) for M in range(8)] for L in range(8)]
+    assert np.max(np.abs(seen[0].born_table() - want)) <= 1e-15
+
+
+def test_oracle_check_on_a_domain_too_large_to_enumerate_is_a_usage_error(capsys):
+    assert cli.main(["oracle-check", "--params", "paper"]) == 2
+    err = _one_error_line(capsys, "qfactory oracle-check: --params: ")
+    assert "too large for exhaustive enumeration" in err
+
+
 def test_oracle_check(capsys):
     rc, rep = _run(
         ["oracle-check", "--params", "toy-micro", "--seed", "7", "--trials", "120"], capsys

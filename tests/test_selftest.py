@@ -65,6 +65,20 @@ def test_collect_and_check_skips_thin_cells():
     assert accept  # the single lonely sample is below min_count
 
 
+def test_collect_and_check_names_a_missing_outcome():
+    plan = stt.TestPlan(N=3, fraction=0.5, test_indices=(0, 2), measurements={0: 1, 2: 5})
+    with pytest.raises(ValueError, match="missing outcome for test index 2"):
+        stt.collect_and_check(plan, [0, 0, 0], {0: True}, eps2=0.05)
+
+
+def test_from_samples_keys_and_counts_are_python_ints():
+    Ls = np.array([1, 1, 2, 7], dtype=np.int64)
+    Ms = np.array([3, 3, 0, 7], dtype=np.int64)
+    table = stt.StatsTable.from_samples(Ls, Ms, np.array([True, False, True, True]))
+    assert table.cells == {(1, 3): [2, 1], (2, 0): [1, 1], (7, 7): [1, 1]}
+    assert all(type(v) is int for key, cell in table.cells.items() for v in (*key, *cell))
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -80,6 +94,33 @@ def test_strategy_validation():
     bad_obs[1] = bad_obs[1] * 0.5
     with pytest.raises(ValueError):
         stt.Strategy(states=st.states, observables=bad_obs)
+
+
+@pytest.mark.parametrize("where", ["state", "observable"])
+def test_strategy_rejects_nan(where):
+    st = stt.honest_strategy()
+    states, obs = st.states.copy(), st.observables.copy()
+    if where == "state":
+        states[2, 0] = np.nan
+    else:
+        obs[5, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        stt.Strategy(states=states, observables=obs)
+
+
+def _ideal_table(shift):
+    return np.array([[stt.ideal_prob(L, M + shift) for M in range(8)] for L in range(8)])
+
+
+def test_honest_born_table_is_ideal_prob():
+    born = stt.honest_strategy().born_table()
+    assert born.shape == (8, 8)
+    assert np.max(np.abs(born - _ideal_table(0))) <= 1e-15
+
+
+def test_quarter_turn_shifted_born_table_is_ideal_prob_one_index_off():
+    born = stt.shifted_strategy(math.pi / 4).born_table()
+    assert np.max(np.abs(born - _ideal_table(1))) <= 1e-15
 
 
 def test_honest_statistics_exact():
@@ -130,7 +171,7 @@ def test_isometry_conjugation_covariance(dim):
     U, _ = np.linalg.qr(A)
     res = stt.isometry_result(stt.conjugated_strategy(U))
     assert min(res.fidelities) >= 1 - 1e-9
-    assert stt.junk_independence(res) <= 1e-9
+    assert res.max_junk_distance <= 1e-9
 
 
 def test_gram_rank_two_for_exact_strategies():
@@ -166,7 +207,7 @@ def test_blindness_fails_for_leaky_strategy():
     assert not ok
     assert worst > 0.5
     res = stt.isometry_result(st)
-    assert stt.junk_independence(res) > 0.5
+    assert res.max_junk_distance > 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +247,8 @@ def test_run_verifiable_honest_accepts_and_holds_ideal_states():
 
 
 def test_run_verifiable_shifted_server_aborts():
-    res = stt.run_verifiable(TOY_MICRO, N=2000, f=0.9, eps2=0.05, seed=15, server="shift")
+    shifted = stt.shifted_strategy(math.pi / 4)
+    res = stt.run_verifiable(TOY_MICRO, N=2000, f=0.9, eps2=0.05, seed=15, strategy=shifted)
     assert not res.accept
 
 
