@@ -48,9 +48,6 @@ class DomainElement:
     d: int
     c: int | None = None
 
-    def drop_c(self) -> "DomainElement":
-        return DomainElement(self.s, self.e, self.d, None)
-
 
 @dataclass(frozen=True)
 class GadgetData:
@@ -513,16 +510,9 @@ def iter_domain(params: ParamSet, include_c: bool = True) -> Iterator[DomainElem
                     yield DomainElement(s, e, d, None)
 
 
-def domain_size(params: ParamSet, include_c: bool = True) -> int:
+def domain_size(params: ParamSet) -> int:
     lo, hi = e_range(params)
-    size = (params.q**params.n) * ((hi - lo + 1) ** params.m) * 2
-    return size * 2 if include_c else size
-
-
-def exhaustive_preimages(pk: PublicKey, y) -> tuple[DomainElement, ...]:
-    """Brute-force preimage set of y; the oracle invert() is checked against.
-    ValueError unless y follows `check_image`."""
-    return tuple(exhaustive_image_map(pk).get(check_image(pk.params, y), ()))
+    return (params.q**params.n) * ((hi - lo + 1) ** params.m) * 4  # times 2 for d, 2 for c
 
 
 def enumerable(params: ParamSet) -> bool:

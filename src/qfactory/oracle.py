@@ -35,8 +35,8 @@ class OracleReport:
         return asdict(self)
 
 
-def _invert_vs_enumeration(pk, td) -> tuple[int, int]:
-    table = lwe.exhaustive_image_map(pk)
+def _invert_vs_enumeration(pk, td, table) -> tuple[int, int]:
+    """`invert` against the key's full image map, and on 50 random images."""
     mismatches = 0
     for y, want in table.items():
         got = lwe.invert(td, pk, np.array(y))
@@ -118,17 +118,18 @@ def _backend_tv(params: ParamSet, samples: int, seed: int) -> float:
 
 def oracle_check(params: ParamSet, trials: int, seed: int) -> OracleReport:
     pk, td = lwe.gen(params, derive_seed(seed, "key"))
-    inv_mism, inv_total = _invert_vs_enumeration(pk, td)
+    table = lwe.exhaustive_image_map(pk)
+    inv_mism, inv_total = _invert_vs_enumeration(pk, td, table)
     reg_mism, reg_total = _register_search_vs_table(pk)
     form_fail, form_cases = _formula_regressions(params, seed)
     tv_out = _backend_tv(params, trials, seed)
 
-    # fault injection: a flipped plant bit must surface as a hardcore-identity
-    # mismatch on every two-preimage image
+    # fault injection: `invert` never reads the plant, so a trapdoor whose d0 is
+    # flipped is caught by the identity h(z) xor h(z') = d0 on any image with
+    # two preimages
     bad_z0 = lwe.DomainElement(td.z0.s, td.z0.e, td.z0.d ^ 1, None)
     bad_td = lwe.Trapdoor(gadget=td.gadget, z0=bad_z0)
     corrupted_detected = False
-    table = lwe.exhaustive_image_map(pk)
     for y, want in table.items():
         if len(want) == 2:
             got = lwe.invert(bad_td, pk, np.array(y))

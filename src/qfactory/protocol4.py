@@ -308,9 +308,9 @@ def run_client(
 ) -> Protocol4Result:
     """The client engine of one run: client_init, then exchange, then finalize.
 
-    `exchange` delivers the key message to the server and returns its reply,
-    y and b read as tuples of ints at the reply's edge: the wire decode of a
-    channel, or the image and bit rules in front of an in-process strategy.
+    `exchange` delivers the key message to the server and returns its reply:
+    a channel's wire decode, or an in-process strategy's reply as it gave
+    it.  `finalize` applies the image and bit rules to either.
     """
     client, key_msg = client_init(
         params, variant, run_seed(master_seed, run_id, variant, "client")
@@ -336,13 +336,7 @@ def run_protocol4(
     """
     if strategy is not None:
         rng = seeds.rng(run_seed(seed, 0, variant))
-
-        def exchange(key_msg: KeyMessage) -> StrategyReply:  # the strategy's edge
-            reply = strategy(key_msg, rng)
-            y, b = lwe.check_image(params, reply.y), lwe.check_bits(reply.b, params.total_bits)
-            return StrategyReply(y=y, b=b, held=reply.held)
-
-        return run_client(params, seed, 0, variant, exchange)
+        return run_client(params, seed, 0, variant, lambda key_msg: strategy(key_msg, rng))
     from . import wire  # wire builds on this module
 
     return wire.run4_over_channel(wire.local_session(seed, backend), params, seed, 0, variant)

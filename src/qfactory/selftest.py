@@ -297,12 +297,6 @@ def blindness_check(strategy: Strategy, eps1: float) -> tuple[bool, float]:
     return worst <= eps1, worst
 
 
-def gram_rank(strategy: Strategy, tol: float = 1e-6) -> int:
-    G = strategy.states @ strategy.states.conj().T
-    svals = np.linalg.svd(G, compute_uv=False)
-    return int(np.sum(svals > tol * svals[0]))
-
-
 # ---------------------------------------------------------------------------
 # i.i.d. self-testing run
 

@@ -230,8 +230,3 @@ def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
 def keypair_to_json(pk: PublicKey, td: Trapdoor) -> str:
     return json.dumps({"key": key_to_obj(pk), "trapdoor": trapdoor_to_obj(td)})
 
-
-def keypair_from_json(text: str) -> tuple[PublicKey, Trapdoor]:
-    obj = json.loads(text)
-    pk = key_from_obj(obj["key"])
-    return pk, trapdoor_from_obj(obj["trapdoor"], pk.params)

@@ -8,6 +8,12 @@ the exact type of every leaf.  No schema names a client-private field
 (`PRIVATE_FIELDS`: accept bits, output indices, plants, trapdoors), so none
 can cross the wire.
 
+A `WireMessage` is valid by construction: building one runs
+`validate_message`, so each process that builds or reads a message checks it
+once, and an in-process reply is checked as a TCP reply is.  The client
+engine then reads y and b with the `serde` readers, and `protocol4.finalize`
+applies the image and bit rules to every reply, a strategy's included.
+
 One client engine and one honest server session serve every transport:
 `run_protocol4` / `run_protocol8` are run 0 of a `LocalChannel` session, and
 socket runs execute the same handler with the same derived seeds, which makes
@@ -83,6 +89,9 @@ class WireMessage:
     payload: dict
     version: int = WIRE_VERSION
 
+    def __post_init__(self):
+        validate_message(self)
+
     def to_obj(self) -> dict:
         return {
             "version": self.version,
@@ -94,11 +103,9 @@ class WireMessage:
     @classmethod
     def from_obj(cls, obj: dict) -> "WireMessage":
         try:
-            msg = cls(obj["kind"], obj["run_id"], obj["payload"], obj["version"])
+            return cls(obj["kind"], obj["run_id"], obj["payload"], obj["version"])
         except (KeyError, TypeError) as exc:
             raise WireError(f"malformed message: {exc}") from exc
-        validate_message(msg)
-        return msg
 
 
 def validate_message(msg: WireMessage):
@@ -121,7 +128,6 @@ def validate_message(msg: WireMessage):
 
 
 def write_frame(sock: socket.socket, msg: WireMessage):
-    validate_message(msg)
     blob = json.dumps(msg.to_obj(), sort_keys=True).encode("utf-8")
     if len(blob) > MAX_FRAME:
         raise WireError("frame too large")
@@ -172,7 +178,6 @@ class ServerSession:
     _held_runs: dict = field(default_factory=dict, init=False, repr=False)
 
     def handle(self, msg: WireMessage) -> list[WireMessage]:
-        validate_message(msg)
         if msg.kind == "key":
             try:
                 variant = p4.check_variant(msg.payload["variant"])
@@ -370,7 +375,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 try:
                     replies = session.handle(msg)
                 except WireError:
-                    # read_frame validated the kind, so it is a known name
+                    # a WireMessage is valid by construction, so its kind is a known name
                     return f"rejected {msg.kind} request"
                 for reply in replies:
                     write_frame(self.request, reply)

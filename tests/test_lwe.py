@@ -3,6 +3,7 @@
 import base64
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,8 +234,8 @@ def test_collision_structure_and_hardcore_identity(params):
         assert set(by_c) == {0, 1}
         assert lwe.h(a) ^ lwe.h(b) == td.d0
         # the c=0 element is the c=1 element shifted by z0
-        shifted = lwe.add_z(params, by_c[1].drop_c(), z0)
-        assert shifted == by_c[0].drop_c()
+        shifted = lwe.add_z(params, replace(by_c[1], c=None), z0)
+        assert shifted == replace(by_c[0], c=None)
     assert pairs > 0
 
 
@@ -339,11 +340,9 @@ def test_invert_matches_exhaustive_on_uniform_y(params):
 @pytest.mark.parametrize("y", [(14, 2), (6, -6), (-2, 2), (6, 10)], ids=["+q", "-q", "neg", "+q2"])
 def test_invert_and_exhaustive_reject_an_image_outside_zq(y):
     pk, td = lwe.gen(TOY_MICRO, seed=3)
-    assert lwe.invert(td, pk, (6, 2)) == lwe.exhaustive_preimages(pk, (6, 2))
+    assert lwe.invert(td, pk, (6, 2)) == tuple(lwe.exhaustive_image_map(pk).get((6, 2), ()))
     with pytest.raises(ValueError, match=r"\[0, q\)"):
         lwe.invert(td, pk, y)
-    with pytest.raises(ValueError, match=r"\[0, q\)"):
-        lwe.exhaustive_preimages(pk, y)
 
 
 def test_invert_y0_recovers_plant():
@@ -351,7 +350,7 @@ def test_invert_y0_recovers_plant():
     pre = lwe.invert(td, pk, pk.y0)
     c0 = [el for el in pre if el.c == 0]
     assert len(c0) == 1
-    assert c0[0].drop_c() == td.z0
+    assert replace(c0[0], c=None) == td.z0
 
 
 def test_invert_deterministic():
@@ -720,7 +719,9 @@ def test_hardcore_bruteforce_breaks_toy_scale():
 def test_keypair_json_round_trip():
     pk, td = lwe.gen(TOY_GADGET, seed=101)
     text = serde.keypair_to_json(pk, td)
-    pk2, td2 = serde.keypair_from_json(text)
+    obj = json.loads(text)
+    pk2 = serde.key_from_obj(obj["key"])
+    td2 = serde.trapdoor_from_obj(obj["trapdoor"], pk2.params)
     assert np.array_equal(pk.K, pk2.K)
     assert np.array_equal(pk.y0, pk2.y0)
     assert pk.params == pk2.params

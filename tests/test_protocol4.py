@@ -190,13 +190,8 @@ def test_a_run_checks_y_and_b_at_its_reply_edge_and_in_finalize_only(monkeypatch
     honest = p4.run_protocol4(TOY_MICRO, 3).transcript
     calls.clear()
     p4.run_protocol4(TOY_MICRO, 3, strategy=p4.fixed_reply_strategy(honest.y, honest.b))
-    # the strategy edge applies the rules, and finalize applies them again
-    assert calls == [
-        ("check_image", "exchange"),
-        ("check_bits", "exchange"),
-        ("check_image", "finalize"),
-        ("check_bits", "finalize"),
-    ]
+    # a strategy's reply goes to finalize as it is, and finalize applies the rules
+    assert calls == [("check_image", "finalize"), ("check_bits", "finalize")]
 
 
 # ---------------------------------------------------------------------------

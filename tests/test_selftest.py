@@ -174,11 +174,6 @@ def test_isometry_conjugation_covariance(dim):
     assert res.max_junk_distance <= 1e-9
 
 
-def test_gram_rank_two_for_exact_strategies():
-    assert stt.gram_rank(stt.honest_strategy()) == 2
-    assert stt.gram_rank(stt.phi_family_strategy(1.0, dim=5)) == 2
-
-
 def test_orthogonality_of_half_turn_pairs():
     st = stt.phi_family_strategy(math.pi / 3)
     for L in range(8):

@@ -111,12 +111,12 @@ def test_every_message_of_a_run_validates(backend):
      (" 1", False), ("-0", False), ("1 ", False), ("", False)],
 )
 def test_test_results_keys_are_run_ids_as_str_writes_them(run_id, ok):
-    msg = wire.WireMessage("test_results", 0, {"results": {run_id: 1}})
+    payload = {"results": {run_id: 1}}
     if ok:
-        wire.validate_message(msg)
+        wire.validate_message(wire.WireMessage("test_results", 0, payload))
     else:
         with pytest.raises(wire.WireError):
-            wire.validate_message(msg)
+            wire.WireMessage("test_results", 0, payload)  # building one validates it
 
 
 @pytest.mark.parametrize(
@@ -250,6 +250,52 @@ def test_loopback_protocol8():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _count_validations(monkeypatch) -> list:
+    """The kind of every message validated from now on, on any thread."""
+    kinds = []
+    validate = wire.validate_message
+
+    def counted(msg):
+        kinds.append(msg.kind)
+        validate(msg)
+
+    monkeypatch.setattr(wire, "validate_message", counted)
+    return kinds
+
+
+def test_a_run8_attempt_checks_each_message_once_per_process(monkeypatch):
+    kinds = _count_validations(monkeypatch)
+    wire.run8_over_channel(wire.local_session(4), TOY_MICRO, 4, 0)
+    # 3 requests and 5 replies, each checked once where it is built
+    assert len(kinds) == 8
+    server = wire.serve("127.0.0.1", 0, master_seed=4)
+    host, port = server.server_address
+    try:
+        chan = wire.SocketChannel(host, port)
+        kinds.clear()
+        wire.run8_over_channel(chan, TOY_MICRO, 4, 0)
+        chan.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+    # each message once by the side that builds it and once by the side that reads it
+    assert len(kinds) == 16
+
+
+class _PaddedRepliesChannel(wire.LocalChannel):
+    """A local session whose replies come back with a private and an unknown field added."""
+
+    def recv(self):
+        msg = super().recv()
+        return wire.WireMessage(msg.kind, msg.run_id, {**msg.payload, "B1": 0, "note": [1.5]})
+
+
+def test_an_in_process_reply_with_added_fields_is_rejected_as_over_tcp():
+    chan = _PaddedRepliesChannel(wire.ServerSession(master_seed=2))
+    with pytest.raises(wire.WireError, match="B1|note"):
+        wire.run4_over_channel(chan, TOY_MICRO, 2, 0)
 
 
 def _wire_records(caplog, count: int, timeout: float = 5.0) -> list:
