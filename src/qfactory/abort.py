@@ -58,10 +58,6 @@ class ChunkConfig:
         if self.t_c < 1 or self.n_c < 1:
             raise ValueError("chunk sizes must be positive")
 
-    @property
-    def t(self) -> int:
-        return self.t_c * self.n_c
-
 
 @dataclass(frozen=True)
 class CombinedOutput:
@@ -90,7 +86,7 @@ def gad_xor(states, rng: np.random.Generator):
     if t < 1:
         raise ValueError("need at least one input")
     for st in states:
-        if not any(st.approx_equal(ref, atol=1e-9) for ref in BB84_SET.values()):
+        if not any(st.approx_equal(ref) for ref in BB84_SET.values()):
             raise ValueError("input outside the BB84 set")
     s, out = draw_row(top_qubit_rows(_gad_state(states), 0.0), rng)
     return _pairs(s), out

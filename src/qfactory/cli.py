@@ -233,7 +233,7 @@ def cmd_selftest(args) -> int:
     if args.strategy:
         try:
             strategy = _strategy_file(args.strategy)
-        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise CommandError(f"bad strategy file {args.strategy}: {exc!r}") from exc
     else:
         strategy = stt.honest_strategy()

@@ -228,11 +228,6 @@ def encode_int(params: ParamSet, elem: DomainElement) -> int:
     return value | int(elem.d) << pos | int(elem.c) << (pos + 1)
 
 
-def decode(params: ParamSet, bits) -> DomainElement | None:
-    """Inverse of encode on `check_bits`; None for out-of-range noise (bot)."""
-    return decode_int(params, pack_bits(check_bits(bits, params.total_bits)))
-
-
 def decode_int(params: ParamSet, value: int) -> DomainElement | None:
     """Inverse of encode_int on [0, 2^total_bits); None for out-of-range noise."""
     if not 0 <= value < 1 << params.total_bits:
@@ -496,18 +491,15 @@ def register_preimages(pk: PublicKey, packed_y: int) -> list[int]:
 # exhaustive oracle (independent of the trapdoor)
 
 
-def iter_domain(params: ParamSet, include_c: bool = True) -> Iterator[DomainElement]:
+def iter_domain(params: ParamSet) -> Iterator[DomainElement]:
     lo, hi = e_range(params)
     svals = range(params.q)
     evals = range(lo, hi + 1)
     for s in itertools.product(svals, repeat=params.n):
         for e in itertools.product(evals, repeat=params.m):
             for d in (0, 1):
-                if include_c:
-                    for c in (0, 1):
-                        yield DomainElement(s, e, d, c)
-                else:
-                    yield DomainElement(s, e, d, None)
+                for c in (0, 1):
+                    yield DomainElement(s, e, d, c)
 
 
 def domain_size(params: ParamSet) -> int:
@@ -599,14 +591,12 @@ def unpack_image(params: ParamSet, packed: int) -> tuple[int, ...]:
 # sampling
 
 
-def sample_domain_element(
-    params: ParamSet, rng: np.random.Generator, include_c: bool = True
-) -> DomainElement:
+def sample_domain_element(params: ParamSet, rng: np.random.Generator) -> DomainElement:
     lo, hi = e_range(params)
     s = tuple(rng.integers(0, params.q, size=params.n).tolist())
     e = tuple(rng.integers(lo, hi + 1, size=params.m).tolist())
     d = int(rng.integers(0, 2))
-    c = int(rng.integers(0, 2)) if include_c else None
+    c = int(rng.integers(0, 2))
     return DomainElement(s, e, d, c)
 
 
@@ -655,7 +645,7 @@ def homomorphy_estimate(params: ParamSet, trials: int, seed: int) -> Estimate:
     def hit(t: int) -> bool:
         _, td = gen(params, derive_seed(seed, "homomorphy", t))
         rng = seeds.rng(derive_seed(seed, "homomorphy-z", t))
-        z = sample_domain_element(params, rng, include_c=False)
+        z = sample_domain_element(params, rng)
         return shift_in_box(params, z.e, td.z0.e)
 
     return _estimate(trials, hit)
@@ -716,7 +706,7 @@ def adv_trapdoor(pk: PublicKey, td: Trapdoor, rng: np.random.Generator) -> int:
 def adv_bruteforce(pk: PublicKey, td: Trapdoor, rng: np.random.Generator) -> int:
     """Enumerate the whole domain; documents that toy parameters are insecure."""
     y0 = tuple(int(v) for v in pk.y0)
-    for x in iter_domain(pk.params, include_c=False):
-        if tuple(int(v) for v in g(pk.params, pk.K, x.s, x.e, x.d)) == y0:
+    for x in iter_domain(pk.params):
+        if x.c == 0 and tuple(int(v) for v in g(pk.params, pk.K, x.s, x.e, x.d)) == y0:
             return x.d
     return int(rng.integers(0, 2))

@@ -216,15 +216,6 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
     return StrategyReply(y=lwe.unpack_image(params, packed_y), b=b, held=held)
 
 
-def fixed_reply_strategy(y, b) -> ServerStrategy:
-    """An adversary that ignores the key and parrots a fixed message."""
-
-    def strategy(key_msg: KeyMessage, rng: np.random.Generator) -> StrategyReply:
-        return StrategyReply(y=tuple(y), b=tuple(b), held=None)
-
-    return strategy
-
-
 # ---------------------------------------------------------------------------
 # client finalization
 

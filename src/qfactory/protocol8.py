@@ -42,10 +42,6 @@ class EightIndex:
         if not 0 <= self.L <= 7:
             raise ValueError("L must be a 3-bit index")
 
-    @property
-    def bits(self) -> tuple[int, int, int]:
-        return ((self.L >> 2) & 1, (self.L >> 1) & 1, self.L & 1)
-
     def qubit(self) -> QubitDescription:
         return QubitDescription.eight(self.L)
 

@@ -24,8 +24,6 @@ from .params import ParamSet
 from .seeds import derive_seed
 from .sim import QubitDescription, fidelity
 
-ATOL = 1e-9
-
 
 def ideal_prob(L: int, M: int) -> float:
     """Chance of the + outcome when the L-state meets the M-measurement."""

@@ -214,9 +214,6 @@ class StateVector:
         self.amps, self.n = keep.copy(), self.n - k
         return self
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def probabilities(self, qubits) -> np.ndarray:
         """Marginal outcome probabilities, axes ordered as the qubit list."""
         self._check(*qubits)
@@ -418,8 +415,8 @@ class QubitDescription:
     def fidelity(self, other: "QubitDescription") -> float:
         return float(abs(np.vdot(self.vec, other.vec)) ** 2)
 
-    def approx_equal(self, other: "QubitDescription", atol: float = ATOL) -> bool:
-        return self.fidelity(other) >= 1.0 - atol
+    def approx_equal(self, other: "QubitDescription") -> bool:
+        return self.fidelity(other) >= 1.0 - ATOL
 
     def __repr__(self):
         return f"QubitDescription({self.vec[0]:.4f}, {self.vec[1]:.4f})"

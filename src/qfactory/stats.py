@@ -6,10 +6,11 @@ import math
 from collections import Counter
 
 
-def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 3-sigma)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """3-sigma Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 3.0
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

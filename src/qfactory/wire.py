@@ -155,7 +155,7 @@ def read_frame(sock: socket.socket) -> WireMessage:
     blob = _read_exact(sock, length)
     try:
         obj = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise WireError("undecodable frame") from exc
     return WireMessage.from_obj(obj)
 

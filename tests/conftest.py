@@ -1,7 +1,9 @@
 """Suite-wide test settings.
 
 Hypothesis draws the same examples on every run (derandomize) and keeps no
-example database, so runs are comparable and leave no `.hypothesis/` behind.
+example database, so runs are comparable. It still writes its caches (the
+constants it collects from the source, Unicode tables) under `.hypothesis/`,
+which is gitignored.
 """
 
 from hypothesis import settings

@@ -115,7 +115,7 @@ def _config(t_c=2, n_c=2, p_a=Fraction(3, 4), p_c=Fraction(5, 8)):
 def test_client_combine_all_accepted_zero_basis():
     cfg = _config()
     recs = [_records([(0, 0)] * cfg.t_c) for _ in range(cfg.n_c)]
-    s_pairs = [(0, 0)] * cfg.t
+    s_pairs = [(0, 0)] * cfg.t_c * cfg.n_c
     out = abort.client_combine(recs, cfg, s_pairs, seed=5)
     assert out.accepted and out.B1 == 0
 
@@ -124,9 +124,9 @@ def test_client_combine_rejects_bad_chunk():
     cfg = _config()
     good = _records([(1, 0)] * cfg.t_c)
     bad = [p4.OutputIndex4(0, 0, p4.SINGLE_PREIMAGE, p4.COMPUTATIONAL)] * cfg.t_c
-    out = abort.client_combine([good, bad], cfg, [(0, 0)] * cfg.t, seed=6)
+    out = abort.client_combine([good, bad], cfg, [(0, 0)] * (cfg.t_c * cfg.n_c), seed=6)
     assert not out.accepted
-    out2 = abort.client_combine([good, bad], cfg, [(0, 0)] * cfg.t, seed=6)
+    out2 = abort.client_combine([good, bad], cfg, [(0, 0)] * (cfg.t_c * cfg.n_c), seed=6)
     assert (out.B1, out.B2) == (out2.B1, out2.B2)
 
 
@@ -218,7 +218,6 @@ def test_choose_params_worked_example():
     assert cfg.p_c == Fraction(13, 20)  # midpoint of (1/2, 4/5)
     assert cfg.n_c == 8
     assert cfg.t_c == math.ceil(math.log(8 / 1e-6) / (2 * 0.15**2))
-    assert cfg.t == cfg.t_c * cfg.n_c
 
 
 def test_choose_params_monotone_in_gap():
@@ -267,7 +266,7 @@ def test_honest_end_to_end_matches_statevector():
     agreements = 0
     for trial in range(200):
         held_states, recs = [], []
-        for i in range(cfg.t):
+        for i in range(cfg.t_c * cfg.n_c):
             res = p4.run_protocol4(params, seed=derive("e2e", trial, i), backend="two_branch")
             recs.append(res.out)
             held_states.append(res.held)

@@ -5,8 +5,10 @@ import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -145,8 +147,9 @@ def test_selftest_with_strategy_file(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{not json", '{"states": [[1, 0]]}', '{"states": []}', "[1]"],
-    ids=["missing", "not-json", "wrong-nesting", "rejected", "not-an-object"],
+    [None, "{not json", '{"states": [[1, 0]]}', '{"states": []}', "[1]",
+     "[" * 50_000 + "]" * 50_000],
+    ids=["missing", "not-json", "wrong-nesting", "rejected", "not-an-object", "too-deep"],
 )
 def test_selftest_bad_strategy_file_is_a_usage_error(capsys, tmp_path, content):
     path = tmp_path / "strategy.json"
@@ -456,6 +459,31 @@ def test_connect_to_a_closed_port_is_one_stderr_line(capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"qfactory run4: 127.0.0.1:{port}: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_a_too_deep_reply_frame_is_one_stderr_line(capsys):
+    """A reply of 100 KB of nested brackets fits in a frame but not in
+    json.loads's recursion: the client reads it as a malformed frame."""
+    from qfactory import wire
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        port = listener.getsockname()[1]
+
+        def peer():
+            conn, _ = listener.accept()
+            with conn:
+                wire.read_frame(conn)  # the key message
+                blob = b"[" * 50_000 + b"]" * 50_000
+                conn.sendall(struct.pack(">I", len(blob)) + blob)
+
+        thread = threading.Thread(target=peer, daemon=True)
+        thread.start()
+        rc = cli.main(["run4", "--params", "toy-micro", "--endpoint", f"127.0.0.1:{port}"])
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert rc == 2
+    err = _one_error_line(capsys, f"qfactory run4: 127.0.0.1:{port}: ")
+    assert "undecodable frame" in err
 
 
 def _one_error_line(capsys, prefix):

@@ -144,8 +144,8 @@ def test_g_homomorphy_spot(params):
     rng = _rng(2)
     hits = 0
     for _ in range(200):
-        z1 = lwe.sample_domain_element(params, rng, include_c=False)
-        z2 = lwe.sample_domain_element(params, rng, include_c=False)
+        z1 = lwe.sample_domain_element(params, rng)
+        z2 = lwe.sample_domain_element(params, rng)
         zsum = lwe.add_z(params, z1, z2)
         if not lwe.is_valid(params, zsum):
             continue
@@ -164,7 +164,7 @@ def test_g_homomorphy_on_the_planted_shift(params):
     hits = 0
     for t in range(120):
         pk, td = lwe.gen(params, seed=1000 + t)
-        z = lwe.sample_domain_element(params, _rng(t), include_c=False)
+        z = lwe.sample_domain_element(params, _rng(t))
         zsum = lwe.add_z(params, z, td.z0)
         assert lwe.shift_in_box(params, z.e, td.z0.e) == lwe.is_valid(params, zsum)
         if lwe.is_valid(params, zsum):
@@ -243,7 +243,9 @@ def test_g_injective_exhaustive():
     for params, seed in ((TOY_REG, 23), (_TOY_N2, 0)):
         pk, _ = lwe.gen(params, seed=seed)
         seen = set()
-        for z in lwe.iter_domain(params, include_c=False):
+        for z in lwe.iter_domain(params):
+            if z.c:  # g does not read c
+                continue
             img = tuple(int(v) for v in lwe.g(params, pk.K, z.s, z.e, z.d))
             assert img not in seen
             seen.add(img)
@@ -561,22 +563,15 @@ def test_encode_decode_random_elements():
     for params, samples in ((TOY_WIDE, 1000), (paper_params(4), 20)):
         for _ in range(samples):
             x = lwe.sample_domain_element(params, rng)
-            assert lwe.decode(params, lwe.encode(params, x)) == x
+            assert lwe.decode_int(params, lwe.pack_bits(lwe.encode(params, x))) == x
 
 
 def test_decode_out_of_box_noise_is_bot():
     # mu=3 sits strictly inside the box [-4, 3]: the pattern for e=-4 must fail
     params = toy_params(n=1, q=32, m=1, mu=3, mu_prime=0)
     assert params.ell_e == 3
-    bits = [0] * params.total_bits
     # e-field bits all zero encode stored=0, i.e. e=-4, |e| > mu
-    assert lwe.decode(params, bits) is None
-
-
-def test_decode_rejects_a_non_bit_entry():
-    # masked to bits this would read as s = 0, e = (0, 0), d = 0, c = 0
-    with pytest.raises(ValueError):
-        lwe.decode(TOY_MICRO, (2, 0, 0, 1, 0, 1, 0))
+    assert lwe.decode_int(params, 0) is None
 
 
 @pytest.mark.parametrize(

@@ -151,13 +151,18 @@ def test_finalize_reads_an_int64_array_by_value_not_as_memory():
         p4.finalize(client, client.pk.y0, b)
 
 
+def _fixed_reply(y, b):
+    """An adversary that ignores the key and parrots a fixed message."""
+    return lambda key_msg, rng: p4.StrategyReply(y=tuple(y), b=tuple(b), held=None)
+
+
 def test_strategy_image_outside_range_is_rejected():
     honest = p4.run_protocol4(TOY_MICRO, 3)
     y, b = honest.transcript.y, honest.transcript.b
-    p4.run_protocol4(TOY_MICRO, 3, strategy=p4.fixed_reply_strategy(y, b))
+    p4.run_protocol4(TOY_MICRO, 3, strategy=_fixed_reply(y, b))
     for bad_y in ((y[0] + TOY_MICRO.q,) + y[1:], (-1,) + y[1:], y[:-1], y + (0,)):
         with pytest.raises(ValueError):
-            p4.run_protocol4(TOY_MICRO, 3, strategy=p4.fixed_reply_strategy(bad_y, b))
+            p4.run_protocol4(TOY_MICRO, 3, strategy=_fixed_reply(bad_y, b))
 
 
 def _client_checks(monkeypatch) -> list:
@@ -189,7 +194,7 @@ def test_a_run_checks_y_and_b_at_its_reply_edge_and_in_finalize_only(monkeypatch
     assert calls == [("check_image", "finalize"), ("check_bits", "finalize")]
     honest = p4.run_protocol4(TOY_MICRO, 3).transcript
     calls.clear()
-    p4.run_protocol4(TOY_MICRO, 3, strategy=p4.fixed_reply_strategy(honest.y, honest.b))
+    p4.run_protocol4(TOY_MICRO, 3, strategy=_fixed_reply(honest.y, honest.b))
     # a strategy's reply goes to finalize as it is, and finalize applies the rules
     assert calls == [("check_image", "finalize"), ("check_bits", "finalize")]
 
@@ -279,7 +284,7 @@ def test_adversary_cannot_move_basis():
     rng = np.random.default_rng(9)
     y = tuple(int(v) for v in rng.integers(0, params.q, size=params.m))
     b = tuple(int(v) for v in rng.integers(0, 2, size=params.total_bits))
-    strategy = p4.fixed_reply_strategy(y, b)
+    strategy = _fixed_reply(y, b)
     for seed in range(40):
         res = p4.run_protocol4(params, seed=seed, strategy=strategy)
         if res.out.accepted == p4.TWO_PREIMAGES:

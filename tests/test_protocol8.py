@@ -21,11 +21,6 @@ def test_compute_l_all_zero():
     assert p8.compute_L(0, 0, 0, 0, 0, 0).L == 0
 
 
-def test_compute_l_rejects_nothing_but_bits():
-    idx = p8.compute_L(1, 0, 1, 1, 0, 1)
-    assert idx.L == idx.bits[0] * 4 + idx.bits[1] * 2 + idx.bits[2]
-
-
 def test_exhaustive_merge_sweep_matches_compute_l():
     """All 16 index pairs x all 4 outcome branches: out == |+_{L pi/4}>."""
     cases = 0
@@ -65,7 +60,7 @@ def test_l3_equals_first_basis_bit():
         for rest in range(16):
             B2, B1p, B2p, s1 = (rest >> 3) & 1, (rest >> 2) & 1, (rest >> 1) & 1, rest & 1
             idx = p8.compute_L(B1, B2, B1p, B2p, s1, 0)
-            assert idx.bits[2] == B1
+            assert idx.L & 1 == B1
 
 
 def test_merge_gadget_sampled_matches_formula():
@@ -104,8 +99,7 @@ def test_adversarial_outcome_flips_shift_l_per_formula():
     base = p8.compute_L(B1, B2, B1p, B2p, 0, 0)
     flip_s1 = p8.compute_L(B1, B2, B1p, B2p, 1, 0)
     # flipping s1 toggles L1 when B1 = 1
-    assert flip_s1.bits[0] == base.bits[0] ^ 1
-    assert flip_s1.bits[1:] == base.bits[1:]
+    assert flip_s1.L == base.L ^ 4
 
 
 def test_run_protocol8_honest_end_to_end():

@@ -115,7 +115,7 @@ def test_norm_preserved_random_circuit():
             other = int(rng.integers(0, 5))
             if other != qb:
                 sv.cz(qb, other)
-    assert abs(sv.norm() - 1.0) < 1e-9
+    assert abs(np.linalg.norm(sv.amps) - 1.0) < 1e-9
 
 
 def test_index_convention_little_endian():

@@ -298,6 +298,9 @@ def test_an_in_process_reply_with_added_fields_is_rejected_as_over_tcp():
         wire.run4_over_channel(chan, TOY_MICRO, 2, 0)
 
 
+_TOO_DEEP = b"[" * 50_000 + b"]" * 50_000
+
+
 def _wire_records(caplog, count: int, timeout: float = 5.0) -> list:
     """The qfactory.wire log records, once `count` have arrived or at the timeout."""
     deadline = time.monotonic() + timeout
@@ -308,16 +311,17 @@ def _wire_records(caplog, count: int, timeout: float = 5.0) -> list:
         time.sleep(0.01)
 
 
-@pytest.mark.parametrize("ending", ["malformed-frame", "clean-close"])
+@pytest.mark.parametrize("ending", ["malformed-frame", "too-deep-frame", "clean-close"])
 def test_server_logs_one_line_per_ended_session(caplog, ending):
     caplog.set_level(logging.INFO, logger="qfactory.wire")
     server = wire.serve("127.0.0.1", 0, master_seed=3)
     host, port = server.server_address
     try:
-        if ending == "malformed-frame":
+        if ending != "clean-close":
             with socket.create_connection((host, port), timeout=5) as sock:
                 peer_port = sock.getsockname()[1]
-                blob = b'{"y": [61,'  # cut-off JSON
+                # cut-off JSON, or 100 KB of nested brackets, deeper than json.loads recurses
+                blob = b'{"y": [61,' if ending == "malformed-frame" else _TOO_DEEP
                 sock.sendall(struct.pack(">I", len(blob)) + blob)
                 assert sock.recv(1) == b""  # the server ended the session
             want = "malformed frame"
