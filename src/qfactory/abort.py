@@ -33,7 +33,7 @@ from . import lwe, seeds
 from . import protocol4 as p4
 from .params import ParamSet
 from .seeds import derive_seed
-from .sim import QubitDescription, StateVector, cz_gadget, draw_row, row_branches, top_qubit_rows
+from .sim import QubitDescription, draw_row, gadget_rows, row_branches
 
 BB84_SET = {
     (0, 0): QubitDescription.computational(0),
@@ -78,39 +78,31 @@ def gad_xor(states, rng: np.random.Generator):
     """Run the combining circuit on BB84 inputs; returns (s-pairs, out).
 
     Wires: per input, a pi/2 ancilla and the input itself; one shared carrier
-    prepared at |+>.  All CZs commute, then every non-carrier wire is read in
-    the X basis.
+    prepared at |+>.  The CZs commute and input i's wires meet only the
+    carrier, so the inputs fold in turn through `sim.gadget_rows(2, input,
+    carrier)`: draw its (ancilla, input) X-basis outcomes, keep its survivor.
     """
     states = list(states)
-    t = len(states)
-    if t < 1:
+    if not states:
         raise ValueError("need at least one input")
     for st in states:
         if not any(st.approx_equal(ref) for ref in BB84_SET.values()):
             raise ValueError("input outside the BB84 set")
-    s, out = draw_row(top_qubit_rows(_gad_state(states), 0.0), rng)
-    return _pairs(s), out
+    pairs, carrier = [], QubitDescription.eight(0)
+    for st in states:
+        s, carrier = draw_row(gadget_rows(2, st, carrier), rng)
+        pairs.append(s)
+    return pairs, carrier
 
 
 def gad_xor_branches(states):
-    """Exhaustive (s-pairs, probability, out) enumeration for t <= 4 inputs."""
-    rows = top_qubit_rows(_gad_state(list(states)), 0.0)
-    return [(_pairs(s), prob, out) for s, prob, out in row_branches(rows)]
-
-
-def _pairs(s) -> list[tuple[int, int]]:
-    # outcome bits (ancilla i, input i) per run i; the carrier is not read
-    return [(s[2 * i], s[2 * i + 1]) for i in range(len(s) // 2)]
-
-
-def _gad_state(states) -> StateVector:
-    # qubit 2i = ancilla of run i, qubit 2i+1 = input i, qubit 2t = carrier
-    t = len(states)
-    anc = np.array([1, 1j], dtype=complex) / math.sqrt(2)
-    carrier = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    vecs = [v for st in states for v in (anc, st.vec)] + [carrier]
-    edges = [e for i in range(t) for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * t))]
-    return cz_gadget(vecs, edges)
+    """Exhaustive (s-pairs, probability, out) enumeration: `gad_xor`'s fold
+    over every branch of each step, the first input's outcomes most significant."""
+    branches = [([], 1.0, QubitDescription.eight(0))]
+    for st in states:
+        branches = [(pairs + [s], prob * p, out) for pairs, prob, carrier in branches
+                    for s, p, out in row_branches(gadget_rows(2, st, carrier))]
+    return branches
 
 
 def combine_bits(outputs, s_pairs) -> tuple[int, int]:

@@ -55,6 +55,8 @@ class ParamSet:
             raise ValueError("n and m must be positive")
         if self.mu < 1:
             raise ValueError("mu must be >= 1")
+        if self.mu_prime < 0:
+            raise ValueError("mu_prime must be >= 0")
         if 2 * self.mu >= self.q // 2:
             raise ValueError("need 2*mu < q/2 for injectivity")
         box = noise_box_half(self.mu)

@@ -23,15 +23,13 @@ half-turn digit; dropping it breaks 16 of the 64 (index, outcome) cases.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import protocol4 as p4
 from .params import ParamSet
-from .sim import QubitDescription, StateVector, cz_gadget, draw_row, row_branches, top_qubit_rows
+from .sim import QubitDescription, draw_row, gadget_rows, row_branches
 
 
 @dataclass(frozen=True)
@@ -76,46 +74,15 @@ def eight_index(
 def merge_gadget(
     in1: QubitDescription, in2: QubitDescription, rng: np.random.Generator
 ) -> MergeResult:
-    """Execute the 3-qubit merge circuit, sampling the two X-basis outcomes."""
-    (s1, s2), out = draw_row(_merge_rows(in1, in2), rng)
+    """Execute the 3-qubit merge circuit, `sim.gadget_rows` with a pi/4
+    ancilla, sampling the two X-basis outcomes."""
+    (s1, s2), out = draw_row(gadget_rows(1, in1, in2), rng)
     return MergeResult(s1=s1, s2=s2, out=out)
 
 
 def merge_branches(in1: QubitDescription, in2: QubitDescription):
     """All four (s1, s2) branches with exact probabilities; no sampling."""
-    return [(s1, s2, prob, out) for (s1, s2), prob, out in row_branches(_merge_rows(in1, in2))]
-
-
-_ANCILLA = np.array([1, np.exp(1j * math.pi / 4)], dtype=complex) / math.sqrt(2)
-_ANCILLA.flags.writeable = False
-
-
-def _merge_state(in1: QubitDescription, in2: QubitDescription) -> StateVector:
-    # qubit 0 = ancilla |+_{pi/4}>, qubit 1 = in1, qubit 2 = in2
-    return cz_gadget([_ANCILLA, in1.vec, in2.vec], [(0, 1), (1, 2)])
-
-
-@functools.lru_cache(maxsize=1)
-def _merge_map() -> np.ndarray:
-    """The merge circuit as one read-only 8 x 4 transfer map W, shaped
-    (4, 2, 4) so that its first two axes are those of the table it makes.
-
-    The circuit is linear in in1 (x) in2: its ancilla, CZs and readout (at
-    theta = 0) are fixed.  So its `top_qubit_rows` table is
-    sum_p W[:, :, p] (in1 (x) in2)[p], where p = 2a + b stands for the pair of
-    basis states |a> of in1 and |b> of in2, and W[:, :, p] is the circuit's
-    table on that pair.
-    """
-    basis = [QubitDescription.computational(v) for v in (0, 1)]
-    W = np.stack([top_qubit_rows(_merge_state(a, b), 0.0) for a in basis for b in basis], axis=-1)
-    W.flags.writeable = False
-    return W
-
-
-def _merge_rows(in1: QubitDescription, in2: QubitDescription) -> np.ndarray:
-    """The merge circuit's `top_qubit_rows` table, read through `_merge_map`
-    (an elementwise product and a sum, so no BLAS call)."""
-    return (_merge_map() * np.multiply.outer(in1.vec, in2.vec).reshape(-1)).sum(axis=-1)
+    return [(s1, s2, prob, out) for (s1, s2), prob, out in row_branches(gadget_rows(1, in1, in2))]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ H R(-theta), after which a computational readout reads the XY-plane basis.
 top qubit's amplitudes per outcome.  Exhaustive sweeps enumerate those rows
 with `row_branches` and sampled runs draw one with `draw_row`.
 
+The 8-states merge and the XOR combiner share one 3-qubit circuit,
+`gadget_state`; `gadget_rows` reads its table through a transfer map cached
+per ancilla angle.
+
 Sampling order: every draw, by `draw_row` and by the computational
 `StateVector.measure` alike, goes through `_draw`, an inverse CDF over
 outcomes in lexicographic order with the first qubit most significant, one
@@ -359,16 +363,39 @@ def _draw(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
     return tuple((outcome >> (k - 1 - i)) & 1 for i in range(k))
 
 
-def cz_gadget(vecs, edges) -> StateVector:
-    """The product state with the complex 2-vector vecs[j] on qubit j, then a
-    CZ on each edge (a, b)."""
-    sv = StateVector(len(vecs))
+def gadget_state(L: int, in1: QubitDescription, in2: QubitDescription) -> StateVector:
+    """The 3-qubit gadget of the 8-states merge and the XOR combiner: qubit 0
+    is the ancilla |+_{L pi/4}>, qubit 1 in1 and qubit 2 in2, then a CZ on
+    (0, 1) and a CZ on (1, 2)."""
+    sv = StateVector(3)
     # np.kron's products in its order: the first factor takes the high bits;
-    # np.array copies, so the state never shares a caller's vector
-    sv.amps = np.array(functools.reduce(np.multiply.outer, vecs[::-1]), dtype=complex).ravel()
-    for a, b in edges:
-        sv.cz(a, b)
-    return sv
+    # np.multiply.outer makes a new array, so the state never shares an input's vector
+    vecs = (in2.vec, in1.vec, QubitDescription.eight(L).vec)
+    sv.amps = functools.reduce(np.multiply.outer, vecs).ravel()
+    return sv.cz(0, 1).cz(1, 2)
+
+
+@functools.lru_cache(maxsize=8)
+def _gadget_map(L: int) -> np.ndarray:
+    """The gadget at ancilla L as one read-only 8 x 4 transfer map W, shaped
+    (4, 2, 4) so that its first two axes are those of the table it makes.
+
+    The gadget is linear in in1 (x) in2: its ancilla, CZs and readout (at
+    theta = 0) are fixed.  So its `top_qubit_rows` table is
+    sum_p W[:, :, p] (in1 (x) in2)[p], where p = 2a + b stands for the pair of
+    basis states |a> of in1 and |b> of in2, and W[:, :, p] is the gadget's
+    table on that pair.
+    """
+    basis = [QubitDescription.computational(v) for v in (0, 1)]
+    W = np.stack([top_qubit_rows(gadget_state(L, a, b), 0.0) for a in basis for b in basis], -1)
+    W.flags.writeable = False
+    return W
+
+
+def gadget_rows(L: int, in1: QubitDescription, in2: QubitDescription) -> np.ndarray:
+    """The gadget's `top_qubit_rows` table, read through `_gadget_map` (an
+    elementwise product and a sum, so no BLAS call)."""
+    return (_gadget_map(L) * np.multiply.outer(in1.vec, in2.vec).reshape(-1)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

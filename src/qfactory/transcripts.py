@@ -2,14 +2,14 @@
 
 Each line is the compact canonical encoding (sorted keys, no spaces) of
 {"seq", "prev", "body", "hash"}, where hash covers the previous hash and the
-canonical body encoding; the reader takes any JSON layout and re-derives the
-hash.  Replay re-derives each record's client-derived fields (accepted, B1,
-B2, family; run8 adds usable and L) by the live client's rules: the `serde`
-readers of y, b and the merge outcomes, the core of `protocol4.finalize`,
-`protocol8.eight_index` and the field builders the records are written with.
-Fields are compared by type and value; a record not readable with its exact
-meaning, identity fields (run id, seeds, sub-record kind) included, is a
-TranscriptError.
+canonical body encoding; the reader takes any JSON layout of exactly those
+fields, seq the record's position, and re-derives the hash.  Replay re-derives
+each record's client-derived fields (accepted, B1, B2, family; run8 adds
+usable and L) by the live client's rules: the `serde` readers of y, b and the
+merge outcomes, the core of `protocol4.finalize`, `protocol8.eight_index` and
+the field builders the records are written with.  Fields are compared by type
+and value; a record not readable with its exact meaning, identity fields (run
+id, seeds, sub-record kind) included, is a TranscriptError.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from . import protocol8 as p8
 from . import serde
 
 GENESIS = "0" * 64
+_ENVELOPE = {"seq": int, "prev": str, "body": dict, "hash": str}
 
 
 class TranscriptError(Exception):
@@ -67,7 +68,8 @@ class TranscriptWriter:
 
 
 def read_records(path) -> list[dict]:
-    """Parse and verify the chain; raises TranscriptError on any break."""
+    """Parse and verify each line's `_ENVELOPE`, its seq and the chain; a
+    TranscriptError on any break."""
     records = []
     prev = GENESIS
     with Path(path).open("rb") as fh:
@@ -81,9 +83,12 @@ def read_records(path) -> list[dict]:
                 raise TranscriptError(f"line {lineno}: truncated or corrupt JSON") from exc
             if not isinstance(rec, dict):
                 raise TranscriptError(f"line {lineno}: not a JSON object")
-            for field in ("seq", "prev", "body", "hash"):
-                if field not in rec:
-                    raise TranscriptError(f"line {lineno}: missing field {field!r}")
+            try:
+                serde.check_shape(rec, _ENVELOPE, "record")
+            except ValueError as exc:
+                raise TranscriptError(f"line {lineno}: {exc}") from exc
+            if rec["seq"] != len(records):
+                raise TranscriptError(f"line {lineno}: seq {rec['seq']} is not {len(records)}")
             if rec["prev"] != prev:
                 raise TranscriptError(f"line {lineno}: chain break")
             if rec["hash"] != _chain_hash(prev, _canonical(rec["body"])):

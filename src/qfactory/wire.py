@@ -43,6 +43,9 @@ from .sim import QubitDescription
 
 WIRE_VERSION = 1
 MAX_FRAME = 1 << 20
+# seconds a client waits to connect, and a server session for each next frame
+CONNECT_TIMEOUT = 10.0
+SESSION_TIMEOUT = 30.0
 
 # one line per ended server session: the peer and why it ended, no payload values
 log = logging.getLogger("qfactory.wire")
@@ -282,8 +285,8 @@ class LocalChannel:
 
 
 class SocketChannel:
-    def __init__(self, host: str, port: int, timeout: float = 10.0):
-        self.sock = socket.create_connection((host, port), timeout=timeout)
+    def __init__(self, host: str, port: int):
+        self.sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
 
     def send(self, msg: WireMessage):
         write_frame(self.sock, msg)
@@ -363,7 +366,7 @@ class _Handler(socketserver.BaseRequestHandler):
         session = ServerSession(
             master_seed=self.server.master_seed, backend=self.server.backend
         )
-        self.request.settimeout(self.server.timeout)
+        self.request.settimeout(SESSION_TIMEOUT)
         try:
             while True:
                 try:
@@ -389,11 +392,10 @@ class ProtocolServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address, master_seed: int, backend: str = "two_branch", timeout: float = 30.0):
+    def __init__(self, address, master_seed: int, backend: str = "two_branch"):
         super().__init__(address, _Handler)
         self.master_seed = master_seed
         self.backend = backend
-        self.timeout = timeout
 
 
 def serve(host: str, port: int, master_seed: int, backend: str = "two_branch") -> ProtocolServer:

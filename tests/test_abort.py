@@ -9,7 +9,7 @@ import pytest
 
 from qfactory import abort, lwe, protocol4 as p4
 from qfactory.params import TOY_REG, TOY_MICRO
-from qfactory.sim import QubitDescription, fidelity
+from qfactory.sim import QubitDescription, StateVector, fidelity, row_branches, top_qubit_rows
 
 FOUR_STATE = [QubitDescription.equatorial(k) for k in range(4)]
 
@@ -67,6 +67,52 @@ def test_gad_xor_sampled_matches_formula_t4():
         bits = [(int(rng.integers(0, 2)), int(rng.integers(0, 2))) for _ in range(4)]
         states = [QubitDescription.bb84(b1, b2) for b1, b2 in bits]
         s_pairs, out = abort.gad_xor(states, rng)
+        b1, b2 = abort.combine_bits(_records(bits), s_pairs)
+        assert fidelity(out, QubitDescription.equatorial(b1 + 2 * b2)) >= 1 - 1e-9
+
+
+def _dense_combiner(bits) -> StateVector:
+    """The literal (2t + 1)-qubit combining circuit on H^b1 X^b2 |0> inputs:
+    qubit 2i is run i's ancilla |+_{pi/2}>, qubit 2i + 1 its input, qubit 2t
+    the carrier |+>; a CZ on (2i, 2i + 1) and on (2i + 1, 2t) per run."""
+    t = len(bits)
+    sv = StateVector(2 * t + 1)
+    for i, (b1, b2) in enumerate(bits):
+        sv.h(2 * i).r(math.pi / 2, 2 * i)
+        if b2:
+            sv.x(2 * i + 1)
+        if b1:
+            sv.h(2 * i + 1)
+    sv.h(2 * t)
+    for i in range(t):
+        sv.cz(2 * i, 2 * i + 1).cz(2 * i + 1, 2 * t)
+    return sv
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_gad_xor_branches_fold_equals_the_dense_circuit(t):
+    """Branch for branch: the same outcomes in the same order, the same
+    probabilities and the same output qubit as the dense circuit."""
+    for combo in itertools.product(range(4), repeat=t):
+        bits = [((v >> 1) & 1, v & 1) for v in combo]
+        want = row_branches(top_qubit_rows(_dense_combiner(bits), 0.0))
+        got = abort.gad_xor_branches([QubitDescription.bb84(b1, b2) for b1, b2 in bits])
+        assert len(got) == len(want)
+        for (s_pairs, prob, out), (s, want_prob, want_out) in zip(got, want):
+            assert tuple(b for pair in s_pairs for b in pair) == s
+            assert abs(prob - want_prob) <= 1e-15
+            assert fidelity(out, want_out) >= 1 - 1e-12
+
+
+def test_gad_xor_at_chunk_size_matches_formula():
+    """t = 60 inputs, far wider than a statevector holds: the fold still
+    agrees with combine_bits."""
+    rng = np.random.default_rng(60)
+    for _ in range(5):
+        bits = [(int(rng.integers(0, 2)), int(rng.integers(0, 2))) for _ in range(60)]
+        states = [QubitDescription.bb84(b1, b2) for b1, b2 in bits]
+        s_pairs, out = abort.gad_xor(states, rng)
+        assert len(s_pairs) == 60
         b1, b2 = abort.combine_bits(_records(bits), s_pairs)
         assert fidelity(out, QubitDescription.equatorial(b1 + 2 * b2)) >= 1 - 1e-9
 

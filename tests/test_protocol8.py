@@ -5,7 +5,9 @@ import pytest
 
 from qfactory import protocol8 as p8
 from qfactory.params import TOY_MICRO
-from qfactory.sim import QubitDescription, draw_row, fidelity, top_qubit_rows
+from qfactory.sim import (
+    QubitDescription, draw_row, fidelity, gadget_rows, gadget_state, top_qubit_rows,
+)
 
 
 def _in1(B1, B2):
@@ -77,8 +79,8 @@ def test_merge_map_is_the_merge_circuit():
     for _ in range(200):
         in1, in2 = (QubitDescription(rng.standard_normal(2) + 1j * rng.standard_normal(2))
                     for _ in range(2))
-        want = top_qubit_rows(p8._merge_state(in1, in2), 0.0)
-        assert np.abs(p8._merge_rows(in1, in2) - want).max() <= 1e-15
+        want = top_qubit_rows(gadget_state(1, in1, in2), 0.0)
+        assert np.abs(gadget_rows(1, in1, in2) - want).max() <= 1e-15
 
 
 def test_merge_gadget_draws_as_the_live_circuit():
@@ -87,7 +89,7 @@ def test_merge_gadget_draws_as_the_live_circuit():
         B1, B2, B1p, B2p = (int(v) for v in inputs.integers(0, 2, size=4))
         in1, in2 = _in1(B1, B2), _in2(B1p, B2p)
         # the reference: the same draw from the live merge circuit's rows
-        rows = top_qubit_rows(p8._merge_state(in1, in2), 0.0)
+        rows = top_qubit_rows(gadget_state(1, in1, in2), 0.0)
         bits, out = draw_row(rows, np.random.default_rng(seed))
         res = p8.merge_gadget(in1, in2, np.random.default_rng(seed))
         assert (res.s1, res.s2) == bits

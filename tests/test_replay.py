@@ -147,6 +147,47 @@ def test_a_file_in_the_spaced_layout_replays(tmp_path):
     assert (report.records, report.verified_runs, report.mismatches) == (3, 3, [])
 
 
+def _rewrite(path, edit):
+    """Rewrite each line of the file as edit(position, record) leaves it."""
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    for i, rec in enumerate(recs):
+        edit(i, rec)
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+
+
+# the three seq fields, and the line of the first one that is not its position
+SEQS = {
+    "str": (["x", 1, 2], 0), "repeated": ([0, 0, 2], 1), "gap": ([0, 1, 3], 2),
+    "from-1": ([1, 2, 3], 0), "bool": ([0, True, 2], 1), "float": ([0, 1.0, 2], 1),
+}
+
+
+@pytest.mark.parametrize("seqs, line", SEQS.values(), ids=SEQS.keys())
+def test_seq_other_than_the_record_position_is_a_transcript_error(tmp_path, seqs, line):
+    path = tmp_path / "runs.jsonl"
+    _replay(path, RUN4, USABLE, UNUSABLE)
+    _rewrite(path, lambda i, rec: rec.update(seq=seqs[i]))
+    with pytest.raises(transcripts.TranscriptError, match=f"line {line}: "):
+        transcripts.replay(path)
+
+
+ENVELOPES = {
+    "added-note": lambda rec: rec.update(note=""),
+    "no-seq": lambda rec: rec.pop("seq"),
+    "prev-int": lambda rec: rec.update(prev=0),
+    "hash-list": lambda rec: rec.update(hash=[rec["hash"]]),
+}
+
+
+@pytest.mark.parametrize("edit", ENVELOPES.values(), ids=ENVELOPES.keys())
+def test_a_line_other_than_the_exact_envelope_is_a_transcript_error(tmp_path, edit):
+    path = tmp_path / "runs.jsonl"
+    _replay(path, RUN4, USABLE, UNUSABLE)
+    _rewrite(path, lambda i, rec: i == 2 and edit(rec))
+    with pytest.raises(transcripts.TranscriptError, match="line 2: record"):
+        transcripts.replay(path)
+
+
 def _honest_image(key_msg, rng):
     """The image of a sampled input and a uniform record, as the paper-size
     benchmark client's server answers."""

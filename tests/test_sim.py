@@ -7,15 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from qfactory import lwe, protocol8, serde, sim
+from qfactory import lwe, serde, sim
 from qfactory.params import TOY_GADGET, TOY_MICRO, TOY_WIDE
 from qfactory.sim import (
     QubitDescription,
     StateVector,
     analytic_stage2,
-    cz_gadget,
     draw_row,
     fidelity,
+    gadget_state,
     row_branches,
     sample_b,
     stage2_b_support,
@@ -135,18 +135,18 @@ def test_cz_negates_exactly_the_amplitudes_with_both_bits_set(n):
                 assert np.array_equal(sv.cz(a, b).amps, want)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_cz_gadget_equals_the_kron_build_exactly(n):
-    rng = np.random.default_rng(n)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+@pytest.mark.parametrize("L", range(8))
+def test_gadget_state_equals_the_kron_build_exactly(L):
+    rng = np.random.default_rng(L)
     for _ in range(20):
-        vecs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(n)]
-        edges = [pairs[i] for i in rng.permutation(len(pairs))[: rng.integers(0, len(pairs) + 1)]]
+        in1, in2 = (QubitDescription(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                    for _ in range(2))
+        vecs = [QubitDescription.eight(L).vec, in1.vec, in2.vec]
         want = functools.reduce(np.kron, vecs[::-1])  # kron's first factor: high bits
-        for a, b in edges:
+        for a, b in [(0, 1), (1, 2)]:
             both = (1 << a) | (1 << b)
-            want[(np.arange(1 << n) & both) == both] *= -1
-        assert np.array_equal(cz_gadget([v.copy() for v in vecs], edges).amps, want)
+            want[(np.arange(1 << 3) & both) == both] *= -1
+        assert np.array_equal(gadget_state(L, in1, in2).amps, want)
 
 
 def test_cached_constants_are_read_only_and_bounded():
@@ -161,14 +161,14 @@ def test_cached_constants_are_read_only_and_bounded():
         lwe._noise_block(TOY_WIDE),
         lwe._SECTOR_C,
         lwe._gadget_rows(TOY_GADGET),
-        protocol8._ANCILLA,
-        protocol8._merge_map(),
+        sim._gadget_map(1),
+        sim._gadget_map(2),
     ]
     assert all(not a.flags.writeable for a in arrays)
     caches = (
         sim._control_index, sim._layer_block, sim._target_masks,
         lwe._s_grid, lwe._sector_dv, lwe._noise_block, lwe._row_mask, lwe._gadget_rows,
-        serde._param_set, protocol8._merge_map,
+        serde._param_set, sim._gadget_map,
     )
     for cache in caches:
         assert cache.cache_info().maxsize is not None
@@ -323,10 +323,10 @@ def test_h_layer_on_zeros_is_the_uniform_superposition():
         assert np.max(np.abs(amps - 2 ** (-n / 2))) <= 1e-15
 
 
-def test_cz_gadget_owns_its_amplitudes():
-    vec = np.array([0.6, 0.8j])
-    sv = cz_gadget([vec], []).x(0)
-    assert np.array_equal(vec, [0.6, 0.8j]) and np.array_equal(sv.amps, [0.8j, 0.6])
+def test_gadget_state_owns_its_amplitudes():
+    in1, in2 = QubitDescription([0.6, 0.8j]), QubitDescription([0.8, -0.6j])
+    gadget_state(0, in1, in2).x(0, 1, 2)
+    assert np.array_equal(in1.vec, [0.6, 0.8j]) and np.array_equal(in2.vec, [0.8, -0.6j])
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])

@@ -343,6 +343,24 @@ def test_server_logs_one_line_per_ended_session(caplog, ending):
     assert line == f"session ended: peer 127.0.0.1:{peer_port}, {want}"
 
 
+def test_server_ends_a_silent_session_at_the_session_timeout(caplog, monkeypatch):
+    monkeypatch.setattr(wire, "SESSION_TIMEOUT", 0.2)
+    caplog.set_level(logging.INFO, logger="qfactory.wire")
+    server = wire.serve("127.0.0.1", 0, master_seed=3)
+    host, port = server.server_address
+    try:
+        with socket.create_connection((host, port), timeout=5) as sock:
+            peer_port = sock.getsockname()[1]
+            assert sock.recv(1) == b""  # the server ended the session
+        records = _wire_records(caplog, 1)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert [r.getMessage() for r in records] == [
+        f"session ended: peer 127.0.0.1:{peer_port}, timeout"
+    ]
+
+
 def test_server_session_never_emits_private_fields():
     params = TOY_MICRO
     session = wire.ServerSession(master_seed=1)
@@ -532,6 +550,18 @@ def test_key_params_are_not_coerced(tmp_path, field, value):
         w.append(body)
     with pytest.raises(transcripts.TranscriptError):
         transcripts.replay(path)
+
+
+def test_a_negative_mu_prime_is_rejected_by_the_reader_and_the_server():
+    params = {**serde.params_to_obj(TOY_MICRO), "mu_prime": -1}
+    with pytest.raises(ValueError, match="mu_prime"):
+        serde.params_from_obj(params)
+    payload = _key_payload()
+    payload["key"]["k"]["params"]["mu_prime"] = -1
+    session = wire.ServerSession(master_seed=1)
+    with pytest.raises(wire.WireError, match="key cannot be served"):
+        session.handle(wire.WireMessage("key", 0, payload))
+    _assert_keyable(session)
 
 
 def test_key_params_share_one_paramset_per_field_tuple():
