@@ -59,7 +59,7 @@ class KeyMessage:
 @dataclass(frozen=True)
 class Transcript4:
     y: tuple[int, ...]
-    b: tuple[int, ...]
+    b: bytes | tuple[int, ...]  # as the exchange returned it
     variant: str
 
 
@@ -91,7 +91,7 @@ class ClientState4:
 @dataclass(frozen=True)
 class StrategyReply:
     y: tuple[int, ...]
-    b: tuple[int, ...]
+    b: bytes | tuple[int, ...]
     held: QubitDescription | None
 
 
@@ -244,7 +244,8 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
 def _finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputIndex4:
     """`finalize` of a y and b that the image rule and the bit rule (or the
     `serde` readers, which follow them) have already returned: m ints in
-    [0, q) and total_bits ints in {0, 1}; ValueError for an unknown variant."""
+    [0, q) and total_bits bytes of 0/1 values; ValueError for an unknown
+    variant."""
     variant = check_variant(client.variant)
     params = client.pk.params
     preimages = lwe._invert(client.trapdoor, client.pk, y)  # y is checked

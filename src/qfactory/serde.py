@@ -46,9 +46,10 @@ def zq_entries(values, length: int, q: int) -> list[int]:
     return ints
 
 
-def record_bits(text, length: int) -> tuple[int, ...]:
+def record_bits(text, length: int) -> bytes:
     """A measurement record of exactly `length` characters from {0, 1}, as
-    bits; ValueError otherwise."""
+    bytes of 0/1 values (the form `lwe.check_bits` returns); ValueError
+    otherwise."""
     if isinstance(text, str) and len(text) == length:
         raw = text.encode("ascii", "replace")  # a non-ASCII character becomes "?"
         if not raw.translate(None, b"01"):  # deletes 0 and 1, so empty exactly on a 0/1 string
@@ -56,8 +57,9 @@ def record_bits(text, length: int) -> tuple[int, ...]:
     raise ValueError(f"record must be exactly {length} characters from {{0, 1}}")
 
 
-def record_text(bits: tuple[int, ...]) -> str:
-    """The text form of a record of 0/1 ints, as `record_bits` reads it."""
+def record_text(bits) -> str:
+    """The text form of a record of 0/1 values, bytes or ints, as
+    `record_bits` reads it."""
     return bits_text(bits)
 
 

@@ -359,7 +359,11 @@ def local_session(master_seed: int, backend: str = "two_branch") -> LocalChannel
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         host, port = self.client_address[:2]
-        log.info("session ended: peer %s:%s, %s", host, port, self._serve())
+        try:
+            why = self._serve()
+        finally:
+            self.server._slots.release()  # taken by verify_request
+        log.info("session ended: peer %s:%s, %s", host, port, why)
 
     def _serve(self) -> str:
         """Answer requests until the session ends; returns why it ended."""
@@ -388,6 +392,11 @@ class _Handler(socketserver.BaseRequestHandler):
             return f"connection error ({type(exc).__name__})"
 
 
+# At most this many TCP sessions are served at once: each holds a thread and up
+# to MAX_HELD_RUNS runs.  A connection past the cap is closed at once.
+MAX_SESSIONS = 32
+
+
 class ProtocolServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
@@ -396,6 +405,16 @@ class ProtocolServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _Handler)
         self.master_seed = master_seed
         self.backend = backend
+        self._slots = threading.BoundedSemaphore(MAX_SESSIONS)
+
+    def verify_request(self, request, client_address) -> bool:
+        """Take a session slot, which the handler gives back when its session
+        ends, or refuse the connection with one log line."""
+        if self._slots.acquire(blocking=False):
+            return True
+        host, port = client_address[:2]
+        log.info("session refused: peer %s:%s, %d sessions open", host, port, MAX_SESSIONS)
+        return False
 
 
 def serve(host: str, port: int, master_seed: int, backend: str = "two_branch") -> ProtocolServer:

@@ -1,8 +1,10 @@
 """Caller lint: every function, class, method and module constant in
 src/qfactory has a use there, except the names listed below with the reason
-each stays."""
+each stays.  A method that overrides a hook of a base class from outside the
+package has its use in that base."""
 
 import ast
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -69,15 +71,34 @@ def _references(trees: dict) -> dict:
     return refs
 
 
+def _foreign_hooks(tree: ast.Module, cls: ast.ClassDef) -> set:
+    """The attribute names of the bases of `cls` that are classes of modules
+    imported with `import x [as y]`: a method of one of these names overrides
+    a hook that the base calls, as socketserver calls `verify_request`."""
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    }
+    return {
+        name
+        for base in cls.bases
+        if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+        and base.value.id in modules
+        for name in dir(getattr(importlib.import_module(modules[base.value.id]), base.attr))
+    }
+
+
 def _definitions(mod: str, tree: ast.Module):
     """(owner, dotted name, name, node) of each module-level function, class
-    and constant, and of each class's methods and nested classes."""
+    and constant, and of each class's methods and nested classes, less the
+    methods that override a hook of a base from outside the package."""
     for top in tree.body:
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
             yield mod, top.name, top.name, top
         if isinstance(top, ast.ClassDef):
+            hooks = _foreign_hooks(tree, top)
             for node in top.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in hooks:
                     yield None, f"{top.name}.{node.name}", node.name, node
         elif isinstance(top, (ast.Assign, ast.AnnAssign)):
             for target in top.targets if isinstance(top, ast.Assign) else [top.target]:
@@ -125,3 +146,17 @@ def _uncalled_with(use: str) -> set:
 def test_lint_tells_numpy_attributes_from_methods_and_reads_constants():
     assert _uncalled_with("X = np.linalg.norm(Vec())") == {"vec.UNREAD", "vec.Vec.norm", "use.X"}
     assert _uncalled_with("X = Vec().norm()") == {"vec.UNREAD", "use.X"}
+
+
+HOOKS = """
+import socketserver as ss
+class Server(ss.TCPServer):
+    def verify_request(self, request, client_address):
+        return True
+    def unused(self):
+        pass
+"""
+
+
+def test_lint_takes_an_override_of_a_foreign_base_hook_as_called():
+    assert _uncalled({"srv": ast.parse(HOOKS)}) == {"srv.Server", "srv.Server.unused"}

@@ -540,7 +540,7 @@ def test_encode_zero_element_offset_bias():
     x = lwe.DomainElement((0,), (0, 0), 0, 0)
     bits = lwe.encode(params, x)
     # s bits zero; each e field stores value + box, so e=0 encodes as 1
-    assert bits == (0, 0, 0, 1, 1, 0, 0)
+    assert bits == bytes((0, 0, 0, 1, 1, 0, 0))
 
 
 def test_encode_last_bit_is_c():
@@ -560,7 +560,7 @@ def test_encode_decode_identity(packed):
 
 def test_encode_decode_random_elements():
     rng = _rng(8)
-    for params, samples in ((TOY_WIDE, 1000), (paper_params(4), 20)):
+    for params, samples in ((TOY_WIDE, 1000), (paper_params(4), 20), (paper_params(16), 5)):
         for _ in range(samples):
             x = lwe.sample_domain_element(params, rng)
             assert lwe.decode_int(params, lwe.pack_bits(lwe.encode(params, x))) == x
@@ -574,20 +574,34 @@ def test_decode_out_of_box_noise_is_bot():
     assert lwe.decode_int(params, 0) is None
 
 
-@pytest.mark.parametrize(
-    "elem",
-    [
-        lwe.DomainElement((9,), (0, 0), 2, 1),  # masked, this encodes as s = 1, d = 0
-        lwe.DomainElement((8,), (0, 0), 0, 1),
-        lwe.DomainElement((-1,), (0, 0), 0, 1),
-        lwe.DomainElement((1,), (0, 0), 0, 2),
-        lwe.DomainElement((1,), (0, 0), -1, 0),
-    ],
-    ids=["s-9-d-2", "s-q", "s-minus-1", "c-2", "d-minus-1"],
-)
-def test_encode_int_rejects_instead_of_masking(elem):
-    with pytest.raises(ValueError):
-        lwe.encode_int(TOY_MICRO, elem)
+# each case replaces fields of a valid element; on TOY_MICRO (q = 8, box 1) s-9-d-2
+# would encode, masked, as s = 1, d = 0
+_UNENCODABLE = {
+    "s-9-d-2": lambda p: {"s": (p.q + 1,), "d": 2},
+    "s-q": lambda p: {"s": (p.q,)},
+    "s-minus-1": lambda p: {"s": (-1,)},
+    "c-2": lambda p: {"c": 2},
+    "d-minus-1": lambda p: {"d": -1},
+    "s-2-64": lambda p: {"s": (1 << 64,)},  # outside int64
+    "e-box": lambda p: {"e": (p.noise_box,)},
+    "e-below-box": lambda p: {"e": (-p.noise_box - 1,)},
+    "e-2-64": lambda p: {"e": (-(1 << 64),)},
+}
+
+
+@pytest.mark.parametrize("case", list(_UNENCODABLE), ids=list(_UNENCODABLE))
+def test_encode_int_rejects_instead_of_masking(case):
+    # a register on each side of the width where encode_int changes method
+    for params in (TOY_MICRO, paper_params(16)):
+        assert (params.total_bits > lwe._FIELDWISE_ENCODE_BITS) == (params is not TOY_MICRO)
+        x = lwe.sample_domain_element(params, _rng(12))
+        fields = _UNENCODABLE[case](params)
+        # the replaced s or e entry goes last, after entries that encode
+        for name in ("s", "e"):
+            if name in fields:
+                fields[name] = getattr(x, name)[1:] + fields[name]
+        with pytest.raises(ValueError):
+            lwe.encode_int(params, replace(x, **fields))
 
 
 @pytest.mark.parametrize("value", [-1, 1 << TOY_MICRO.total_bits])
@@ -607,6 +621,18 @@ def test_pack_bits_inverts_unpack_bits(params):
 
 def test_pack_bits_of_the_empty_string_is_zero():
     assert lwe.pack_bits(()) == 0
+
+
+def test_the_bit_rule_and_the_record_reader_return_bytes_of_0_1_values():
+    for bits in (lwe.check_bits((0, 1, 1), 3), serde.record_bits("011", 3)):
+        assert type(bits) is bytes and bits == b"\x00\x01\x01"
+    # an array is read by value: its raw memory would be 16 bytes here
+    assert lwe.check_bits(np.array([0, 1], dtype=np.int64), 2) == b"\x00\x01"
+    assert lwe.check_bits([True, False], 2) == b"\x01\x00"
+    assert lwe.check_bits(b"\x01\x00", 2) == b"\x01\x00"
+    for bad in ((0, 2), b"\x00\x02", np.array([0, 2])):
+        with pytest.raises(ValueError):
+            lwe.check_bits(bad, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,35 @@ def test_server_ends_a_silent_session_at_the_session_timeout(caplog, monkeypatch
     ]
 
 
+def test_server_refuses_a_session_past_the_cap_until_one_ends(caplog, monkeypatch):
+    monkeypatch.setattr(wire, "MAX_SESSIONS", 2)
+    caplog.set_level(logging.INFO, logger="qfactory.wire")
+    server = wire.serve("127.0.0.1", 0, master_seed=3)
+    host, port = server.server_address
+    chans = []
+    try:
+        for _ in range(2):
+            chans.append(wire.SocketChannel(host, port))
+            wire.run4_over_channel(chans[-1], TOY_MICRO, 3, 0)  # served
+        with socket.create_connection((host, port), timeout=5) as sock:
+            refused_port = sock.getsockname()[1]
+            assert sock.recv(1) == b""  # closed at once
+        first_port = chans[0].sock.getsockname()[1]
+        chans.pop(0).close()
+        records = _wire_records(caplog, 2)  # the refusal, then the first session's end
+        chans.append(wire.SocketChannel(host, port))
+        wire.run4_over_channel(chans[-1], TOY_MICRO, 3, 0)  # served in the freed slot
+    finally:
+        for chan in chans:
+            chan.close()
+        server.shutdown()
+        server.server_close()
+    assert [r.getMessage() for r in records] == [
+        f"session refused: peer 127.0.0.1:{refused_port}, 2 sessions open",
+        f"session ended: peer 127.0.0.1:{first_port}, peer closed",
+    ]
+
+
 def test_server_session_never_emits_private_fields():
     params = TOY_MICRO
     session = wire.ServerSession(master_seed=1)
@@ -930,7 +959,7 @@ def test_client_rejects_non_binary_merge_outcome(s1):
 def test_record_text_is_read_back_by_record_bits():
     bits = (0, 1, 1, 0, 1, 0, 0)
     assert serde.record_text(bits) == "0110100"
-    assert serde.record_bits("0110100", 7) == bits
+    assert serde.record_bits("0110100", 7) == bytes(bits)
 
 
 @pytest.mark.parametrize(
