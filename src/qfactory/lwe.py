@@ -341,6 +341,14 @@ def _row_mask(q: int, n: int, D: int, row: tuple[int, ...], shifted: bool) -> in
     return int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
 
 
+def check_enumeration_scale(params: ParamSet) -> None:
+    """The rule for a key with no gadget (m <= n*ell_q), whose inversion scans
+    all q^n values of s: its register's s and e bits, n*ell_q + m*ell_e, at
+    most _ENUM_CAP_BITS; ValueError otherwise."""
+    if params.n * params.ell_q + params.m * params.ell_e > _ENUM_CAP_BITS:
+        raise ValueError("m <= n*ell_q needs enumeration-scale parameters")
+
+
 def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
     """Key generation: gadget-bearing K (when it fits) plus planted (s0, e0, d0).
 
@@ -378,9 +386,7 @@ def gen(params: ParamSet, seed: int) -> tuple[PublicKey, Trapdoor]:
         K = np.concatenate([K_top, K_bottom], axis=0)
         gadget = GadgetData(R=R, err_lo=err_lo, err_hi=err_hi)
     else:
-        se_bits = n * params.ell_q + m * params.ell_e
-        if se_bits > _ENUM_CAP_BITS:
-            raise ValueError("m <= n*ell_q needs enumeration-scale parameters")
+        check_enumeration_scale(params)
         # candidates come 16 at a time and are scanned in order; the first
         # injective one is kept, so K is uniform over injective keys; at most
         # 4096 candidates are tried

@@ -30,10 +30,10 @@ from .sim import (
     MAX_QUBITS,
     QubitDescription,
     StateVector,
-    _draw_b,
     analytic_stage2,
     draw_row,
     record_parity,
+    sample_b,
     top_qubit_rows,
 )
 
@@ -85,7 +85,6 @@ class ClientState4:
     pk: lwe.PublicKey
     trapdoor: lwe.Trapdoor
     variant: str
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def meas_theta(variant: str) -> float:
 def client_init(params: ParamSet, variant: str, seed: int) -> tuple[ClientState4, KeyMessage]:
     check_variant(variant)
     pk, td = lwe.gen(params, derive_seed(seed, "gen"))
-    client = ClientState4(pk=pk, trapdoor=td, variant=variant, seed=seed)
+    client = ClientState4(pk=pk, trapdoor=td, variant=variant)
     return client, KeyMessage(pk=pk, variant=variant)
 
 
@@ -156,22 +155,21 @@ def _measured_image(pk: lwe.PublicKey, rng: np.random.Generator) -> tuple[int, l
 def _server_two_branch(key_msg: KeyMessage, seed: int) -> StrategyReply:
     pk = key_msg.pk
     params = pk.params
+    nbits = params.total_bits
     rng = seeds.rng(derive_seed(seed, "server"))
     packed_y, branches = _measured_image(pk, rng)
     if len(branches) > 2:
         raise ValueError(f"the image has {len(branches)} register preimages, not one or two")
+    # one branch is the pair (xi, xi), whose records are all equally likely
+    xi, xpi = branches[0], branches[-1]
     theta = meas_theta(key_msg.variant)
-    if len(branches) == 2:
-        # the branches are register patterns and the record is drawn here, so
-        # analytic_stage2 is the one place they are checked
-        b = _draw_b(*branches, params.total_bits, theta, rng)
-        xb, xpb = (lwe.unpack_bits(params, v) for v in branches)
-        held = analytic_stage2(xb, xpb, b, theta)
+    b = sample_b(xi, xpi, nbits, theta, rng)
+    if xi == xpi:
+        held = QubitDescription.computational((xi >> (nbits - 2)) & 1)
     else:
-        xb = lwe.unpack_bits(params, branches[0])
-        b = tuple(rng.integers(0, 2, size=params.total_bits).tolist())
-        held = QubitDescription.computational(xb[-2])
-    return StrategyReply(y=lwe.unpack_image(params, packed_y), b=b, held=held)
+        held = analytic_stage2(xi, xpi, nbits, b, theta)
+    y = lwe.unpack_image(params, packed_y)
+    return StrategyReply(y=y, b=lwe.unpack_bits(params, b), held=held)
 
 
 def _stage2_state(params: ParamSet, branch_bits: list[int]) -> StateVector:
@@ -220,13 +218,13 @@ def _server_statevector(key_msg: KeyMessage, seed: int) -> StrategyReply:
 # client finalization
 
 
-def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputIndex4:
+def finalize(client: ClientState4, y, b) -> OutputIndex4:
     """Client-side output index of one run from the image y and the record b;
     ValueError for an unknown variant or a malformed y or b.
 
-    None: abort, or a fresh uniform pair in always-output mode.  One
-    preimage: a computational qubit holding the hardcore bit.  Two preimages
-    with equal hardcore bits: the computational state |h>, in both variants.
+    No preimage: abort, with (B1, B2) = (0, 0).  One preimage: a
+    computational qubit holding the hardcore bit.  Two preimages with equal
+    hardcore bits: the computational state |h>, in both variants.
 
     Two preimages come from `lwe.invert` in sector order, z with c = 0 and
     z' with c = 1.  With opposite hardcore bits they give an equatorial
@@ -238,10 +236,10 @@ def finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputI
     """
     params = client.pk.params
     y, b = lwe.check_image(params, y), lwe.check_bits(b, params.total_bits)
-    return _finalize(client, y, b, always_output)
+    return _finalize(client, y, b)
 
 
-def _finalize(client: ClientState4, y, b, always_output: bool = False) -> OutputIndex4:
+def _finalize(client: ClientState4, y, b) -> OutputIndex4:
     """`finalize` of a y and b that the image rule and the bit rule (or the
     `serde` readers, which follow them) have already returned: m ints in
     [0, q) and total_bits bytes of 0/1 values; ValueError for an unknown
@@ -250,7 +248,7 @@ def _finalize(client: ClientState4, y, b, always_output: bool = False) -> Output
     params = client.pk.params
     preimages = lwe._invert(client.trapdoor, client.pk, y)  # y is checked
     if len(preimages) == 0:
-        return _no_preimage_output(client, y, b, always_output)
+        return OutputIndex4(0, 0, NO_PREIMAGE, COMPUTATIONAL)
     if len(preimages) == 1:
         return OutputIndex4(0, lwe.h(preimages[0]), SINGLE_PREIMAGE, COMPUTATIONAL)
     z, zp = preimages
@@ -267,16 +265,6 @@ def _finalize(client: ClientState4, y, b, always_output: bool = False) -> Output
         family = PAULI_Y if b1 else PAULI_X
         return OutputIndex4(b1, b2, TWO_PREIMAGES, family)
     return OutputIndex4(1, beta, TWO_PREIMAGES, PAULI_X)
-
-
-def _no_preimage_output(client: ClientState4, y, b, always_output: bool) -> OutputIndex4:
-    if not always_output:
-        return OutputIndex4(0, 0, NO_PREIMAGE, COMPUTATIONAL)
-    labels = ",".join(map(str, y)), lwe.bits_text(b)
-    rng = seeds.rng(derive_seed(client.seed, "always-output", *labels))
-    b1, b2 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-    family = PAULI_X if b1 else COMPUTATIONAL
-    return OutputIndex4(b1, b2, NO_PREIMAGE, family)
 
 
 # ---------------------------------------------------------------------------

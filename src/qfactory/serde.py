@@ -19,7 +19,15 @@ from typing import Any
 
 import numpy as np
 
-from .lwe import DomainElement, GadgetData, PublicKey, Trapdoor, bits_text, text_bits
+from .lwe import (
+    DomainElement,
+    GadgetData,
+    PublicKey,
+    Trapdoor,
+    bits_text,
+    check_enumeration_scale,
+    text_bits,
+)
 from .params import ParamSet
 
 FORMAT_VERSION = 2
@@ -33,7 +41,9 @@ def int_strings(values) -> list[str]:
 
 
 def zq_entries(values, length: int, q: int) -> list[int]:
-    """A list of `length` decimal strings in [0, q), as ints; else ValueError."""
+    """A list of `length` decimal strings in [0, q), each exactly as
+    `int_strings` writes it (no sign, no leading zero), as ints; else
+    ValueError."""
     if not isinstance(values, list) or len(values) != length:
         raise ValueError(f"expected a list of {length} Z_q entries")
     try:
@@ -41,8 +51,8 @@ def zq_entries(values, length: int, q: int) -> list[int]:
     except TypeError as exc:
         raise ValueError("Z_q entries must be decimal strings") from exc
     ints = list(map(int, values))
-    if not (text.isascii() and text.isdigit()) or max(ints) >= q:
-        raise ValueError("Z_q entries must be decimal strings in [0, q)")
+    if not (text.isascii() and text.isdigit()) or max(ints) >= q or int_strings(ints) != values:
+        raise ValueError("Z_q entries must be canonical decimal strings in [0, q)")
     return ints
 
 
@@ -201,8 +211,9 @@ def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
     """The trapdoor of a trapdoor object of exactly format 2's schema, shaped
     for a key with `params`:
     a gadget exactly when m > n*ell_q, with R an (m - n*ell_q) x n*ell_q 0/1
-    matrix and n*ell_q entries in each of err_lo and err_hi, a plant with n
-    entries of s in [0, q) and m entries of e, and d0 in {0, 1}; ValueError
+    matrix and n*ell_q entries in each of err_lo and err_hi, and otherwise
+    params of enumeration scale (`lwe.check_enumeration_scale`); a plant with
+    n entries of s in [0, q) and m entries of e, and d0 in {0, 1}; ValueError
     otherwise."""
     _check_version(obj, "trapdoor")
     check_shape(obj, _TRAPDOOR_SCHEMA, "trapdoor")
@@ -212,7 +223,9 @@ def trapdoor_from_obj(obj: dict[str, Any], params: ParamSet) -> Trapdoor:
     if (t["gadget"] is not None) != (m_bar >= 1):
         raise ValueError("a trapdoor has a gadget exactly when m > n*ell_q")
     gadget = None
-    if t["gadget"] is not None:
+    if t["gadget"] is None:
+        check_enumeration_scale(params)  # before replay scans Z_q^n
+    else:
         gd, width = t["gadget"], -(-w // 8)
         raw = _raw(gd["R"], m_bar * width, "R")
         pad = (1 << (-w % 8)) - 1  # the pad bits at the end of each row of R

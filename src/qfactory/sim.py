@@ -468,53 +468,51 @@ def record_parity(b: int, diff: int) -> int:
     return (b & diff).bit_count() & 1
 
 
-def analytic_stage2(x, x_prime, b, theta: float):
-    """Closed-form output qubit for the honest run with preimages (x, x').
+def _check_patterns(n: int, *values: int) -> None:
+    """The range rule of the two-branch evaluator: each packed register
+    pattern and record (bit j = qubit j) is in [0, 2^n); ValueError
+    otherwise."""
+    if not all(0 <= v < 1 << n for v in values):
+        raise ValueError(f"packed patterns and records must be in [0, 2^{n})")
 
-    The two branches must differ, have equal length and differ in the last
-    bit.  The target qubit holds the next-to-last bit of each branch (the
-    hardcore bit).  After the XY-plane measurements at theta the x' branch
-    carries the relative amplitude exp(-i theta (wt(x') - wt(x))) (-1)^<b, x
-    xor x'>.  Only theta in {0, pi/2} is supported.  x, x' and b follow
-    `lwe.check_bits`, all of the length of x.  Raises on a measurement record
-    b of probability zero.
+
+def analytic_stage2(xi: int, xpi: int, n: int, b: int, theta: float):
+    """Closed-form output qubit for the honest run whose register holds the
+    packed n-bit patterns xi and xpi, with the packed record b.
+
+    The two patterns must differ in c, bit n - 1.  The target qubit holds bit
+    n - 2 of each pattern (the hardcore bit).  After the XY-plane
+    measurements at theta the xpi branch carries the relative amplitude
+    exp(-i theta (wt(xpi) - wt(xi))) (-1)^<b, xi xor xpi>.  Only theta in
+    {0, pi/2} is supported.  xi, xpi and b follow `_check_patterns`.  Raises
+    on a measurement record b of probability zero.
     """
     if not (abs(theta) < 1e-12 or abs(theta - math.pi / 2) < 1e-12):
         raise ValueError("only theta in {0, pi/2} is supported")
-    n = len(x)
-    x, x_prime, b = (lwe.check_bits(v, n) for v in (x, x_prime, b))
-    if x == x_prime:
-        raise ValueError("the two branches must differ")
-    if x[-1] == x_prime[-1]:
-        raise ValueError("branches must differ in the last bit")
-    delta = sum(x_prime) - sum(x)
-    beta = record_parity(lwe.pack_bits(b), lwe.pack_bits(x) ^ lwe.pack_bits(x_prime))
+    _check_patterns(n, xi, xpi, b)
+    diff = xi ^ xpi
+    if not (diff >> (n - 1)):  # equal patterns have equal c as well
+        raise ValueError("the branches must differ in the last bit, c")
+    delta = xpi.bit_count() - xi.bit_count()
+    beta = record_parity(b, diff)
     amps = [0j, 0j]
-    amps[x[-2]] += 1.0
-    amps[x_prime[-2]] += cmath.exp(-1j * theta * delta) * (-1) ** beta
+    amps[(xi >> (n - 2)) & 1] += 1.0
+    amps[(xpi >> (n - 2)) & 1] += cmath.exp(-1j * theta * delta) * (-1) ** beta
     if math.hypot(*map(abs, amps)) < 1e-9:
         raise ValueError("measurement record has probability zero")
     return QubitDescription(amps)
 
 
-def stage2_b_support(x, x_prime, theta: float):
-    """Which measurement records occur for the honest two-branch state.
+def stage2_b_support(xi: int, xpi: int, n: int, theta: float):
+    """Which measurement records occur for the honest state on the packed
+    n-bit patterns xi and xpi (which follow `_check_patterns`).
 
-    Returns (None, None) when every b is equally likely, else (diff, parity)
-    restricting records to <b, diff> = parity.  Interference can only kill
-    records when both branches carry the same output value.  x and x' follow
-    `lwe.check_bits`, both of the length of x.
+    Returns (None, None) when every record is equally likely, else (diff,
+    parity) restricting records b to <b, diff> = parity, with diff packed.
+    Interference can only kill records when both branches carry the same
+    output value; equal patterns give (0, 0), which every record meets.
     """
-    x, x_prime = lwe.check_bits(x, len(x)), lwe.check_bits(x_prime, len(x))
-    diff, parity = _b_support(lwe.pack_bits(x), lwe.pack_bits(x_prime), len(x), theta)
-    if diff is None:
-        return None, None
-    return tuple(a ^ bb for a, bb in zip(x, x_prime)), parity
-
-
-def _b_support(xi: int, xpi: int, n: int, theta: float):
-    """`stage2_b_support` of the packed n-bit branches xi and xpi, with diff
-    packed as well."""
+    _check_patterns(n, xi, xpi)
     diff = xi ^ xpi
     if (diff >> (n - 2)) & 1:  # the branches carry different output values
         return None, None
@@ -526,18 +524,13 @@ def _b_support(xi: int, xpi: int, n: int, theta: float):
     return diff, (delta // 2) % 2
 
 
-def sample_b(x, x_prime, theta: float, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw a measurement record from the honest two-branch distribution."""
-    n = len(x)
-    x, x_prime = lwe.check_bits(x, n), lwe.check_bits(x_prime, n)
-    return _draw_b(lwe.pack_bits(x), lwe.pack_bits(x_prime), n, theta, rng)
-
-
-def _draw_b(xi: int, xpi: int, n: int, theta: float, rng: np.random.Generator):
-    """`sample_b` of the packed n-bit branches xi and xpi: a uniform record,
-    with its first bit in diff flipped when it falls outside the support."""
-    b = rng.integers(0, 2, size=n).tolist()
-    diff, parity = _b_support(xi, xpi, n, theta)
-    if diff is not None and record_parity(lwe.pack_bits(b), diff) != parity:
-        b[(diff & -diff).bit_length() - 1] ^= 1
-    return tuple(b)
+def sample_b(xi: int, xpi: int, n: int, theta: float, rng: np.random.Generator) -> int:
+    """Draw a packed record from the honest distribution on the packed n-bit
+    patterns xi and xpi: a uniform record, with its lowest bit in diff
+    flipped when it falls outside `stage2_b_support`."""
+    diff, parity = stage2_b_support(xi, xpi, n, theta)
+    draw = rng.integers(0, 2, size=n)
+    b = int.from_bytes(np.packbits(draw, bitorder="little").tobytes(), "little")
+    if diff is not None and record_parity(b, diff) != parity:
+        b ^= diff & -diff
+    return b

@@ -154,12 +154,10 @@ def _identity(body: dict) -> tuple:
 
 def _finalize(body: dict) -> p4.OutputIndex4:
     """`finalize`'s core on a run4 body's key material, y and b, each read by
-    the rule the wire client reads it with, which is the one check they get;
-    the body's seeds are read by `_identity` first."""
+    the rule the wire client reads it with, which is the one check they get."""
     pk = serde.key_from_obj(body["key_msg"])
     td = serde.trapdoor_from_obj(body["trapdoor"], pk.params)
-    seed = body["seeds"]["run"]
-    client = p4.ClientState4(pk=pk, trapdoor=td, variant=body["variant"], seed=seed)
+    client = p4.ClientState4(pk=pk, trapdoor=td, variant=body["variant"])
     y = serde.zq_entries(body["y"], pk.params.m, pk.params.q)
     b = serde.record_bits(body["b"], pk.params.total_bits)
     return p4._finalize(client, y, b)

@@ -249,16 +249,11 @@ def test_criterion_09_backend_equivalence():
             cols = p4.honest_output_table(pk, branches, 0.0)
             norms2 = np.abs(cols[:, 0]) ** 2 + np.abs(cols[:, 1]) ** 2
             if len(branches) == 2:
-                to_bits = lambda v: tuple((v >> j) & 1 for j in range(nbits))
-                xb, xpb = to_bits(branches[0]), to_bits(branches[1])
-                if xb[-1] == 1:
-                    xb, xpb = xpb, xb
-                diff, parity = stage2_b_support(xb, xpb, 0.0)
+                diff, parity = stage2_b_support(branches[0], branches[1], nbits, 0.0)
                 if diff is None:
                     expect = np.full(1 << nbits, 1.0 / (1 << nbits))
                 else:
-                    dmask = sum(bit << j for j, bit in enumerate(diff))
-                    beta = np.bitwise_count(np.arange(1 << nbits, dtype=np.int64) & dmask) & 1
+                    beta = np.bitwise_count(np.arange(1 << nbits, dtype=np.int64) & diff) & 1
                     expect = np.where(beta == parity, 2.0 / (1 << nbits), 0.0)
             else:
                 expect = np.full(1 << nbits, 1.0 / (1 << nbits))

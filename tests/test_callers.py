@@ -15,14 +15,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "qfactory"
 CRITERION_API = {
     "lwe.regularity_estimate", "lwe.two_preimage_fraction", "lwe.homomorphy_estimate",
     "lwe.hardcore_game", "lwe.adv_random", "lwe.adv_trapdoor", "lwe.adv_bruteforce",
-    "protocol8.guess_stats", "sim.stage2_b_support", "wire.serve",
+    "protocol8.guess_stats", "wire.serve",
     "selftest.phi_family_strategy", "selftest.basis_leaking_strategy",
     "selftest.orthogonal_junk_strategy", "selftest.blindness_check",
     "wire.PRIVATE_FIELDS",  # criterion 10: no wire schema names a private field
 }
 # wrapped by perfbench/tracer.py, which times them where the benchmark calls them
 TRACED = {
-    "sim.sample_b", "sim.StateVector.qubit_state", "sim.StateVector.x", "sim.StateVector.z",
+    "sim.StateVector.qubit_state", "sim.StateVector.x", "sim.StateVector.z",
     "sim.StateVector.r", "lwe.encode", "protocol4.run_protocol4", "transcripts.run8_record",
 }
 # test-only protocol code: XOR combining waits on one session run (ROADMAP item 6)
@@ -127,6 +127,10 @@ def test_every_src_definition_has_a_src_caller_or_a_listed_reason():
     uncalled = _uncalled(trees)
     assert uncalled - ALLOWED == set(), "no use in src/qfactory and not allow-listed"
     assert ALLOWED - uncalled == set(), "allow-listed but used in src/qfactory, or gone"
+
+
+def test_every_traced_name_is_wrapped_by_the_tracer(tracer):
+    assert TRACED - {f"{mod}.{attr}" for mod, attr, _ in tracer.SPANS} == set()
 
 
 VEC = """

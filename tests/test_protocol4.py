@@ -326,7 +326,7 @@ def test_replay_bitwise_deterministic():
     assert a.out == b.out
 
 
-def test_always_output_mode_deterministic_fallback():
+def test_no_preimage_output():
     params = TOY_REG
     client, _ = p4.client_init(params, p4.PLAIN, seed=5)
     # y far outside the image: no preimages
@@ -335,10 +335,6 @@ def test_always_output_mode_deterministic_fallback():
     packed = next(v for v in range(1 << (params.m * params.ell_q)) if v not in images)
     y = tuple(int(v) for v in lwe.unpack_image(params, packed))
     b = (0,) * params.total_bits
-    out1 = p4.finalize(client, y, b, always_output=True)
-    out2 = p4.finalize(client, y, b, always_output=True)
-    assert out1 == out2
-    assert out1.accepted == p4.NO_PREIMAGE
     plain = p4.finalize(client, y, b)
     assert plain.accepted == p4.NO_PREIMAGE and (plain.B1, plain.B2) == (0, 0)
 
@@ -380,17 +376,19 @@ def _table_two_branch(key_msg, seed):
     packed_y = int(table[lwe.encode_int(params, x)])
     branches = [int(v) for v in np.flatnonzero(table == packed_y)]
     theta = p4.meas_theta(key_msg.variant)
+    nbits = params.total_bits
     if len(branches) == 2:
-        xb, xpb = (lwe.unpack_bits(params, v) for v in branches)
-        if xb[-1] == 1:
-            xb, xpb = xpb, xb
-        b = sample_b(xb, xpb, theta, rng)
-        held = analytic_stage2(xb, xpb, b, theta)
+        xi, xpi = branches
+        if (xi >> (nbits - 1)) & 1:
+            xi, xpi = xpi, xi
+        b = sample_b(xi, xpi, nbits, theta, rng)
+        held = analytic_stage2(xi, xpi, nbits, b, theta)
+        b = lwe.unpack_bits(params, b)
     else:
         xb = lwe.unpack_bits(params, branches[0])
-        b = tuple(int(v) for v in rng.integers(0, 2, size=params.total_bits))
+        b = bytes(rng.integers(0, 2, size=nbits).tolist())
         held = QubitDescription.computational(xb[-2])
-    return tuple(int(v) for v in lwe.unpack_image(params, packed_y)), tuple(b), held
+    return tuple(int(v) for v in lwe.unpack_image(params, packed_y)), b, held
 
 
 @pytest.mark.parametrize("params", [TOY_MICRO, TOY_GADGET, TOY_REG, TOY_WIDE])

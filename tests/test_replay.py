@@ -9,11 +9,12 @@ import copy
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfactory import lwe, protocol4 as p4, protocol8 as p8, transcripts
-from qfactory.params import TOY_MICRO, paper_params
+from qfactory import cli, lwe, protocol4 as p4, protocol8 as p8, serde, transcripts
+from qfactory.params import TOY_MICRO, ParamSet, paper_params
 
 
 def _first(record, has):
@@ -36,6 +37,24 @@ UNUSABLE = _first(_run8, lambda r: not r["usable"])
 
 DERIVED = {"accepted", "B1", "B2", "family", "usable", "L"}
 DELETE = object()
+
+
+def _no_gadget_key(q):
+    """Edits that give a run4 record a paper-profile key of n = m = 1 at
+    modulus q, with no gadget trapdoor, and a y and b that fit it."""
+    params = ParamSet(n=1, q=q, m=1, mu=1, mu_prime=0, profile="paper")
+    pk = lwe.PublicKey(K=np.ones((1, 1), np.int64), y0=np.zeros(1, np.int64), params=params)
+    td = lwe.Trapdoor(gadget=None, z0=lwe.DomainElement((0,), (0,), 0))
+    return (
+        (("key_msg",), serde.key_to_obj(pk)),
+        (("trapdoor",), serde.trapdoor_to_obj(td)),
+        (("y",), ["0"]),
+        (("b",), "0" * params.total_bits),
+    )
+
+
+# inverting without a gadget scans all q^n values of s: 2^44 of them here
+NO_GADGET_Q44 = (RUN4, *_no_gadget_key(1 << 44))
 
 
 def _replay(path, *bodies):
@@ -94,6 +113,7 @@ UNREADABLE = {
     "y-ints": (RUN4, (("y",), [int(v) for v in RUN4["y"]])),
     "y-floats": (RUN4, (("y",), [int(v) + 0.9 for v in RUN4["y"]])),
     "y-leading-space": (RUN4, (("y",), [" " + v for v in RUN4["y"]])),
+    "y-leading-zero": (RUN4, (("y",), ["0" + v for v in RUN4["y"]])),
     "b-int-list": (RUN4, (("b",), [int(ch) for ch in RUN4["b"]])),
     "b-bool-list": (RUN4, (("b",), [ch == "1" for ch in RUN4["b"]])),
     "variant-bogus": (RUN4, (("variant",), "bogus")),
@@ -120,6 +140,7 @@ UNREADABLE = {
     "run8-seeds-empty": (USABLE, (("seeds",), {})),
     "run8-seed-bool": (USABLE, (("seeds", "run"), True)),
     "run8-sub-seed-other": (USABLE, (("run1", "seeds", "run"), USABLE["seeds"]["run"] + 1)),
+    "no-gadget-key-q-2^44": NO_GADGET_Q44,
 }
 
 
@@ -128,6 +149,18 @@ def test_unreadable_field_is_a_transcript_error(tmp_path, case):
     base, *edits = case
     with pytest.raises(transcripts.TranscriptError):
         _replay(tmp_path / "runs.jsonl", _edited(base, *edits))
+
+
+def test_cli_replay_of_a_no_gadget_key_above_enumeration_scale_is_one_error_line(
+    tmp_path, capsys
+):
+    path = tmp_path / "runs.jsonl"
+    with transcripts.TranscriptWriter(path) as w:
+        w.append(_edited(*NO_GADGET_Q44))
+    assert cli.main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"qfactory replay: {path}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_a_line_is_the_compact_canonical_record(tmp_path):

@@ -562,31 +562,31 @@ def test_global_phase_quotient():
 
 def test_stage2_basic_plus():
     # branches (z,0) and (z',1) with opposite hardcore bits, all-zero record
-    x = (0, 0, 0, 0)
-    xp = (1, 0, 1, 1)
-    out = analytic_stage2(x, xp, (0, 0, 0, 0), 0.0)
+    x = 0b0000
+    xp = 0b1101
+    out = analytic_stage2(x, xp, 4, 0, 0.0)
     assert out.approx_equal(QubitDescription.bb84(1, 0))
 
 
 def test_stage2_rejects_equal_branches():
     with pytest.raises(ValueError):
-        analytic_stage2((0, 1), (0, 1), (0, 0), 0.0)
+        analytic_stage2(0b10, 0b10, 2, 0, 0.0)
 
 
-def test_stage2_rejects_a_non_bit_entry():
-    # masked to bits the record would read as (0, 1, 0)
+def test_stage2_rejects_an_out_of_range_record():
+    # masked to 3 bits the record would read as 0b010
     with pytest.raises(ValueError):
-        analytic_stage2((0, 0, 1), (0, 1, 0), (2, 3, 0), 0.0)
+        analytic_stage2(0b100, 0b010, 3, 0b1010, 0.0)
 
 
 @pytest.mark.parametrize(
-    "x, xp",
-    [((0, 2, 0, 1), (1, 1, 0, 0)), ((0, 1, 0, 1), (1, -1, 0, 0)), ((0, 1, 0, 1), (1, 1, 0))],
+    "x, xp, n",
+    [(0b11010, 0b0011, 4), (0b1010, -1, 4), (0b1010, 0b0011, 3)],
     ids=["x", "x-prime", "short"],
 )
-def test_stage2_b_support_rejects_a_non_bit_branch(x, xp):
+def test_stage2_b_support_rejects_an_out_of_range_branch(x, xp, n):
     with pytest.raises(ValueError):
-        stage2_b_support(x, xp, 0.0)
+        stage2_b_support(x, xp, n, 0.0)
 
 
 def _two_branch_statevector(x, xp, theta):
@@ -618,12 +618,12 @@ def test_stage2_matches_statevector(theta):
         if tuple(x[:-1]) == tuple(xp[:-1]):
             xp[0] ^= 1
         sv = _two_branch_statevector(tuple(x), tuple(xp), theta)
-        b = sample_b(tuple(x), tuple(xp), theta, rng)
+        xi, xpi = (sum(bit << j for j, bit in enumerate(v)) for v in (x, xp))
+        b = sample_b(xi, xpi, n, theta, rng)
         flat = sv.amps.reshape(-1)
-        bidx = sum(bit << j for j, bit in enumerate(b))
-        col = np.array([flat[bidx], flat[bidx + (1 << n)]])
+        col = np.array([flat[b], flat[b + (1 << n)]])
         assert np.linalg.norm(col) > 1e-12
-        want = analytic_stage2(tuple(x), tuple(xp), b, theta)
+        want = analytic_stage2(xi, xpi, n, b, theta)
         assert fidelity(col, want.vec) >= 1 - 1e-9
 
 
@@ -631,13 +631,13 @@ def test_stage2_b_support_zero_probability_records():
     # equal hardcore bits at theta=0: only even-overlap records survive
     x = (0, 1, 0, 0)
     xp = (1, 1, 0, 1)
-    diff, parity = stage2_b_support(x, xp, 0.0)
+    diff, parity = stage2_b_support(0b0010, 0b1011, 4, 0.0)
     assert parity == 0
-    bad_b = (1, 0, 0, 0)  # <b, diff> = 1
+    bad_b = 0b0001  # <b, diff> = 1
     with pytest.raises(ValueError):
-        analytic_stage2(x, xp, bad_b, 0.0)
+        analytic_stage2(0b0010, 0b1011, 4, bad_b, 0.0)
     sv = _two_branch_statevector(x, xp, 0.0)
-    bidx = 1  # packed bad_b
+    bidx = bad_b
     col = sv.amps.reshape(-1)[[bidx, bidx + (1 << 4)]]
     assert np.linalg.norm(col) < 1e-12
 

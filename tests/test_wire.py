@@ -907,6 +907,12 @@ def _y_non_digit(kind, payload):
     return payload
 
 
+def _y_leading_zero(kind, payload):
+    if kind == "image":
+        payload["y"] = ["0" + payload["y"][0]] + payload["y"][1:]
+    return payload
+
+
 def _y_short(kind, payload):
     if kind == "image":
         payload["y"] = payload["y"][1:]
@@ -932,7 +938,8 @@ def _b_long(kind, payload):
 
 
 @pytest.mark.parametrize(
-    "tamper", [_y_above_q, _y_non_digit, _y_short, _b_non_binary, _b_non_digit, _b_long]
+    "tamper",
+    [_y_above_q, _y_non_digit, _y_leading_zero, _y_short, _b_non_binary, _b_non_digit, _b_long],
 )
 def test_client_rejects_noncanonical_reply(tamper):
     untouched = _TamperingChannel(41, lambda kind, payload: payload)
