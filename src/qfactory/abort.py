@@ -33,7 +33,7 @@ from . import lwe, seeds
 from . import protocol4 as p4
 from .params import ParamSet
 from .seeds import derive_seed
-from .sim import QubitDescription, draw_row, gadget_rows, row_branches
+from .sim import ATOL, QubitDescription, draw_row, fidelity, gadget_rows, row_branches
 
 BB84_SET = {
     (0, 0): QubitDescription.computational(0),
@@ -86,7 +86,7 @@ def gad_xor(states, rng: np.random.Generator):
     if not states:
         raise ValueError("need at least one input")
     for st in states:
-        if not any(st.approx_equal(ref) for ref in BB84_SET.values()):
+        if not any(fidelity(st, ref) >= 1 - ATOL for ref in BB84_SET.values()):
             raise ValueError("input outside the BB84 set")
     pairs, carrier = [], QubitDescription.eight(0)
     for st in states:

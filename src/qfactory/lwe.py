@@ -143,20 +143,6 @@ def h(elem: DomainElement) -> int:
     return elem.d
 
 
-def add_z(params: ParamSet, a: DomainElement, b: DomainElement) -> DomainElement:
-    """Group operation on g-inputs: s mod-q add, e integer add, d xor."""
-    s = tuple((x + y) % params.q for x, y in zip(a.s, b.s))
-    e = tuple(x + y for x, y in zip(a.e, b.e))
-    return DomainElement(s, e, a.d ^ b.d, None)
-
-
-def is_valid(params: ParamSet, elem: DomainElement) -> bool:
-    lo, hi = e_range(params)
-    if len(elem.s) != params.n or len(elem.e) != params.m:
-        return False
-    return all(0 <= x < params.q for x in elem.s) and all(lo <= x <= hi for x in elem.e)
-
-
 def shift_in_box(params: ParamSet, e, shift):
     """The shifted-noise rule: whether e + shift stays in `e_range` on the
     last axis, vectorized over the others.  With shift -e0 (c = 0) or +e0
@@ -264,20 +250,6 @@ def _encode_blocks(params: ParamSet, elem: DomainElement) -> int:
     blocks.append(np.array([elem.d, elem.c], dtype=np.uint8))
     packed = np.packbits(np.concatenate(blocks), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
-
-
-def decode_int(params: ParamSet, value: int) -> DomainElement | None:
-    """Inverse of encode_int on [0, 2^total_bits); None for out-of-range noise."""
-    if not 0 <= value < 1 << params.total_bits:
-        raise ValueError("pattern wider than the register")
-    fields = []
-    for width in [params.ell_q] * params.n + [params.ell_e] * params.m:
-        fields.append(value % (1 << width))
-        value >>= width
-    c, d = divmod(value, 2)
-    e = tuple(stored - params.noise_box for stored in fields[params.n :])
-    elem = DomainElement(tuple(fields[: params.n]), e, d, c)
-    return elem if is_valid(params, elem) else None
 
 
 # ---------------------------------------------------------------------------

@@ -91,15 +91,9 @@ def params_to_obj(params: ParamSet) -> dict[str, Any]:
     }
 
 
-def params_from_obj(obj: dict[str, Any]) -> ParamSet:
-    """The ParamSet of a params object of exactly `PARAMS_SCHEMA` whose q is a
-    decimal string; ValueError otherwise."""
-    check_shape(obj, PARAMS_SCHEMA, "params")
-    return _params(obj)
-
-
 def _params(obj: dict[str, Any]) -> ParamSet:
-    """`params_from_obj` of an object of the checked shape."""
+    """The ParamSet of a params object already checked to be of exactly
+    `PARAMS_SCHEMA`, whose q is a decimal string; ValueError otherwise."""
     q = obj["q"]
     if not (q.isascii() and q.isdigit()):
         raise ValueError(f"q must be a decimal string, not {q!r}")

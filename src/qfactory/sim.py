@@ -205,19 +205,6 @@ class StateVector:
         self.amps, self.n = amps, self.n + k
         return self
 
-    def drop_qubits(self, bits) -> "StateVector":
-        """Remove the top len(bits) qubits, which must hold the computational
-        state `bits` (bits[i] on qubit n - len(bits) + i, by the bit rule)."""
-        bits = tuple(bits)
-        k = len(bits)
-        if not 1 <= k < self.n:
-            raise ValueError(f"can drop 1 to {self.n - 1} qubits, not {k}")
-        keep = self.amps.reshape(1 << k, -1)[lwe.pack_bits(lwe.check_bits(bits, k))]
-        if np.vdot(self.amps, self.amps).real - np.vdot(keep, keep).real > 1e-12:
-            raise ValueError("dropped qubits are not in the stated computational state")
-        self.amps, self.n = keep.copy(), self.n - k
-        return self
-
     def probabilities(self, qubits) -> np.ndarray:
         """Marginal outcome probabilities, axes ordered as the qubit list."""
         self._check(*qubits)
@@ -237,7 +224,7 @@ class StateVector:
         probabilities are the row sums of the (2^k, 2^(n-k)) view of the
         squared moduli (bit for bit `probabilities`), they leave the
         register, and only the drawn slice is kept, scaled once (bit for bit
-        `drop_qubits` after the collapse).
+        that slice of the state a measure without drop leaves).
         """
         qubits = list(qubits)
         self._check(*qubits)
@@ -438,12 +425,6 @@ class QubitDescription:
     @classmethod
     def computational(cls, value: int) -> "QubitDescription":
         return cls.bb84(0, value)
-
-    def fidelity(self, other: "QubitDescription") -> float:
-        return float(abs(np.vdot(self.vec, other.vec)) ** 2)
-
-    def approx_equal(self, other: "QubitDescription") -> bool:
-        return self.fidelity(other) >= 1.0 - ATOL
 
     def __repr__(self):
         return f"QubitDescription({self.vec[0]:.4f}, {self.vec[1]:.4f})"

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from . import lwe, protocol4 as p4, protocol8 as p8, serde, seeds
 from .params import ParamSet
 from .seeds import run_seed
-from .sim import QubitDescription
+from .sim import QubitDescription, fidelity
 
 WIRE_VERSION = 1
 MAX_FRAME = 1 << 20
@@ -60,7 +60,8 @@ def _run_ids_to_ints(results) -> bool:
     )
 
 
-# each kind's payload, in `serde.check_shape`'s terms; a merge request is empty
+# each kind's payload, in `serde.check_shape`'s terms; a merge reply carries
+# the outcomes, and the session rejects a merge request that is not empty
 KIND_SCHEMAS = {
     "key": {"key": serde.KEY_SCHEMA, "variant": str},
     "image": {"y": [str]},
@@ -198,6 +199,8 @@ class ServerSession:
                 WireMessage("meas", msg.run_id, {"b": serde.record_text(reply.b)}),
             ]
         if msg.kind == "merge":
+            if msg.payload:
+                raise WireError("a merge request carries no fields")
             in1, in2 = self._take((msg.run_id, p4.PLAIN), (msg.run_id, p4.ROTATED))
             rng = seeds.rng(run_seed(self.master_seed, msg.run_id, "merge"))
             res = p8.merge_gadget(in1, in2, rng)
@@ -208,7 +211,7 @@ class ServerSession:
             held = self._take(*((run_id, "merged") for run_id, _ in plan))
             results = {}
             for (run_id, m_idx), state in zip(plan, held):
-                p_plus = QubitDescription.eight(m_idx).fidelity(state)
+                p_plus = fidelity(QubitDescription.eight(m_idx), state)
                 rng = seeds.rng(run_seed(self.master_seed, run_id, "test"))
                 results[str(run_id)] = int(rng.random() < p_plus)
             return [WireMessage("test_results", msg.run_id, {"results": results})]
@@ -415,6 +418,14 @@ class ProtocolServer(socketserver.ThreadingTCPServer):
         host, port = client_address[:2]
         log.info("session refused: peer %s:%s, %d sessions open", host, port, MAX_SESSIONS)
         return False
+
+    def process_request(self, request, client_address):
+        """Start the session's thread, or give its slot back if it cannot start."""
+        try:
+            super().process_request(request, client_address)
+        except Exception:
+            self._slots.release()
+            raise
 
 
 def serve(host: str, port: int, master_seed: int, backend: str = "two_branch") -> ProtocolServer:

@@ -1,7 +1,9 @@
 """Caller lint: every function, class, method and module constant in
-src/qfactory has a use there, except the names listed below with the reason
-each stays.  A method that overrides a hook of a base class from outside the
-package has its use in that base."""
+src/qfactory is reached there through uses, from module-level code, the
+`cli.main` entry point, a method that overrides a hook of a base class from
+outside the package (that base calls it) or a dunder of a reached class,
+except the names listed below with the reason each stays.  A use inside a
+function or class body counts only once that body is reached."""
 
 import ast
 import importlib
@@ -30,14 +32,7 @@ TEST_ONLY_PROTOCOL = {
     "abort.gad_xor", "abort.client_combine", "abort.beta", "abort.eta_bound",
     "abort.choose_params",
 }
-# references the tests compare against: add_z is the group operation the
-# homomorphy tests check g against, decode_int the inverse of encode_int,
-# drop_qubits the two-step form of measure(drop=True); params_from_obj is the
-# reader whose rejections tests/test_wire.py pins
-REFERENCES = {
-    "lwe.add_z", "lwe.decode_int", "sim.StateVector.drop_qubits", "serde.params_from_obj",
-}
-ALLOWED = CRITERION_API | TRACED | TEST_ONLY_PROTOCOL | REFERENCES
+ALLOWED = CRITERION_API | TRACED | TEST_ONLY_PROTOCOL
 
 
 def _references(trees: dict) -> dict:
@@ -58,7 +53,7 @@ def _references(trees: dict) -> dict:
             elif isinstance(node, ast.Import):
                 foreign.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 refs[mod, node.id].append((mod, node.lineno))
             elif isinstance(node, ast.Attribute):
                 root = node.value
@@ -89,44 +84,61 @@ def _foreign_hooks(tree: ast.Module, cls: ast.ClassDef) -> set:
 
 
 def _definitions(mod: str, tree: ast.Module):
-    """(owner, dotted name, name, node) of each module-level function, class
-    and constant, and of each class's methods and nested classes, less the
-    methods that override a hook of a base from outside the package."""
+    """(owner, dotted name, name, node, hook) of each module-level function,
+    class and constant, and of each class's methods and nested classes; hook
+    tells a method that overrides a hook of a base from outside the package."""
     for top in tree.body:
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-            yield mod, top.name, top.name, top
+            yield mod, top.name, top.name, top, False
         if isinstance(top, ast.ClassDef):
             hooks = _foreign_hooks(tree, top)
             for node in top.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in hooks:
-                    yield None, f"{top.name}.{node.name}", node.name, node
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    yield None, f"{top.name}.{node.name}", node.name, node, node.name in hooks
         elif isinstance(top, (ast.Assign, ast.AnnAssign)):
             for target in top.targets if isinstance(top, ast.Assign) else [top.target]:
                 if isinstance(target, ast.Name):
-                    yield mod, target.id, target.id, top
+                    yield mod, target.id, target.id, top, False
 
 
-def _uncalled(trees: dict) -> set:
+def _uncalled(trees: dict, roots=()) -> set:
     """Dotted names of the definitions in `trees` (module name -> parsed
-    module) that no code in those modules outside their own body names."""
-    refs = _references(trees)
-    return {
-        f"{mod}.{dotted}"
-        for mod, tree in trees.items()
-        for owner, dotted, name, node in _definitions(mod, tree)
-        if not name.startswith("__")  # dunders are called or read implicitly
-        and all(
-            m == mod and node.lineno <= line <= node.end_lineno  # its own body
-            for m, line in refs.get((owner, name), ())
-        )
-    }
+    module) that no chain of uses reaches from module-level code (a
+    constant's value included), `cli.main`, a foreign base's hook or a
+    dotted name in `roots`.  A dunder is reached with its class, as it is
+    called or read implicitly, and never reported."""
+    defs, todo = set(), [None, "cli.main", *roots]
+    by_key, spans, dunders = defaultdict(list), defaultdict(list), defaultdict(list)
+    for mod, tree in trees.items():
+        for owner, dotted, name, node, hook in _definitions(mod, tree):
+            full = f"{mod}.{dotted}"
+            by_key[owner, name].append(full)
+            if name.startswith("__"):
+                dunders[full.rpartition(".")[0]].append(full)
+            else:
+                defs.add(full)
+            if hook:
+                todo.append(full)
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                spans[mod].append((node.lineno, node.end_lineno, full))
+    uses = defaultdict(set)  # function or class body (None: module-level code) -> what it names
+    for key, places in _references(trees).items():
+        for mod, line in places:
+            bodies = [(lo, full) for lo, hi, full in spans[mod] if lo <= line <= hi]
+            uses[max(bodies)[1] if bodies else None].update(by_key.get(key, ()))  # the innermost
+    reached = set()
+    while todo:
+        full = todo.pop()
+        if full not in reached:
+            reached.add(full)
+            todo += [*uses[full], *dunders[full]]
+    return defs - reached
 
 
 def test_every_src_definition_has_a_src_caller_or_a_listed_reason():
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
-    uncalled = _uncalled(trees)
-    assert uncalled - ALLOWED == set(), "no use in src/qfactory and not allow-listed"
-    assert ALLOWED - uncalled == set(), "allow-listed but used in src/qfactory, or gone"
+    assert _uncalled(trees, ALLOWED) == set(), "reached from no src/qfactory root and not allow-listed"
+    assert ALLOWED - _uncalled(trees) == set(), "allow-listed but used in src/qfactory, or gone"
 
 
 def test_every_traced_name_is_wrapped_by_the_tracer(tracer):
@@ -164,3 +176,22 @@ class Server(ss.TCPServer):
 
 def test_lint_takes_an_override_of_a_foreign_base_hook_as_called():
     assert _uncalled({"srv": ast.parse(HOOKS)}) == {"srv.Server", "srv.Server.unused"}
+
+
+CHAIN = """
+def main():
+    return used()
+def used():
+    return 1
+def unused():
+    return callee()
+def callee():
+    return 2
+def recursive(k):
+    return recursive(k - 1) if k else 0
+"""
+
+
+def test_lint_counts_only_uses_reached_from_a_root():
+    assert _uncalled({"cli": ast.parse(CHAIN)}) == {"cli.unused", "cli.callee", "cli.recursive"}
+    assert _uncalled({"cli": ast.parse(CHAIN)}, {"cli.unused"}) == {"cli.recursive"}

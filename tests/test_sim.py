@@ -332,7 +332,8 @@ def test_gadget_state_owns_its_amplitudes():
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_measure_and_drop_is_measure_then_drop_qubits(k):
     """The same draw and, bit for bit, the same state as a computational
-    measure of the top k qubits followed by drop_qubits."""
+    measure of the top k qubits followed by dropping them: reading the
+    collapsed state's slice at the drawn outcome."""
     n = 8
     for seed in range(5):
         one = _random_state(n, np.random.default_rng(seed))
@@ -340,9 +341,9 @@ def test_measure_and_drop_is_measure_then_drop_qubits(k):
         two.amps = one.amps.copy()
         bits, prob = one.measure(range(n - k, n), np.random.default_rng(seed), drop=True)
         want, want_prob = two.measure(range(n - k, n), np.random.default_rng(seed))
-        two.drop_qubits(want)
         assert (bits, prob) == (want, want_prob)
-        assert one.n == two.n == n - k and np.array_equal(one.amps, two.amps)
+        drawn = two.amps.reshape(1 << k, -1)[lwe.pack_bits(want)]
+        assert one.n == n - k and np.array_equal(one.amps, drawn)
 
 
 @pytest.mark.parametrize("qubits", [[], [0, 1, 2], [1], [2, 1]], ids=["none", "all", "not-top", "unordered"])
@@ -436,8 +437,9 @@ def test_append_and_drop_qubits_keep_the_state():
     before = sv.amps.copy()
     sv.append_qubits(2).x(4)
     assert sv.n == 5 and np.array_equal(sv.amps[16:24], before)
-    assert np.array_equal(sv.drop_qubits((0, 1)).amps, before)
-    assert sv.n == 3
+    bits, prob = sv.measure([3, 4], rng, drop=True)
+    assert bits == (0, 1) and prob == pytest.approx(1.0)
+    assert sv.n == 3 and np.allclose(sv.amps, before, rtol=0, atol=1e-12)
 
 
 def test_append_qubits_above_the_width_cap_raises():
@@ -447,17 +449,6 @@ def test_append_qubits_above_the_width_cap_raises():
     with pytest.raises(ValueError):
         sv.append_qubits(0)
     assert sv.n == sim.MAX_QUBITS - 2
-
-
-@pytest.mark.parametrize("bits", [(0,), (0, 1), (1, 1)], ids=["other-value", "entangled-0", "entangled-1"])
-def test_drop_qubits_not_in_the_stated_state_raises(bits):
-    # qubit 2 holds |1>; qubit 1 is entangled with qubit 0
-    sv = StateVector(3).h(0).x(2)
-    sv.apply_function_unitary([0, 1], controls=[0], targets=[1])
-    before = sv.amps.copy()
-    with pytest.raises(ValueError, match="not in the stated"):
-        sv.drop_qubits(bits)
-    assert sv.n == 3 and np.array_equal(sv.amps, before)
 
 
 def test_function_unitary_matches_toy_truth_table():
@@ -498,7 +489,7 @@ def test_measure_plus_in_its_own_basis():
         sv = StateVector(2).h(0).x(1)
         bits, out = draw_row(top_qubit_rows(sv, 0.0), np.random.default_rng(seed))
         assert bits == (0,)
-        assert out.approx_equal(QubitDescription.computational(1))
+        assert fidelity(out, QubitDescription.computational(1)) >= 1 - 1e-9
 
 
 def test_measure_deterministic_given_seed():
@@ -553,7 +544,7 @@ def test_fidelity_trivials():
 
 def test_global_phase_quotient():
     a = QubitDescription([1j * SQ2, 1j * SQ2])
-    assert a.approx_equal(QubitDescription.bb84(1, 0))
+    assert fidelity(a, QubitDescription.bb84(1, 0)) >= 1 - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +556,7 @@ def test_stage2_basic_plus():
     x = 0b0000
     xp = 0b1101
     out = analytic_stage2(x, xp, 4, 0, 0.0)
-    assert out.approx_equal(QubitDescription.bb84(1, 0))
+    assert fidelity(out, QubitDescription.bb84(1, 0)) >= 1 - 1e-9
 
 
 def test_stage2_rejects_equal_branches():

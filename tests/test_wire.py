@@ -7,6 +7,7 @@ import logging
 import socket
 import string
 import struct
+import threading
 import time
 from pathlib import Path
 
@@ -390,6 +391,33 @@ def test_server_refuses_a_session_past_the_cap_until_one_ends(caplog, monkeypatc
     ]
 
 
+def test_a_session_thread_that_cannot_start_gives_its_slot_back(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_SESSIONS", 1)
+    server = wire.serve("127.0.0.1", 0, master_seed=3)
+    host, port = server.server_address
+    start, failed = threading.Thread.start, []
+
+    def start_failing_once(thread):
+        if not failed:
+            failed.append(thread)
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_failing_once)
+    try:
+        with socket.create_connection((host, port), timeout=5) as sock:
+            assert sock.recv(1) == b""  # closed: its session never started
+        chan = wire.SocketChannel(host, port)
+        try:
+            wire.run4_over_channel(chan, TOY_MICRO, 3, 0)  # served in the slot given back
+        finally:
+            chan.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(failed) == 1
+
+
 def test_server_session_never_emits_private_fields():
     params = TOY_MICRO
     session = wire.ServerSession(master_seed=1)
@@ -560,11 +588,6 @@ _COERCED_IDS = ["n-1.9", "n-bool", "mu_prime-0.5", "m-2.0", "mu-str", "q-int", "
 
 @pytest.mark.parametrize("field, value", _COERCED_PARAMS, ids=_COERCED_IDS)
 def test_key_params_are_not_coerced(tmp_path, field, value):
-    params = serde.params_to_obj(TOY_MICRO)
-    serde.params_from_obj(params)  # the untouched object is accepted
-    with pytest.raises(ValueError):
-        serde.params_from_obj({**params, field: value})
-
     payload = _key_payload()
     payload["key"]["k"]["params"][field] = value
     session = wire.ServerSession(master_seed=1)
@@ -582,11 +605,9 @@ def test_key_params_are_not_coerced(tmp_path, field, value):
 
 
 def test_a_negative_mu_prime_is_rejected_by_the_reader_and_the_server():
-    params = {**serde.params_to_obj(TOY_MICRO), "mu_prime": -1}
+    payload = _key_with("k", "params", "mu_prime", value=-1)
     with pytest.raises(ValueError, match="mu_prime"):
-        serde.params_from_obj(params)
-    payload = _key_payload()
-    payload["key"]["k"]["params"]["mu_prime"] = -1
+        serde.key_from_obj(payload["key"])
     session = wire.ServerSession(master_seed=1)
     with pytest.raises(wire.WireError, match="key cannot be served"):
         session.handle(wire.WireMessage("key", 0, payload))
@@ -594,13 +615,13 @@ def test_a_negative_mu_prime_is_rejected_by_the_reader_and_the_server():
 
 
 def test_key_params_share_one_paramset_per_field_tuple():
-    params = serde.params_to_obj(TOY_MICRO)
-    first = serde.params_from_obj(params)
+    first = serde.key_from_obj(_key_payload()["key"]).params
     assert first == TOY_MICRO
-    assert serde.params_from_obj(dict(params)) is first
+    assert serde.key_from_obj(_key_payload()["key"]).params is first
+    key = _key_with("k", "params", "mu_prime", value=1)["key"]  # toy needs mu_prime < mu
     for _ in range(2):  # a failed profile check is not cached
         with pytest.raises(ValueError):
-            serde.params_from_obj({**params, "mu_prime": 1})  # toy needs mu_prime < mu
+            serde.key_from_obj(key)
 
 
 def _uniform_micro_key():
@@ -650,6 +671,17 @@ def test_second_merge_of_a_run_is_rejected(measured):
             _assert_measurable(chan.session)
     else:
         _assert_measurable(chan.session)
+
+
+def test_a_merge_request_with_fields_is_rejected_and_takes_nothing():
+    chan = wire.local_session(5)
+    for variant in (p4.PLAIN, p4.ROTATED):
+        wire.run4_over_channel(chan, TOY_MICRO, 5, 0, variant)
+    with pytest.raises(wire.WireError, match="no fields"):
+        chan.session.handle(wire.WireMessage("merge", 0, {"s1": 1, "s2": 0}))
+    (reply,) = chan.session.handle(wire.WireMessage("merge", 0, {}))
+    want = wire.run8_over_channel(wire.local_session(5), TOY_MICRO, 5, 0)
+    assert reply.payload == {"s1": want.s1, "s2": want.s2}
 
 
 @pytest.mark.parametrize(
