@@ -63,14 +63,12 @@ def _positive_int(text: str) -> int:
 
 
 def _fraction(interval: str):
-    """An argparse type: a float in `interval`, "(0, 1)", "(0, 1]" or "[0, 1]"
-    (nan lies in none of them)."""
+    """An argparse type: a float in `interval`, "(0, 1)" or "(0, 1]" (nan lies
+    in neither)."""
 
     def fraction(text: str) -> float:
         x = float(text)
-        above_lo = 0 <= x if interval[0] == "[" else 0 < x
-        below_hi = x <= 1 if interval[-1] == "]" else x < 1
-        if not (above_lo and below_hi):
+        if not (0 < x and (x <= 1 if interval[-1] == "]" else x < 1)):
             raise argparse.ArgumentTypeError(f"{text} does not lie in {interval}")
         return x
 
@@ -173,7 +171,7 @@ def cmd_run8(args) -> int:
 
 
 def cmd_run_abort(args) -> int:
-    p_a = args.p_a if args.p_a is not None else lwe.analytic_homomorphy(args.params)
+    p_a = lwe.analytic_homomorphy(args.params)
     rate, _ = abort.simulate_honest_chunks(
         args.params, args.t_c, args.n_c_chunks, args.p_c, derive_seed(args.seed, "abort")
     )
@@ -324,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(sp, "--params", "--seed", "--out")
     sp.add_argument("--t_c", type=_positive_int, default=60)
     sp.add_argument("--n_c", dest="n_c_chunks", type=_positive_int, default=1000)
-    sp.add_argument("--p_a", type=_fraction("[0, 1]"), help="override the analytic accept probability")
     sp.add_argument("--p_c", type=_fraction("(0, 1]"), default=0.52)
     sp.set_defaults(func=cmd_run_abort)
 

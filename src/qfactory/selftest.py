@@ -34,27 +34,16 @@ def ideal_prob(L: int, M: int) -> float:
 # test plans and statistics
 
 
-@dataclass(frozen=True)
-class TestPlan:
-    N: int
-    fraction: float
-    test_indices: tuple[int, ...]
-    measurements: dict[int, int]
-
-
-def plan_tests(N: int, f: float, seed: int) -> TestPlan:
+def plan_tests(N: int, f: float, seed: int) -> dict[int, int]:
+    """A test plan: ceil(f N) of the N runs, each with a measurement index in
+    [0, 8), as a map from run id to index with run ids ascending."""
     if not 0.0 < f < 1.0:
         raise ValueError("test fraction must lie in (0, 1)")
     rng = seeds.rng(derive_seed(seed, "plan"))
     k = math.ceil(f * N)
     chosen = np.sort(rng.choice(N, size=k, replace=False))
     ms = rng.integers(0, 8, size=k)
-    return TestPlan(
-        N=N,
-        fraction=f,
-        test_indices=tuple(int(i) for i in chosen),
-        measurements={int(i): int(m) for i, m in zip(chosen, ms)},
-    )
+    return dict(zip(chosen.tolist(), ms.tolist()))
 
 
 @dataclass
@@ -92,18 +81,17 @@ class StatsTable:
 
 
 def collect_and_check(
-    plan: TestPlan, L_indices, outcomes, eps2: float, min_count: int = 30
+    plan: dict[int, int], L_indices, outcomes, eps2: float, min_count: int = 30
 ) -> tuple[bool, StatsTable]:
     """Build the statistics table and decide accept/abort.
 
-    outcomes maps test index -> bool (the + result).  Abort iff a difference
-    class with at least min_count samples strays eps2 or more from ideal.
+    outcomes holds the + results of the plan's runs, in plan order.  Abort
+    iff a difference class with at least min_count samples strays eps2 or
+    more from ideal.
     """
-    tests = plan.test_indices
-    if missing := set(tests) - outcomes.keys():
-        raise ValueError(f"missing outcome for test index {min(missing)}")
-    Ms = [plan.measurements[i] for i in tests]
-    table = StatsTable.from_samples([L_indices[i] for i in tests], Ms, [outcomes[i] for i in tests])
+    if len(outcomes) != len(plan):
+        raise ValueError(f"{len(outcomes)} outcomes for a plan of {len(plan)} runs")
+    table = StatsTable.from_samples([L_indices[i] for i in plan], list(plan.values()), outcomes)
     return table.accepts(eps2, min_count), table
 
 
@@ -139,15 +127,12 @@ class Strategy:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def born_plus(self, L: int, M: int) -> float:
-        psi = self.states[L]
-        O = self.observables[M]
-        val = (psi.conj() @ O @ psi).real
-        return float((1 + val) / 2)
-
     def born_table(self) -> np.ndarray:
-        """born_plus(L, M) as an 8 x 8 array, row L and column M."""
-        return np.array([[self.born_plus(L, M) for M in range(8)] for L in range(8)])
+        """The chance of + when state L meets observable M, as an 8 x 8 array,
+        row L and column M."""
+        return np.array(
+            [[(1 + (psi.conj() @ O @ psi).real) / 2 for O in self.observables] for psi in self.states]
+        )
 
 
 def _pauli_xy(theta: float) -> np.ndarray:
@@ -237,7 +222,6 @@ def orthogonal_junk_strategy() -> Strategy:
 class IsometryResult:
     fidelities: tuple[float, ...]  # per L, against |+_{L pi/4}> (x) Psi(000)
     norms: tuple[float, ...]
-    junk: tuple  # per-L junk density matrices (d x d)
     max_junk_distance: float
 
 
@@ -274,9 +258,7 @@ def isometry_result(strategy: Strategy) -> IsometryResult:
         norms.append(norm)
         junks.append(np.einsum("qj,qk->jk", normed, normed.conj()))
     max_dist = max(trace_distance(junks[i], junks[j]) for i in range(8) for j in range(i + 1, 8))
-    return IsometryResult(
-        fidelities=tuple(fids), norms=tuple(norms), junk=tuple(junks), max_junk_distance=max_dist
-    )
+    return IsometryResult(fidelities=tuple(fids), norms=tuple(norms), max_junk_distance=max_dist)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -363,10 +345,9 @@ def run_verifiable(
     plan = plan_tests(N, f, derive_seed(seed, "vplan"))
     rng = seeds.rng(derive_seed(seed, "voutcomes"))
     born = strategy.born_table()
-    tests = plan.test_indices
-    draws = rng.random(len(tests)) < [born[Ls[i], plan.measurements[i]] for i in tests]
-    accept, table = collect_and_check(plan, Ls, dict(zip(tests, draws)), eps2, min_count=min_count)
-    kept = [i for i in range(N) if i not in plan.measurements]
+    draws = rng.random(len(plan)) < [born[Ls[i], m_idx] for i, m_idx in plan.items()]
+    accept, table = collect_and_check(plan, Ls, draws, eps2, min_count=min_count)
+    kept = [i for i in range(N) if i not in plan]
     fids = tuple(fidelity(runs[i].held, QubitDescription.eight(Ls[i])) for i in kept)
     return VerifiableResult(
         accept=accept,

@@ -24,7 +24,6 @@ from .lwe import (
     GadgetData,
     PublicKey,
     Trapdoor,
-    bits_text,
     check_enumeration_scale,
     text_bits,
 )
@@ -65,12 +64,6 @@ def record_bits(text, length: int) -> bytes:
         if not raw.translate(None, b"01"):  # deletes 0 and 1, so empty exactly on a 0/1 string
             return text_bits(raw)
     raise ValueError(f"record must be exactly {length} characters from {{0, 1}}")
-
-
-def record_text(bits) -> str:
-    """The text form of a record of 0/1 values, bytes or ints, as
-    `record_bits` reads it."""
-    return bits_text(bits)
 
 
 def bit(value, name: str) -> int:
@@ -137,8 +130,7 @@ def check_shape(obj, schema, name: str) -> None:
     `schema`: a dict is an object with exactly its fields, each of its entry's
     shape; a type is a value of exactly that type (a bool is not an int); a
     one-type list is a list of such values; a tuple is any one of its shapes,
-    the last one named in the error; any other callable is a rule that
-    returns whether the value passes.  Value rules stay with the readers."""
+    the last one named in the error.  Value rules stay with the readers."""
     if isinstance(schema, type):
         if type(obj) is not schema:
             raise ValueError(f"{name} must be of type {schema.__name__}, not {type(obj).__name__}")
@@ -152,13 +144,11 @@ def check_shape(obj, schema, name: str) -> None:
     elif isinstance(schema, list):
         if not isinstance(obj, list) or any(type(v) is not schema[0] for v in obj):
             raise ValueError(f"{name} must be a list of {schema[0].__name__}")
-    elif isinstance(schema, tuple):
+    else:  # a tuple of shapes
         for shape in schema[:-1]:
             with contextlib.suppress(ValueError):
                 return check_shape(obj, shape, name)
         check_shape(obj, schema[-1], name)
-    elif not schema(obj):
-        raise ValueError(f"{name} fails the {schema.__name__} rule")
 
 
 def _check_version(obj: dict[str, Any], what: str) -> None:

@@ -405,25 +405,30 @@ class QubitDescription:
 
     @classmethod
     def bb84(cls, b1: int, b2: int) -> "QubitDescription":
-        """H^b1 X^b2 |0>."""
+        """H^b1 X^b2 |0>, for bits b1 and b2."""
+        if b1 not in (0, 1) or b2 not in (0, 1):
+            raise ValueError(f"BB84 state bits must be 0 or 1, not {b1!r}, {b2!r}")
         v = np.zeros(2, dtype=complex)
-        v[b2 & 1] = 1.0
-        if b1 & 1:
-            v = _H @ v
-        return cls(v)
+        v[int(b2)] = 1.0  # a bool would index as a mask
+        return cls(_H @ v if b1 else v)
 
     @classmethod
     def eight(cls, L: int) -> "QubitDescription":
-        """|+_{L pi/4}>."""
-        return cls([1.0, cmath.exp(1j * math.pi * (L % 8) / 4)])
+        """|+_{L pi/4}>, for L in [0, 8)."""
+        if not 0 <= L < 8:
+            raise ValueError(f"eight-state index {L!r} is not in [0, 8)")
+        return cls([1.0, cmath.exp(1j * math.pi * L / 4)])
 
     @classmethod
     def equatorial(cls, quarter_turns: int) -> "QubitDescription":
-        """|+_{k pi/2}>."""
-        return cls.eight((2 * quarter_turns) % 8)
+        """|+_{k pi/2}>, for k in [0, 4)."""
+        if not 0 <= quarter_turns < 4:
+            raise ValueError(f"quarter turns {quarter_turns!r} are not in [0, 4)")
+        return cls.eight(2 * quarter_turns)
 
     @classmethod
     def computational(cls, value: int) -> "QubitDescription":
+        """|value>, for a bit value."""
         return cls.bb84(0, value)
 
     def __repr__(self):

@@ -19,9 +19,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import protocol4 as p4
-from . import protocol8 as p8
-from . import serde
+from . import lwe, protocol4 as p4, protocol8 as p8, serde
 
 GENESIS = "0" * 64
 _ENVELOPE = {"seq": int, "prev": str, "body": dict, "hash": str}
@@ -118,7 +116,7 @@ def run4_record(result: p4.Protocol4Result, run_id: int, seed: int) -> dict:
         "key_msg": serde.key_to_obj(result.client.pk),
         "trapdoor": serde.trapdoor_to_obj(result.client.trapdoor),
         "y": serde.int_strings(result.transcript.y),
-        "b": serde.record_text(result.transcript.b),
+        "b": lwe.bits_text(result.transcript.b),
         **_run4_fields(result.out),
         "seeds": {"run": seed},
     }

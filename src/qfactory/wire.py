@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import socket
 import socketserver
 import struct
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -50,25 +50,16 @@ SESSION_TIMEOUT = 30.0
 # one line per ended server session: the peer and why it ended, no payload values
 log = logging.getLogger("qfactory.wire")
 
-_RUN_ID = re.compile(r"0|-?[1-9][0-9]*")  # a run id as `str(run_id)` writes it
-
-
-def _run_ids_to_ints(results) -> bool:
-    """The test results rule: an object from run ids, as str writes them, to ints."""
-    return isinstance(results, dict) and all(
-        type(k) is str and _RUN_ID.fullmatch(k) and type(v) is int for k, v in results.items()
-    )
-
-
 # each kind's payload, in `serde.check_shape`'s terms; a merge reply carries
-# the outcomes, and the session rejects a merge request that is not empty
+# the outcomes, and the session rejects a merge request that is not empty; test
+# results hold one outcome per run of the plan, in the order of its indices
 KIND_SCHEMAS = {
     "key": {"key": serde.KEY_SCHEMA, "variant": str},
     "image": {"y": [str]},
     "meas": {"b": str},
     "merge": ({}, {"s1": int, "s2": int}),
     "test_plan": {"indices": [int], "measurements": [int]},
-    "test_results": {"results": _run_ids_to_ints},
+    "test_results": {"outcomes": [int]},
 }
 
 # field names that no schema may name (a tier-1 test walks KIND_SCHEMAS): accept
@@ -196,7 +187,7 @@ class ServerSession:
             self._put(msg.run_id, variant, reply.held)
             return [
                 WireMessage("image", msg.run_id, {"y": serde.int_strings(reply.y)}),
-                WireMessage("meas", msg.run_id, {"b": serde.record_text(reply.b)}),
+                WireMessage("meas", msg.run_id, {"b": lwe.bits_text(reply.b)}),
             ]
         if msg.kind == "merge":
             if msg.payload:
@@ -208,13 +199,13 @@ class ServerSession:
             return [WireMessage("merge", msg.run_id, {"s1": res.s1, "s2": res.s2})]
         if msg.kind == "test_plan":
             plan = _test_plan(msg.payload)
-            held = self._take(*((run_id, "merged") for run_id, _ in plan))
-            results = {}
-            for (run_id, m_idx), state in zip(plan, held):
+            held = self._take(*((run_id, "merged") for run_id in plan))
+            outcomes = []
+            for (run_id, m_idx), state in zip(plan.items(), held):
                 p_plus = fidelity(QubitDescription.eight(m_idx), state)
                 rng = seeds.rng(run_seed(self.master_seed, run_id, "test"))
-                results[str(run_id)] = int(rng.random() < p_plus)
-            return [WireMessage("test_results", msg.run_id, {"results": results})]
+                outcomes.append(int(rng.random() < p_plus))
+            return [WireMessage("test_results", msg.run_id, {"outcomes": outcomes})]
         raise WireError(f"server cannot handle kind {msg.kind!r}")
 
     def _put(self, run_id: int, stage: str, state: QubitDescription):
@@ -245,16 +236,18 @@ class ServerSession:
         return held
 
 
-def _test_plan(payload: dict) -> list[tuple[int, int]]:
-    """(run id, measurement index in [0, 8)) pairs of a test plan, one per run."""
+def _test_plan(payload: dict) -> dict[int, int]:
+    """A test plan's map from run id to measurement index in [0, 8), in the
+    order of its indices."""
     indices, measurements = payload["indices"], payload["measurements"]
+    plan = dict(zip(indices, measurements))
     if len(indices) != len(measurements):
         raise WireError("test plan lists differ in length")
     if not all(0 <= m_idx < 8 for m_idx in measurements):
         raise WireError(f"test plan measurements {measurements} are not all indices < 8")
-    if len(set(indices)) != len(indices):
+    if len(plan) != len(indices):
         raise WireError("test plan names a run more than once")
-    return list(zip(indices, measurements))
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +419,13 @@ class ProtocolServer(socketserver.ThreadingTCPServer):
         except Exception:
             self._slots.release()
             raise
+
+    def handle_error(self, request, client_address):
+        """One log line for a session that failed outside its handler's own
+        endings (a thread that cannot start), in place of a traceback."""
+        host, port = client_address[:2]
+        exc = sys.exception()
+        log.info("session failed: peer %s:%s, %s: %s", host, port, type(exc).__name__, exc)
 
 
 def serve(host: str, port: int, master_seed: int, backend: str = "two_branch") -> ProtocolServer:

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from qfactory import cli
+from qfactory import cli, lwe
+from qfactory.params import TOY_REG
 
 
 def _run(argv, capsys):
@@ -103,6 +104,7 @@ def test_run_abort(capsys):
     )
     assert rc == 0
     assert 0 <= obj["accept_rate"] <= 1
+    assert obj["p_a_analytic"] == lwe.analytic_homomorphy(TOY_REG)
 
 
 def test_run_verifiable(capsys):
@@ -398,9 +400,6 @@ def test_replay_with_a_mismatch_exits_1(capsys, tmp_path):
         ["run-abort", "--p_c", "nan"],
         ["run-abort", "--p_c", "2"],
         ["run-abort", "--p_c", "0"],
-        ["run-abort", "--p_a", "-1"],
-        ["run-abort", "--p_a", "1.5"],
-        ["run-abort", "--p_a", "nan"],
         ["run-verifiable", "--eps2", "nan"],
         ["run-verifiable", "--eps2", "0"],
         ["run-verifiable", "--eps2", "1"],
@@ -432,8 +431,6 @@ def test_an_out_of_range_count_or_fraction_is_a_usage_error(capsys, argv):
     "argv, name, want",
     [
         (["run-abort", "--p_c", "1"], "p_c", 1.0),
-        (["run-abort", "--p_a", "0"], "p_a", 0.0),
-        (["run-abort", "--p_a", "1"], "p_a", 1.0),
         (["run-verifiable", "--eps2", "0.5"], "eps2", 0.5),
     ],
 )

@@ -1,12 +1,15 @@
 """Verification-layer tests: statistics, isometry, blindness, junk."""
 
+import functools
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from qfactory import protocol8, selftest as stt
-from qfactory.params import TOY_MICRO
+from qfactory.params import TOY_MICRO, TOY_WIDE
 from qfactory.seeds import derive_seed
 
 
@@ -18,7 +21,9 @@ def test_ideal_prob_values():
 
 def test_plan_tests_shapes_and_determinism():
     plan = stt.plan_tests(4, 0.5, seed=1)
-    assert len(plan.test_indices) == 2
+    assert len(plan) == 2
+    assert list(plan) == sorted(plan)
+    assert all(type(k) is int and type(v) is int for k, v in plan.items())
     assert stt.plan_tests(1000, 0.3, seed=2) == stt.plan_tests(1000, 0.3, seed=2)
     with pytest.raises(ValueError):
         stt.plan_tests(10, 1.0, seed=3)
@@ -28,7 +33,7 @@ def test_plan_tests_measurement_marginal_uniform():
     counts = np.zeros(8)
     for s in range(200):
         plan = stt.plan_tests(50, 0.5, seed=s)
-        for m in plan.measurements.values():
+        for m in plan.values():
             counts[m] += 1
     total = counts.sum()
     sigma = math.sqrt(total * (1 / 8) * (7 / 8))
@@ -40,13 +45,10 @@ def test_collect_and_check_accepts_ideal_sampling():
     N = 10_000
     Ls = rng.integers(0, 8, size=N)
     plan = stt.plan_tests(N, 0.9, seed=5)
-    outcomes = {
-        i: bool(rng.random() < stt.ideal_prob(int(Ls[i]), plan.measurements[i]))
-        for i in plan.test_indices
-    }
+    outcomes = [bool(rng.random() < stt.ideal_prob(int(Ls[i]), m)) for i, m in plan.items()]
     accept, table = stt.collect_and_check(plan, Ls, outcomes, eps2=0.05)
     assert accept
-    assert table.total() == len(plan.test_indices)
+    assert table.total() == len(plan)
 
 
 def test_collect_and_check_rejects_all_zero_outcomes():
@@ -54,21 +56,48 @@ def test_collect_and_check_rejects_all_zero_outcomes():
     N = 4000
     Ls = rng.integers(0, 8, size=N)
     plan = stt.plan_tests(N, 0.9, seed=7)
-    outcomes = {i: False for i in plan.test_indices}
-    accept, _ = stt.collect_and_check(plan, Ls, outcomes, eps2=0.05)
+    accept, _ = stt.collect_and_check(plan, Ls, [False] * len(plan), eps2=0.05)
     assert not accept
 
 
 def test_collect_and_check_skips_thin_cells():
-    plan = stt.TestPlan(N=2, fraction=0.5, test_indices=(0,), measurements={0: 4})
-    accept, _ = stt.collect_and_check(plan, [0, 0], {0: True}, eps2=0.05, min_count=30)
+    accept, _ = stt.collect_and_check({0: 4}, [0, 0], [True], eps2=0.05, min_count=30)
     assert accept  # the single lonely sample is below min_count
 
 
 def test_collect_and_check_names_a_missing_outcome():
-    plan = stt.TestPlan(N=3, fraction=0.5, test_indices=(0, 2), measurements={0: 1, 2: 5})
-    with pytest.raises(ValueError, match="missing outcome for test index 2"):
-        stt.collect_and_check(plan, [0, 0, 0], {0: True}, eps2=0.05)
+    with pytest.raises(ValueError, match="1 outcomes for a plan of 2 runs"):
+        stt.collect_and_check({0: 1, 2: 5}, [0, 0, 0], [True], eps2=0.05)
+
+
+# SHA-256 over run_verifiable's accept, table cells, unmeasured indices, held
+# fidelities (9 decimals) and attempts, for N = 120 runs of TOY_MICRO and
+# TOY_WIDE, seeds 0-5, honest and quarter-turn-shifted strategies; and over the
+# (run id, measurement) pairs of 20 plans.  A change to either draw shows here.
+RUNS_DIGEST = "4265ca73d9322a948499176d7a94bc525bca7ffb8f9889aef530874f323a33a6"
+PLANS_DIGEST = "d47c526e8c83f8475a60363a56f6f8a5874ff8d2483b098aaf33507b291e4059"
+
+
+def test_run_verifiable_results_match_their_digest(monkeypatch):
+    # both strategies of a seed share its runs; only the outcome draws differ
+    monkeypatch.setattr(protocol8, "run_protocol8", functools.cache(protocol8.run_protocol8))
+    h = hashlib.sha256()
+    for params in (TOY_MICRO, TOY_WIDE):
+        for seed in range(6):
+            for strategy in (stt.honest_strategy(), stt.shifted_strategy(math.pi / 4)):
+                r = stt.run_verifiable(params, 120, 0.5, 0.05, seed, strategy=strategy)
+                cells = sorted([*k, *v] for k, v in r.table.cells.items())
+                fids = [f"{x:.9f}" for x in r.held_fidelities]
+                h.update(json.dumps([r.accept, cells, list(r.unmeasured), fids, r.attempts]).encode())
+    assert h.hexdigest() == RUNS_DIGEST
+
+
+def test_plan_tests_draws_match_their_digest():
+    h = hashlib.sha256()
+    for seed in range(20):
+        plan = stt.plan_tests(10 + 7 * seed, 0.25 + seed / 40, seed)
+        h.update(json.dumps([[i, m] for i, m in plan.items()]).encode())
+    assert h.hexdigest() == PLANS_DIGEST
 
 
 def test_from_samples_keys_and_counts_are_python_ints():
@@ -124,18 +153,14 @@ def test_quarter_turn_shifted_born_table_is_ideal_prob_one_index_off():
 
 
 def test_honest_statistics_exact():
-    st = stt.honest_strategy()
-    for L in range(8):
-        for M in range(8):
-            assert st.born_plus(L, M) == pytest.approx(stt.ideal_prob(L, M), abs=1e-12)
+    born = stt.honest_strategy().born_table()
+    assert np.max(np.abs(born - _ideal_table(0))) <= 1e-12
 
 
 @pytest.mark.parametrize("phi", [0.0, math.pi / 7, math.pi / 3, 1.0])
 def test_phi_family_statistics_exact(phi):
-    st = stt.phi_family_strategy(phi, dim=3)
-    for L in range(8):
-        for M in range(8):
-            assert st.born_plus(L, M) == pytest.approx(stt.ideal_prob(L, M), abs=1e-12)
+    born = stt.phi_family_strategy(phi, dim=3).born_table()
+    assert np.max(np.abs(born - _ideal_table(0))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -547,6 +547,17 @@ def test_global_phase_quotient():
     assert fidelity(a, QubitDescription.bb84(1, 0)) >= 1 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [("bb84", (2, 3)), ("bb84", (0, 2)), ("bb84", (-1, 0)), ("computational", (2,)),
+     ("computational", (-1,)), ("eight", (9,)), ("eight", (8,)), ("eight", (-1,)),
+     ("equatorial", (5,)), ("equatorial", (4,)), ("equatorial", (-1,))],
+)
+def test_a_named_state_rejects_an_index_outside_its_range(name, args):
+    with pytest.raises(ValueError, match="not in|must be 0 or 1"):
+        getattr(QubitDescription, name)(*args)
+
+
 # ---------------------------------------------------------------------------
 # analytic two-branch evaluation
 

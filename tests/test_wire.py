@@ -61,8 +61,27 @@ def _schema_field_names(schema) -> set:
 
 def test_no_kind_schema_names_a_private_field():
     names = _schema_field_names(wire.KIND_SCHEMAS)
-    assert {"key", "k", "params", "y", "b", "s1", "results"} <= names
+    assert {"key", "k", "params", "y", "b", "s1", "outcomes"} <= names
     assert names & wire.PRIVATE_FIELDS == set()
+
+
+def _is_plain_schema(schema) -> bool:
+    """Whether a schema is built only from types, dicts, one-type lists and tuples."""
+    if isinstance(schema, type):
+        return True
+    if isinstance(schema, dict):
+        return all(map(_is_plain_schema, schema.values()))
+    if isinstance(schema, list):
+        return len(schema) == 1 and isinstance(schema[0], type)
+    return isinstance(schema, tuple) and all(map(_is_plain_schema, schema))
+
+
+def test_every_schema_is_built_from_types_dicts_lists_and_tuples():
+    schemas = {f"wire.KIND_SCHEMAS[{kind!r}]": v for kind, v in wire.KIND_SCHEMAS.items()}
+    schemas |= {f"serde.{name}": v for name, v in vars(serde).items() if name.endswith("_SCHEMA")}
+    schemas["transcripts._ENVELOPE"] = transcripts._ENVELOPE
+    assert len(schemas) == len(wire.KIND_SCHEMAS) + 5
+    assert [name for name, schema in schemas.items() if not _is_plain_schema(schema)] == []
 
 
 def test_the_key_kind_carries_serdes_key_schema_itself():
@@ -107,32 +126,18 @@ def test_every_message_of_a_run_validates(backend):
 
 
 @pytest.mark.parametrize(
-    "run_id, ok",
-    [("0", True), ("-1", True), ("17", True), ("B1", False), ("01", False), ("+1", False),
-     (" 1", False), ("-0", False), ("1 ", False), ("", False)],
-)
-def test_test_results_keys_are_run_ids_as_str_writes_them(run_id, ok):
-    payload = {"results": {run_id: 1}}
-    if ok:
-        wire.validate_message(wire.WireMessage("test_results", 0, payload))
-    else:
-        with pytest.raises(wire.WireError):
-            wire.WireMessage("test_results", 0, payload)  # building one validates it
-
-
-@pytest.mark.parametrize(
     "kind, payload",
     [
         ("merge", {"s1": True, "s2": 0}),
         ("image", {"y": [1]}),
         ("meas", {"b": 101}),
         ("test_plan", {"indices": [False], "measurements": [3]}),
-        ("test_results", {"results": {"0": True}}),
+        ("test_results", {"outcomes": [True]}),
     ],
     ids=["bool-for-int", "int-for-str", "int-record", "bool-run-id", "bool-result"],
 )
 def test_a_leaf_of_the_wrong_type_is_a_wire_error(kind, payload):
-    with pytest.raises(wire.WireError, match="must be of type|must be a list of|rule"):
+    with pytest.raises(wire.WireError, match="must be of type|must be a list of"):
         wire.validate_message(wire.WireMessage(kind, 0, payload))
 
 
@@ -391,8 +396,9 @@ def test_server_refuses_a_session_past_the_cap_until_one_ends(caplog, monkeypatc
     ]
 
 
-def test_a_session_thread_that_cannot_start_gives_its_slot_back(monkeypatch):
+def test_a_session_thread_that_cannot_start_gives_its_slot_back(caplog, capsys, monkeypatch):
     monkeypatch.setattr(wire, "MAX_SESSIONS", 1)
+    caplog.set_level(logging.INFO, logger="qfactory.wire")
     server = wire.serve("127.0.0.1", 0, master_seed=3)
     host, port = server.server_address
     start, failed = threading.Thread.start, []
@@ -406,7 +412,9 @@ def test_a_session_thread_that_cannot_start_gives_its_slot_back(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start_failing_once)
     try:
         with socket.create_connection((host, port), timeout=5) as sock:
+            failed_port = sock.getsockname()[1]
             assert sock.recv(1) == b""  # closed: its session never started
+        records = _wire_records(caplog, 1)
         chan = wire.SocketChannel(host, port)
         try:
             wire.run4_over_channel(chan, TOY_MICRO, 3, 0)  # served in the slot given back
@@ -416,6 +424,10 @@ def test_a_session_thread_that_cannot_start_gives_its_slot_back(monkeypatch):
         server.shutdown()
         server.server_close()
     assert len(failed) == 1
+    assert [r.getMessage() for r in records] == [
+        f"session failed: peer 127.0.0.1:{failed_port}, RuntimeError: can't start new thread"
+    ]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_server_session_never_emits_private_fields():
@@ -489,7 +501,7 @@ def _assert_measurable(session, run_id=0):
     (and takes the state)."""
     plan = {"indices": [run_id], "measurements": [3]}
     (reply,) = session.handle(wire.WireMessage("test_plan", 0, plan))
-    assert set(reply.payload["results"]) == {str(run_id)}
+    assert len(reply.payload["outcomes"]) == 1
 
 
 def _states_in(obj) -> list:
@@ -662,7 +674,7 @@ def test_second_merge_of_a_run_is_rejected(measured):
     plan = {"indices": [0], "measurements": [3]}
     if measured:
         chan.send(wire.WireMessage("test_plan", 0, plan))
-        assert set(chan.recv().payload["results"]) == {"0"}
+        assert len(chan.recv().payload["outcomes"]) == 1
     # the first merge took both inputs
     with pytest.raises(wire.WireError, match="run 0's plain state was already taken"):
         chan.session.handle(wire.WireMessage("merge", 0, {}))
@@ -693,7 +705,7 @@ def test_server_session_rejects_malformed_test_plan(plan):
     chan = wire.local_session(5)
     wire.run8_over_channel(chan, TOY_MICRO, 5, 0)
     chan.send(wire.WireMessage("test_plan", 0, {"indices": [0], "measurements": [3]}))
-    assert set(chan.recv().payload["results"]) == {"0"}
+    assert len(chan.recv().payload["outcomes"]) == 1
     with pytest.raises(wire.WireError):
         chan.session.handle(wire.WireMessage("test_plan", 0, plan))
 
@@ -703,7 +715,7 @@ def test_test_plan_consumes_the_merged_state():
     wire.run8_over_channel(chan, TOY_MICRO, 5, 0)
     plan = {"indices": [0], "measurements": [3]}
     chan.send(wire.WireMessage("test_plan", 0, plan))
-    assert set(chan.recv().payload["results"]) == {"0"}
+    assert len(chan.recv().payload["outcomes"]) == 1
     with pytest.raises(wire.WireError, match="run 0's merged state was already taken"):
         chan.session.handle(wire.WireMessage("test_plan", 0, plan))
 
@@ -724,13 +736,28 @@ def test_test_outcome_depends_only_on_its_run():
         for run_id in range(4):
             wire.run8_over_channel(chan, TOY_MICRO, 8, run_id)
     plan = {"indices": [0, 1, 2, 3], "measurements": [1, 2, 5, 6]}
-    joint = together.session.handle(wire.WireMessage("test_plan", 0, plan))[0].payload["results"]
-    single = {}
+    joint = together.session.handle(wire.WireMessage("test_plan", 0, plan))[0].payload["outcomes"]
+    single = []
     for run_id, m_idx in zip(plan["indices"], plan["measurements"]):
         one = {"indices": [run_id], "measurements": [m_idx]}
         (reply,) = apart.session.handle(wire.WireMessage("test_plan", 9, one))
-        single.update(reply.payload["results"])
+        single += reply.payload["outcomes"]
     assert joint == single
+
+
+def test_test_results_come_back_in_the_order_of_the_plan():
+    """A run measured at its own index gives 1 and at the opposite one 0, so a
+    plan for runs [3, 0, 2] answers [1, 0, 1], the single-run outcomes in order."""
+    together, apart = wire.local_session(14), wire.local_session(14)
+    for chan in (together, apart):
+        index = {run_id: wire.run8_over_channel(chan, TOY_MICRO, 14, run_id).index for run_id in range(4)}
+    plan = {"indices": [3, 0, 2], "measurements": [index[3].L, (index[0].L + 4) % 8, index[2].L]}
+    (reply,) = together.session.handle(wire.WireMessage("test_plan", 0, plan))
+    single = []
+    for run_id, m_idx in zip(plan["indices"], plan["measurements"]):
+        one = {"indices": [run_id], "measurements": [m_idx]}
+        single += apart.session.handle(wire.WireMessage("test_plan", 9, one))[0].payload["outcomes"]
+    assert reply.payload["outcomes"] == single == [1, 0, 1]
 
 
 def test_server_session_holds_a_bounded_number_of_runs():
@@ -997,7 +1024,7 @@ def test_client_rejects_non_binary_merge_outcome(s1):
 
 def test_record_text_is_read_back_by_record_bits():
     bits = (0, 1, 1, 0, 1, 0, 0)
-    assert serde.record_text(bits) == "0110100"
+    assert lwe.bits_text(bits) == "0110100"
     assert serde.record_bits("0110100", 7) == bytes(bits)
 
 
